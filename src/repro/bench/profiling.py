@@ -100,6 +100,7 @@ _MEE_METHODS = (
 _BMT_METHODS = (
     "set_counter",
     "current_counter",
+    "current_counter_bytes",
     "persist_counter",
     "persist_node",
     "persist_path",

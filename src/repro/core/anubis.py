@@ -80,11 +80,10 @@ class AnubisProtocol(MetadataPersistencePolicy):
             # lines (counter and HMAC), so recovery can restore them
             # even though the lines themselves stay dirty in the
             # volatile cache.
-            block = mee.tree.current_counter(counter_index)
             mee.nvm.backend.write(
                 MetadataRegion.SHADOW_TABLE,
                 ("ctr", counter_index),
-                block.encode(),
+                mee.tree.current_counter_bytes(counter_index),
             )
             mac = mee._volatile_hmacs.get(block_index)
             if mac is not None:

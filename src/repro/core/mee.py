@@ -52,6 +52,7 @@ from repro.cache.metadata_cache import (
 )
 from repro.config import SystemConfig
 from repro.core.protocol import MetadataPersistencePolicy
+from repro.crypto.counters import counter_in_line
 from repro.crypto.engine import CryptoEngine, RealCryptoEngine
 from repro.crypto.hmac import data_mac
 from repro.errors import IntegrityError
@@ -648,9 +649,10 @@ class MemoryEncryptionEngine:
         ciphertext = self.nvm.backend.read(
             MetadataRegion.DATA, block_index, self.config.security.block_bytes
         )
-        counter = self.tree.current_counter(counter_index)
-        offset = self.address_space.block_offset_in_page(paddr)
-        major, minor = counter.counter_for(offset)
+        major, minor = counter_in_line(
+            self.tree.current_counter_bytes(counter_index),
+            self.address_space.block_offset_in_page(paddr),
+        )
         expected_mac = data_mac(self.engine, ciphertext, block_base, major, minor)
         if expected_mac != self._stored_mac(block_index, block_base):
             raise IntegrityError(

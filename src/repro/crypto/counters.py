@@ -16,6 +16,7 @@ is exactly 64 bytes — one metadata cache line, as the paper assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lshift
 from typing import List, Tuple
 
 MINOR_BITS = 7
@@ -23,6 +24,16 @@ MINOR_LIMIT = (1 << MINOR_BITS) - 1  # 127
 MINORS_PER_BLOCK = 64
 MAJOR_BYTES = 8
 ENCODED_BYTES = MAJOR_BYTES + (MINORS_PER_BLOCK * MINOR_BITS) // 8  # 64
+#: Bit offset of each minor in the packed field (minor 0 lowest).
+_SHIFTS = tuple(range(0, MINORS_PER_BLOCK * MINOR_BITS, MINOR_BITS))
+
+
+def counter_in_line(raw: bytes, block_offset: int) -> Tuple[int, int]:
+    """The (major, minor) pair of block ``block_offset``, read straight
+    from an encoded 64-byte line without decoding the other minors."""
+    major = int.from_bytes(raw[:MAJOR_BYTES], "little")
+    packed = int.from_bytes(raw[MAJOR_BYTES:], "little")
+    return (major, (packed >> _SHIFTS[block_offset]) & MINOR_LIMIT)
 
 
 @dataclass
@@ -39,9 +50,10 @@ class CounterBlock:
             raise ValueError(
                 f"expected {MINORS_PER_BLOCK} minors, got {len(self.minors)}"
             )
-        for minor in self.minors:
-            if not 0 <= minor <= MINOR_LIMIT:
-                raise ValueError(f"minor counter {minor} out of 7-bit range")
+        if min(self.minors) < 0 or max(self.minors) > MINOR_LIMIT:
+            for minor in self.minors:
+                if not 0 <= minor <= MINOR_LIMIT:
+                    raise ValueError(f"minor counter {minor} out of 7-bit range")
 
     def counter_for(self, block_offset: int) -> Tuple[int, int]:
         """The (major, minor) pair encrypting block ``block_offset``."""
@@ -67,9 +79,7 @@ class CounterBlock:
 
     def encode(self) -> bytes:
         """Pack into the 64-byte line stored in NVM."""
-        packed = 0
-        for minor in reversed(self.minors):
-            packed = (packed << MINOR_BITS) | minor
+        packed = sum(map(lshift, self.minors, _SHIFTS))
         return self.major.to_bytes(MAJOR_BYTES, "little") + packed.to_bytes(
             ENCODED_BYTES - MAJOR_BYTES, "little"
         )
@@ -81,10 +91,7 @@ class CounterBlock:
             raise ValueError(f"counter block must be {ENCODED_BYTES} bytes")
         major = int.from_bytes(raw[:MAJOR_BYTES], "little")
         packed = int.from_bytes(raw[MAJOR_BYTES:], "little")
-        minors = []
-        for _ in range(MINORS_PER_BLOCK):
-            minors.append(packed & MINOR_LIMIT)
-            packed >>= MINOR_BITS
+        minors = [(packed >> shift) & MINOR_LIMIT for shift in _SHIFTS]
         return cls(major=major, minors=minors)
 
     def copy(self) -> "CounterBlock":

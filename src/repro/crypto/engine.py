@@ -56,7 +56,9 @@ class CryptoEngine(ABC):
 def _xor(data: bytes, pad: bytes) -> bytes:
     if len(data) != len(pad):
         raise ValueError(f"length mismatch: data {len(data)} vs pad {len(pad)}")
-    return bytes(a ^ b for a, b in zip(data, pad))
+    return (
+        int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")
+    ).to_bytes(len(data), "little")
 
 
 class RealCryptoEngine(CryptoEngine):
@@ -66,18 +68,23 @@ class RealCryptoEngine(CryptoEngine):
         if not key:
             raise ValueError("engine key must be non-empty")
         self._key = key[:64]  # blake2b key limit
+        # Keying costs a whole blake2b block; each call copies a state
+        # that has already absorbed it.
+        self._mac_state = hashlib.blake2b(key=self._key, digest_size=self.mac_bytes)
+        self._hash8_state = hashlib.blake2b(key=self._key, digest_size=self.slot_bytes)
+        self._pad_state = hashlib.blake2b(key=self._key, digest_size=self.block_bytes)
 
     def mac(self, *parts: bytes) -> bytes:
-        digest = hashlib.blake2b(key=self._key, digest_size=self.mac_bytes)
+        digest = self._mac_state.copy()
         for part in parts:
             digest.update(len(part).to_bytes(4, "little"))
             digest.update(part)
         return digest.digest()
 
     def hash8(self, data: bytes) -> bytes:
-        return hashlib.blake2b(
-            data, key=self._key, digest_size=self.slot_bytes
-        ).digest()
+        digest = self._hash8_state.copy()
+        digest.update(data)
+        return digest.digest()
 
     def pad(self, address: int, major: int, minor: int) -> bytes:
         seed = (
@@ -85,9 +92,9 @@ class RealCryptoEngine(CryptoEngine):
             + major.to_bytes(8, "little")
             + minor.to_bytes(2, "little")
         )
-        return hashlib.blake2b(
-            seed, key=self._key, digest_size=self.block_bytes
-        ).digest()
+        digest = self._pad_state.copy()
+        digest.update(seed)
+        return digest.digest()
 
 
 class FastCryptoEngine(CryptoEngine):

@@ -51,6 +51,8 @@ from repro.mem.backend import MetadataRegion, SparseMemory
 
 NODE_BYTES = 64
 SLOT_BYTES = 8
+#: A never-written counter line (decodes to the all-zero block).
+_ZERO_COUNTER_LINE = bytes(ENCODED_BYTES)
 
 
 @dataclass
@@ -118,9 +120,6 @@ class BonsaiMerkleTree:
     def _child_count(self, node: NodeId) -> int:
         return sum(1 for _ in self.geometry.children(node))
 
-    def _genesis_counter_bytes(self) -> bytes:
-        return bytes(ENCODED_BYTES)
-
     def _genesis_node_bytes(self, node: NodeId) -> bytes:
         """Node contents implied by an all-zero counter space."""
         level, _ = node
@@ -132,7 +131,7 @@ class BonsaiMerkleTree:
         for child in self.geometry.children(node):
             child_level, _ = child
             if child_level == self.geometry.counter_level:
-                child_bytes = self._genesis_counter_bytes()
+                child_bytes = _ZERO_COUNTER_LINE
             else:
                 child_bytes = self._genesis_node_bytes(child)
             slots.append(self.engine.hash8(child_bytes))
@@ -151,11 +150,27 @@ class BonsaiMerkleTree:
     # state views
     # ------------------------------------------------------------------
 
+    def persisted_counter_bytes(self, index: int) -> bytes:
+        """The persisted counter line (zeros if never written).
+
+        Raises ``ValueError`` for a stored line of the wrong length,
+        exactly as :meth:`CounterBlock.decode` would.
+        """
+        raw = self.backend.read(MetadataRegion.COUNTERS, index, ENCODED_BYTES)
+        if len(raw) != ENCODED_BYTES:
+            raise ValueError(f"counter block must be {ENCODED_BYTES} bytes")
+        return raw
+
+    def current_counter_bytes(self, index: int) -> bytes:
+        """The current counter line: the volatile block's encoding if
+        dirty, else the persisted line."""
+        block = self._volatile_counters.get(index)
+        if block is not None:
+            return block.encode()
+        return self.persisted_counter_bytes(index)
+
     def persisted_counter(self, index: int) -> CounterBlock:
-        if self.backend.contains(MetadataRegion.COUNTERS, index):
-            raw = self.backend.read(MetadataRegion.COUNTERS, index, ENCODED_BYTES)
-            return CounterBlock.decode(raw)
-        return CounterBlock()
+        return CounterBlock.decode(self.persisted_counter_bytes(index))
 
     def current_counter(self, index: int) -> CounterBlock:
         block = self._volatile_counters.get(index)
@@ -198,7 +213,7 @@ class BonsaiMerkleTree:
         children_are_counters = child_level == counter_level
         for child_index in pending:
             if children_are_counters:
-                child_bytes = self.current_counter(child_index).encode()
+                child_bytes = self.current_counter_bytes(child_index)
             else:
                 child_bytes = self._materialize_node((child_level, child_index))
             slot = child_index % arity
@@ -261,7 +276,7 @@ class BonsaiMerkleTree:
         for child in self.geometry.children(node):
             child_level, child_index = child
             if child_level == self.geometry.counter_level:
-                child_bytes = self.current_counter(child_index).encode()
+                child_bytes = self.current_counter_bytes(child_index)
             else:
                 child_bytes = self.current_node_bytes(child)
             slots.append(self._hash_node(child_bytes))
@@ -296,7 +311,7 @@ class BonsaiMerkleTree:
                 child_index = node[1]
             self._root_stale = True
             return
-        child_bytes = self.current_counter(counter_index).encode()
+        child_bytes = self.current_counter_bytes(counter_index)
         child_index = counter_index
         for node in path:
             parent = bytearray(self.current_node_bytes(node))
@@ -372,10 +387,10 @@ class BonsaiMerkleTree:
         which is what the MEE authenticates at runtime.
         """
         if persisted_only:
-            counter_bytes = self.persisted_counter(index).encode()
+            counter_bytes = self.persisted_counter_bytes(index)
             node_bytes_of = self.persisted_node_bytes
         else:
-            counter_bytes = self.current_counter(index).encode()
+            counter_bytes = self.current_counter_bytes(index)
             node_bytes_of = self.current_node_bytes
 
         report = VerificationReport(ok=True)
@@ -417,40 +432,31 @@ class BonsaiMerkleTree:
         are assumed stale and must be rebuilt from the (persisted)
         leaves before comparing against the trusted register.
         """
-        level, index = subtree
+        level, _ = subtree
+        arity = self.geometry.arity
         first, last = self.geometry.counter_range_of(subtree)
-        # hashes of the current level's entries, keyed by entry index
-        child_hashes: Dict[int, bytes] = {}
-        for counter_index in range(first, last):
-            raw = self.persisted_counter(counter_index).encode()
-            child_hashes[counter_index] = self._hash_node(raw)
+        hash_node = self._hash_node
+        line_of = self.persisted_counter_bytes
+        # Hashes of the current level's entries in index order, starting
+        # at ``first_index`` (aligned to ``arity``, so every chunk of
+        # ``arity`` digests is one parent's slots, left to right).
+        digests = [hash_node(line_of(i)) for i in range(first, last)]
+        first_index = first
         nodes_recomputed = 0
-        current_level = self.geometry.counter_level - 1
-        while current_level >= level:
-            parent_hashes: Dict[int, bytes] = {}
-            parent_first = first // (
-                self.geometry.arity ** (self.geometry.counter_level - current_level)
-            )
-            # Group children by parent index.
-            grouped: Dict[int, List[Tuple[int, bytes]]] = {}
-            for child_index, digest in child_hashes.items():
-                grouped.setdefault(child_index // self.geometry.arity, []).append(
-                    (child_index, digest)
-                )
-            for parent_index, children in grouped.items():
-                slots = bytearray(NODE_BYTES)
-                for child_index, digest in children:
-                    slot = child_index % self.geometry.arity
-                    slots[slot * SLOT_BYTES : (slot + 1) * SLOT_BYTES] = digest
-                node_value = bytes(slots)
-                node_id: NodeId = (current_level, parent_index)
-                self.backend.write(MetadataRegion.TREE, node_id, node_value)
+        write = self.backend.write
+        for current_level in range(self.geometry.counter_level - 1, level - 1, -1):
+            first_index //= arity
+            parent_digests = []
+            for offset in range(0, len(digests), arity):
+                node_value = b"".join(digests[offset : offset + arity])
+                node_value += bytes(NODE_BYTES - len(node_value))
+                node_id: NodeId = (current_level, first_index + offset // arity)
+                write(MetadataRegion.TREE, node_id, node_value)
                 self._volatile_nodes.pop(node_id, None)
                 self._lazy_slots.pop(node_id, None)
-                parent_hashes[parent_index] = self._hash_node(node_value)
-                nodes_recomputed += 1
-            child_hashes = parent_hashes
-            current_level -= 1
+                parent_digests.append(hash_node(node_value))
+            nodes_recomputed += len(parent_digests)
+            digests = parent_digests
         subtree_bytes = self.persisted_node_bytes(subtree)
         return subtree_bytes, nodes_recomputed
 

@@ -30,6 +30,11 @@ class MetadataRegion(enum.Enum):
     SHADOW_TABLE = "shadow_table"
     SHADOW_TREE = "shadow_tree"
 
+    #: Members are singletons, so identity hashing is exact and runs at
+    #: C speed (``Enum.__hash__`` hashes the name in Python on every
+    #: region lookup).
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # compact in test output
         return f"<{self.value}>"
 
@@ -47,12 +52,14 @@ class SparseMemory:
     default_line_bytes: int = 64
     _store: Dict[MetadataRegion, Dict[Key, bytes]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Every region's bucket exists up front, so lookups are one
+        # dict index with no create-on-miss branch.
+        for region in MetadataRegion:
+            self._store.setdefault(region, {})
+
     def _region(self, region: MetadataRegion) -> Dict[Key, bytes]:
-        bucket = self._store.get(region)
-        if bucket is None:
-            bucket = {}
-            self._store[region] = bucket
-        return bucket
+        return self._store[region]
 
     def read(
         self,
@@ -61,7 +68,7 @@ class SparseMemory:
         width: Optional[int] = None,
     ) -> bytes:
         """Read the line at ``key``; unwritten lines read as zeros."""
-        line = self._region(region).get(key)
+        line = self._store[region].get(key)
         if line is not None:
             return line
         return bytes(width if width is not None else self.default_line_bytes)
@@ -70,10 +77,10 @@ class SparseMemory:
         """Persist ``value`` at ``key`` (overwrites)."""
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"expected bytes, got {type(value).__name__}")
-        self._region(region)[key] = bytes(value)
+        self._store[region][key] = bytes(value)
 
     def contains(self, region: MetadataRegion, key: Key) -> bool:
-        return key in self._region(region)
+        return key in self._store[region]
 
     def erase(self, region: MetadataRegion, key: Key) -> None:
         self._region(region).pop(key, None)

@@ -167,8 +167,7 @@ class PendingSparseMemory(SparseMemory):
         return wrapped
 
     def write(self, region: MetadataRegion, key: Key, value: bytes) -> None:
-        bucket = self._region(region)
-        original = bucket.get(key)
+        original = self._store[region].get(key)
         self.wpq.record(region, key, original is not None, original, value)
         super().write(region, key, value)
 
