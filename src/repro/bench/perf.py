@@ -40,7 +40,6 @@ from repro.sim.parallel import (
     SweepCell,
     _pool_entry,
     default_workers,
-    precompile_plans,
     precompile_streams,
     run_cell,
     validate_cells,
@@ -131,47 +130,22 @@ def _time_serial(cells: Sequence[SweepCell], config: SystemConfig) -> float:
     return elapsed
 
 
-def _time_serial_replay(
-    cells: Sequence[SweepCell], config: SystemConfig
-) -> float:
-    """Serial run through the compile-then-replay path: the data-side
-    hierarchy is walked once per (trace, OS variant) and the compiled
-    boundary stream is replayed into every protocol. The stream cache
-    is cleared first so the leg pays its own compile cost — the number
-    is honest about what a cold grid costs, not just the replays.
-
-    ``plan=False`` pins the leg to the *unplanned* replay loop so the
-    trajectory stays comparable with pre-plan BENCH_sweep.json entries
-    and the planned leg below has an honest denominator."""
-    replay_cells = [replace(cell, replay=True, plan=False) for cell in cells]
-    trace_cache_clear()
-    boundary_stream_cache_clear()
-    start = time.perf_counter()
-    precompile_streams(replay_cells, config)
-    for cell in replay_cells:
-        run_cell(cell, config)
-    elapsed = time.perf_counter() - start
-    boundary_stream_cache_clear()
-    return elapsed
-
-
 def _time_serial_plan(
     cells: Sequence[SweepCell], config: SystemConfig
 ) -> float:
-    """The replay leg with metadata-plan compilation on top: boundary
-    streams *and* per-event metadata plans are compiled cold inside the
-    timed region (stream and plan caches cleared first), then every
-    cell replays through :func:`repro.sim.engine.simulate_from_plan`.
-    The delta against ``serial_replay`` prices exactly what the plan
-    compiler buys — pre-resolved metadata addresses, interned cache
-    keys, premixed set indices — net of its own compile cost."""
-    plan_cells = [replace(cell, replay=True, plan=True) for cell in cells]
+    """Serial run through the compile-then-replay path a sweep takes:
+    boundary streams and their metadata plans are compiled cold inside
+    the timed region (stream and plan caches cleared first), once per
+    (trace, OS variant), then every cell replays through
+    :func:`repro.sim.engine.simulate_from_plan`. The delta against
+    ``serial`` (one direct :func:`repro.sim.engine.simulate` per cell)
+    prices what compiling buys, net of its own cost."""
+    plan_cells = [replace(cell, replay=True) for cell in cells]
     trace_cache_clear()
     boundary_stream_cache_clear()
     metadata_plan_cache_clear()
     start = time.perf_counter()
     precompile_streams(plan_cells, config)
-    precompile_plans(plan_cells, config)
     for cell in plan_cells:
         run_cell(cell, config)
     elapsed = time.perf_counter() - start
@@ -258,7 +232,6 @@ def run_reference_bench(
     seed: Seed = REFERENCE_SEED,
     output: Optional[Path] = Path("BENCH_sweep.json"),
     include_uncached: bool = True,
-    include_replay: bool = True,
     include_plan: bool = True,
     include_telemetry: bool = True,
     include_store: bool = True,
@@ -270,9 +243,8 @@ def run_reference_bench(
 
     Returns the report dict. ``workers=None`` auto-sizes to the visible
     core count. ``include_uncached=False`` skips the slowest leg (CI
-    smoke runs on tiny grids don't need it); ``include_replay=False``
-    skips the boundary-replay leg (the ``--no-replay`` escape hatch);
-    ``include_plan=False`` skips the metadata-plan leg (``--no-plan``).
+    smoke runs on tiny grids don't need it); ``include_plan=False``
+    skips the compiled-plan leg.
     ``history`` names a JSONL trend log: each run appends one entry
     (headline timings + speedups) via the durable-append helper, and
     the report gains a ``history`` block holding the previous entry so
@@ -318,10 +290,6 @@ def run_reference_bench(
                 "serial_telemetry",
                 lambda: _time_serial_telemetry(cells, config),
             )
-        )
-    if include_replay:
-        legs.append(
-            ("serial_replay", lambda: _time_serial_replay(cells, config))
         )
     if include_plan:
         legs.append(
@@ -372,7 +340,6 @@ def run_reference_bench(
     serial_telemetry = (
         min(samples["serial_telemetry"]) if include_telemetry else None
     )
-    serial_replay = min(samples["serial_replay"]) if include_replay else None
     serial_plan = min(samples["serial_plan"]) if include_plan else None
     store_cold = min(samples["store_cold"]) if include_store else None
     warm_sweep = min(samples["warm_sweep"]) if include_store else None
@@ -405,7 +372,6 @@ def run_reference_bench(
             "serial_uncached": serial_uncached,
             "serial": serial_seconds,
             "serial_telemetry": serial_telemetry,
-            "serial_replay": serial_replay,
             "serial_plan": serial_plan,
             "store_cold": store_cold,
             "warm_sweep": warm_sweep,
@@ -421,21 +387,9 @@ def run_reference_bench(
                 if serial_uncached is not None and serial_seconds > 0
                 else None
             ),
-            "replay_vs_serial": (
-                serial_seconds / serial_replay
-                if serial_replay is not None and serial_replay > 0
-                else None
-            ),
             "plan_vs_serial": (
                 serial_seconds / serial_plan
                 if serial_plan is not None and serial_plan > 0
-                else None
-            ),
-            "plan_vs_replay": (
-                serial_replay / serial_plan
-                if serial_replay is not None
-                and serial_plan is not None
-                and serial_plan > 0
                 else None
             ),
             "warm_vs_cold": (
@@ -524,8 +478,6 @@ def run_resilient_sweep(
     accesses: int = REFERENCE_ACCESSES,
     seed: Seed = REFERENCE_SEED,
     policy: Optional[SupervisionPolicy] = None,
-    replay: bool = True,
-    plan: bool = True,
     store=None,
 ) -> Dict[str, object]:
     """Run the reference grid under supervision, journaled in ``run_dir``.
@@ -538,14 +490,11 @@ def run_resilient_sweep(
     ``resume=True`` skips the journaled cells and produces a final
     artifact bit-identical to an uninterrupted run.
 
-    With ``replay=True`` (the default) cells run through the compiled
-    boundary-stream path — the data side is simulated once per
-    (benchmark, OS variant) in the supervisor parent and replayed into
-    every protocol cell; results are bit-identical to the direct path,
-    so journals from either mode resume interchangeably (cell keys do
-    not encode the execution strategy). ``replay=False`` is the
-    ``--no-replay`` escape hatch; ``plan=False`` keeps replay but
-    skips metadata-plan compilation (``--no-plan``).
+    Cells run through the compiled-plan path: the data side and its
+    metadata plan are compiled once per (benchmark, OS variant) in the
+    supervisor parent and replayed into every protocol cell. Results
+    are bit-identical to the direct path, and cell keys do not encode
+    the execution strategy.
 
     With a :class:`~repro.store.ResultStore` as ``store``, the journal
     and the store *compose*: cells already in the store are recorded
@@ -558,16 +507,14 @@ def run_resilient_sweep(
     from repro.bench.export import export_experiment
 
     config = default_config()
-    cells = reference_cells(benchmarks, protocols, accesses, seed)
-    if replay:
-        cells = [replace(cell, replay=True, plan=plan) for cell in cells]
+    cells = [
+        replace(cell, replay=True)
+        for cell in reference_cells(benchmarks, protocols, accesses, seed)
+    ]
     validate_cells(cells)
-    if replay:
-        # Compile each distinct data side (and metadata plan) once up
-        # front so fork-started supervised workers inherit warm caches.
-        precompile_streams(cells, config)
-        if plan:
-            precompile_plans(cells, config)
+    # Compile each distinct data side and its metadata plan once up
+    # front so fork-started supervised workers inherit warm caches.
+    precompile_streams(cells, config)
     keys = [sweep_cell_key(i, cell) for i, cell in enumerate(cells)]
     parameters = {
         "benchmarks": list(benchmarks),
@@ -752,8 +699,6 @@ def format_report(report: Dict[str, object]) -> str:
     lines.append(leg_line("serial, trace cache    ", "serial"))
     if timings.get("serial_telemetry") is not None:
         lines.append(leg_line("serial, telemetry on   ", "serial_telemetry"))
-    if timings.get("serial_replay") is not None:
-        lines.append(leg_line("serial, boundary replay", "serial_replay"))
     if timings.get("serial_plan") is not None:
         lines.append(leg_line("serial, metadata plan  ", "serial_plan"))
     if timings.get("store_cold") is not None:
@@ -769,17 +714,9 @@ def format_report(report: Dict[str, object]) -> str:
         )
     if speedups["trace_cache"] is not None:
         lines.append(f"trace-cache speedup    : {speedups['trace_cache']:8.2f}x")
-    if speedups.get("replay_vs_serial") is not None:
-        lines.append(
-            f"replay speedup         : {speedups['replay_vs_serial']:8.2f}x"
-        )
     if speedups.get("plan_vs_serial") is not None:
         lines.append(
             f"plan speedup           : {speedups['plan_vs_serial']:8.2f}x"
-        )
-    if speedups.get("plan_vs_replay") is not None:
-        lines.append(
-            f"plan vs replay         : {speedups['plan_vs_replay']:8.2f}x"
         )
     if speedups.get("warm_vs_cold") is not None:
         lines.append(

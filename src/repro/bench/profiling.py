@@ -11,11 +11,13 @@ protocol) cell and attributes wall-clock to the pipeline's phases:
 * ``boundary_compile`` — compiling the data side to a boundary-event
   stream (``replay=True`` runs only; identically 0.0 on the direct
   path, kept in the schema so documents stay comparable);
+* ``boundary_plan`` — compiling the stream's metadata plan (likewise
+  ``replay=True`` only);
 * ``engine`` — the full simulate() (or, under ``replay=True``, the
-  simulate_from_stream() replay) call, inside which two sub-phases
+  simulate_from_plan() replay) call, inside which two sub-phases
   are carved out by instrumenting the live objects:
 
-  * ``mee`` — time inside ``read_block``/``write_block`` (the
+  * ``mee`` — time inside the MEE's datapath entry points (the
     metadata walk, i.e. everything below the LLC) *excluding* the
     functional tree;
   * ``bmt`` — time inside the functional Merkle tree (zero in
@@ -50,7 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.config import SystemConfig, default_config, validate_integrity_mode
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
+from repro.sim.engine import simulate, simulate_from_plan
 from repro.sim.machine import build_machine
 from repro.sim.parallel import default_workers
 from repro.util.atomicio import atomic_write_json
@@ -65,8 +67,9 @@ from repro.workloads.registry import (
 #: Schema tag embedded in every profile artifact; bump on breaking
 #: layout changes so downstream readers can dispatch. v2 added the
 #: ``boundary_compile`` phase and the ``run.replay`` flag; v3 added
-#: ``boundary_plan`` (metadata-plan compilation, ``plan=True`` runs
-#: only) and the ``run.plan`` flag; v4 added
+#: ``boundary_plan`` (metadata-plan compilation, replay runs only) and
+#: the ``run.plan`` flag (equal to ``run.replay`` since replay always
+#: runs the compiled plan); v4 added
 #: ``environment.cache_limits`` (the effective trace/stream/plan LRU
 #: bounds, settable via ``--cache-limit`` / ``$REPRO_CACHE_LIMIT``).
 PROFILE_SCHEMA = "repro.profile/v4"
@@ -87,8 +90,9 @@ MEASURED_PHASES = (
 #: Methods whose cumulative time defines the ``mee`` sub-phase. The
 #: engine hoists these bound methods once per run, so instance-level
 #: wrappers installed *before* simulate() capture every call.
-#: ``replay_plan_events`` is the plan-driven replay's entire metadata
-#: walk (plan runs never enter read_block/write_block).
+#: ``read_block``/``write_block`` and plan replay share one event loop:
+#: the block methods run it one event at a time, and
+#: ``replay_plan_events`` runs a whole plan through it in one call.
 _MEE_METHODS = (
     "read_block",
     "write_block",
@@ -201,7 +205,6 @@ def profile_run(
     capture_cprofile: bool = True,
     top: int = 25,
     replay: bool = False,
-    plan: bool = False,
 ) -> Dict[str, Any]:
     """Profile one simulation cell; returns the artifact document.
 
@@ -211,13 +214,12 @@ def profile_run(
     where the host CPU time went while producing them.
 
     With ``replay=True`` the cell runs through the compile-then-replay
-    pipeline: ``boundary_compile`` times a cold
-    :func:`~repro.sim.replay.compile_boundary_stream` and ``engine``
-    times the stream replay into the MEE — so the split shows what a
-    sweep's first protocol pays versus every subsequent one.
-    ``plan=True`` (requires ``replay``) adds ``boundary_plan``: a cold
-    :func:`~repro.sim.plan.compile_metadata_plan` over the stream,
-    with the engine phase then timing the plan-driven replay.
+    pipeline a sweep takes: ``boundary_compile`` times a cold
+    :func:`~repro.sim.replay.compile_boundary_stream`,
+    ``boundary_plan`` a cold :func:`~repro.sim.plan.compile_metadata_plan`
+    over it, and ``engine`` the plan replay into the MEE — so the split
+    shows what a sweep's first protocol pays versus every subsequent
+    one. The document's ``run.plan`` equals ``run.replay``.
     """
     validate_integrity_mode(integrity_mode)
     config = config or default_config()
@@ -237,13 +239,11 @@ def profile_run(
             integrity_mode=integrity_mode,
         )
 
-    if plan and not replay:
-        raise ValueError("plan=True requires replay=True")
-
     stream = None
     metadata_plan = None
     if replay:
         from repro.core.protocol import protocol_uses_modified_os
+        from repro.sim.plan import compile_metadata_plan
         from repro.sim.replay import compile_boundary_stream
 
         with clock.measure("boundary_compile"):
@@ -253,11 +253,8 @@ def profile_run(
                 seed=seed,
                 modified_os=protocol_uses_modified_os(protocol),
             )
-        if plan:
-            from repro.sim.plan import compile_metadata_plan
-
-            with clock.measure("boundary_plan"):
-                metadata_plan = compile_metadata_plan(stream, config)
+        with clock.measure("boundary_plan"):
+            metadata_plan = compile_metadata_plan(stream, config)
 
     _instrument(machine.mee, _MEE_METHODS, clock, "mee")
     tree = getattr(machine.mee, "tree", None)
@@ -269,10 +266,8 @@ def profile_run(
         profiler.enable()
     try:
         with clock.measure("engine"):
-            if metadata_plan is not None:
+            if replay:
                 result = simulate_from_plan(stream, metadata_plan, machine)
-            elif replay:
-                result = simulate_from_stream(stream, machine)
             else:
                 result = simulate(machine, trace, seed=seed)
     finally:
@@ -320,7 +315,7 @@ def profile_run(
             "integrity_mode": integrity_mode,
             "cprofile": capture_cprofile,
             "replay": replay,
-            "plan": plan,
+            "plan": replay,
         },
         # Mirrors BENCH_sweep.json's environment block so profiles from
         # different machines are comparable. A profile run is always

@@ -90,8 +90,9 @@ def mix_of(key: Key) -> int:
     The value callers may pass to
     :meth:`SetAssociativeCache.access_line_premixed` — exactly what the
     default (``set_of=None``) placement derives per access, resolved
-    once. The metadata-plan compiler uses this to bake set indices into
-    its per-event records.
+    once. The MEE's event-record resolver
+    (:func:`repro.core.mee.resolve_record`) uses this to bake set
+    indices into its records.
     """
     mixed = _MIX_MEMO.get(key)
     if mixed is None:
@@ -251,8 +252,8 @@ class SetAssociativeCache:
         where the set index is exactly ``mixed & (num_sets - 1)`` —
         identical to what :meth:`_index` derives, so hits, fills, LRU
         transitions, and victims match :meth:`access_line` bit for bit.
-        The plan-driven replay path pre-resolves the mix once per
-        metadata key instead of paying a memo-dict probe per reference.
+        The MEE's event loop inlines this body over records whose mixes
+        were resolved once per metadata key.
         """
         bucket = self._sets[mixed & self._set_mask]
         line = bucket.get(key)

@@ -58,11 +58,10 @@ class MetadataCache:
         self.lookup = inner.lookup
         self.contains = inner.contains
         self.insert = inner.insert
-        self.access_line = inner.access_line
-        # Valid because build_cache above uses default placement
-        # (set_of=None): the premixed set index is bit-identical to the
-        # one access_line derives (see SetAssociativeCache).
-        self.access_line_premixed = inner.access_line_premixed
+        # The MEE's event loop probes the inner cache's sets directly
+        # with premixed set indices (a transcription of
+        # SetAssociativeCache.access_line_premixed), valid because
+        # build_cache above uses default placement (set_of=None).
         self.mark_dirty = inner.mark_dirty
         self.clean = inner.clean
         self.is_dirty = inner.is_dirty

@@ -25,10 +25,9 @@ Commands:
 
 ``sweep``, ``experiment``, and ``perf`` accept ``--workers N`` to fan
 the sweep grid out over a process pool; results are bit-identical to
-the serial run. ``sweep`` and ``perf`` accept ``--no-replay`` to
-bypass boundary-event compilation and re-walk the data side per
-protocol, and ``--no-plan`` to replay without the compiled metadata
-plan (see docs/PERFORMANCE.md); results are identical either way.
+the serial run. Sweeps compile each trace's data side and metadata
+plan once and replay them into every protocol (see
+docs/PERFORMANCE.md).
 ``perf`` also appends each timing run's headline numbers to a JSONL
 trend log (``--history``, default ``BENCH_history.jsonl``) and prints
 the delta against the previous entry.
@@ -111,8 +110,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         scatter_span_chunks=args.scatter_chunks,
         workers=args.workers,
-        replay=not args.no_replay,
-        plan=not args.no_plan,
         store=store,
     )
     rows = [
@@ -453,8 +450,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             benchmarks=tuple(args.benchmarks),
             accesses=args.accesses,
             policy=_policy_from_args(args),
-            replay=not args.no_replay,
-            plan=not args.no_plan,
             store=store,
         )
         if store is not None:
@@ -482,8 +477,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         accesses=args.accesses,
         output=Path(args.output) if args.output else None,
         include_uncached=not args.skip_uncached,
-        include_replay=not args.no_replay,
-        include_plan=not args.no_plan,
         include_telemetry=not args.no_telemetry,
         include_store=not args.no_store,
         rounds=args.rounds,
@@ -531,8 +524,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         integrity_mode=args.integrity_mode,
         capture_cprofile=not args.no_cprofile,
         top=args.top,
-        replay=args.replay or args.plan,
-        plan=args.plan,
+        replay=args.replay,
     )
     print(format_profile(document, top=args.top))
     if args.output:
@@ -864,18 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="processes for the sweep grid (1 = in-process serial)",
     )
-    sweep.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="re-walk the data side per protocol instead of compiling "
-        "one boundary stream (results are identical either way)",
-    )
-    sweep.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="replay without the compiled metadata plan (results are "
-        "identical either way; only the wall-clock changes)",
-    )
     _add_store_args(sweep)
     _add_cache_limit_arg(sweep)
     _add_telemetry_args(sweep)
@@ -933,18 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="interleaved rounds per leg; reported time is the best",
     )
     perf.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="skip the boundary-replay leg (timing mode) or run the "
-        "resilient sweep through the direct per-protocol path",
-    )
-    perf.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="skip the metadata-plan leg (timing mode) or run the "
-        "resilient sweep's replays without compiled plans",
-    )
-    perf.add_argument(
         "--history",
         default="BENCH_history.jsonl",
         help="JSONL trend log appended after each timing run "
@@ -985,14 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--replay",
         action="store_true",
-        help="profile the compile-then-replay pipeline (splits out the "
-        "boundary_compile phase) instead of the direct path",
-    )
-    prof.add_argument(
-        "--plan",
-        action="store_true",
-        help="profile the plan-driven replay (implies --replay; splits "
-        "out the boundary_plan phase)",
+        help="profile the compile-then-replay pipeline a sweep runs "
+        "(splits out the boundary_compile and boundary_plan phases) "
+        "instead of the direct path",
     )
     prof.add_argument(
         "--top", type=int, default=15, help="hotspot rows to keep/print"

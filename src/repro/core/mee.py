@@ -32,6 +32,14 @@ the engine (the volatile baseline's only metadata traffic); protocols
 hook fills and writebacks for their own bookkeeping (Anubis's shadow
 table lives entirely in those hooks).
 
+Both paths are one event loop, built once per engine
+(:meth:`MemoryEncryptionEngine._event_loop`). The single-block entry
+points (:meth:`~MemoryEncryptionEngine.read_block`,
+:meth:`~MemoryEncryptionEngine.write_block`) run it on one event, and
+plan replay (:meth:`~MemoryEncryptionEngine.replay_plan_events`, see
+:mod:`repro.sim.plan`) on a whole compiled stream, so the direct and
+compiled drivers cannot drift apart.
+
 Timing and function are separable: built with ``functional=False`` the
 engine tracks cache/NVM events and cycles only; with
 ``functional=True`` it additionally maintains real encrypted bytes,
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import CacheLine
+from repro.cache.cache import CacheLine, mix_of
 from repro.cache.metadata_cache import (
     MetadataCache,
     counter_key,
@@ -75,85 +83,76 @@ _TREE = MetadataRegion.TREE
 _HMACS = MetadataRegion.HMACS
 
 
-# Process-wide memos shared by every engine instance. A sweep builds a
-# fresh machine per cell, but the key tuples and ancestor paths depend
-# only on the address/tree geometry, so sharing them means only the
-# first cell of a given geometry pays to build each entry. All values
-# are immutable once built (tuples, and lists that are never mutated);
-# growth is bounded by the metadata footprint per distinct geometry.
-_COUNTER_KEY_CACHE: Dict[int, tuple] = {}
-_HMAC_KEY_CACHE: Dict[int, tuple] = {}
-_NODE_KEY_CACHE: Dict[NodeId, tuple] = {}
-_PATH_CACHE: Dict[tuple, Dict[int, List[NodeId]]] = {}
-_PATH_KEY_CACHE: Dict[tuple, Dict[int, List[Tuple[NodeId, tuple]]]] = {}
+# Process-wide runtime records shared by every engine instance and every
+# metadata plan. A sweep builds a fresh machine per cell, but what an
+# event touches in the metadata cache depends only on its counter index,
+# HMAC line, and the tree shape, so sharing the records means only the
+# first cell of a given shape pays to resolve each one. Values are
+# immutable once built (tuples, and path lists that are never mutated);
+# growth is bounded by the metadata footprint per distinct tree shape.
+_RECORDS: Dict[tuple, Dict[Tuple[int, int], tuple]] = {}
+#: Per tree shape: deepest ancestor -> (triples, path). Sibling
+#: counters share one chain, so they share these objects too.
+_CHAINS: Dict[tuple, Dict[NodeId, tuple]] = {}
+#: node -> ``(node, key, mix)``; a node's key and set mix do not depend
+#: on the tree shape.
+_TRIPLES: Dict[NodeId, tuple] = {}
 
 
-def _shape_of(geometry: TreeGeometry) -> tuple:
-    """The path-memo shape key (what distinguishes ancestor paths)."""
-    return (geometry.num_counter_blocks, geometry.arity, geometry.page_bytes)
-
-
-def shared_counter_key(counter_index: int) -> tuple:
-    """The process-wide interned ``("ctr", i)`` key tuple."""
-    key = _COUNTER_KEY_CACHE.get(counter_index)
-    if key is None:
-        key = counter_key(counter_index)
-        _COUNTER_KEY_CACHE[counter_index] = key
-    return key
-
-
-def shared_hmac_key(hmac_line: int) -> tuple:
-    """The process-wide interned ``("hmac", line)`` key tuple."""
-    key = _HMAC_KEY_CACHE.get(hmac_line)
-    if key is None:
-        key = hmac_key(hmac_line)
-        _HMAC_KEY_CACHE[hmac_line] = key
-    return key
-
-
-def shared_node_key(node: NodeId) -> tuple:
-    """The process-wide interned ``("node", level, i)`` key tuple."""
-    key = _NODE_KEY_CACHE.get(node)
-    if key is None:
+def node_triple(node: NodeId) -> tuple:
+    """The interned ``(node, cache key, set mix)`` triple of a BMT node."""
+    triple = _TRIPLES.get(node)
+    if triple is None:
         key = node_key(node[0], node[1])
-        _NODE_KEY_CACHE[node] = key
-    return key
+        triple = (node, key, mix_of(key))
+        _TRIPLES[node] = triple
+    return triple
 
 
-def shared_ancestor_path(geometry: TreeGeometry, counter_index: int):
-    """The memoized ancestor chain — the *same list object* every
-    engine of this geometry shape resolves, so a plan built from it
-    hands protocols identical path data to the direct path's."""
-    memo = _PATH_CACHE.setdefault(_shape_of(geometry), {})
-    path = memo.get(counter_index)
-    if path is None:
-        path = geometry.ancestors_of_counter(counter_index)
-        memo[counter_index] = path
-    return path
+def record_table(geometry: TreeGeometry) -> Dict[Tuple[int, int], tuple]:
+    """The process-wide ``(counter index, HMAC line) -> record`` table
+    of ``geometry``'s tree shape."""
+    return _RECORDS.setdefault((geometry.num_counter_blocks, geometry.arity), {})
 
 
-def shared_path_keys(geometry: TreeGeometry, counter_index: int):
-    """The memoized ``(node, key)`` ancestor pairs (see above)."""
-    memo = _PATH_KEY_CACHE.setdefault(_shape_of(geometry), {})
-    pairs = memo.get(counter_index)
-    if pairs is None:
-        pairs = [
-            (node, shared_node_key(node))
-            for node in shared_ancestor_path(geometry, counter_index)
-        ]
-        memo[counter_index] = pairs
-    return pairs
+def resolve_record(
+    geometry: TreeGeometry, counter_index: int, hmac_line: int
+) -> tuple:
+    """The runtime record of an event touching ``counter_index`` and
+    ``hmac_line``, built once per tree shape.
 
-
-def _region_of_key(key: tuple) -> MetadataRegion:
-    kind = key[0]
-    if kind == "ctr":
-        return MetadataRegion.COUNTERS
-    if kind == "node":
-        return MetadataRegion.TREE
-    if kind == "hmac":
-        return MetadataRegion.HMACS
-    raise ValueError(f"unknown metadata key kind {kind!r}")
+    The record is ``(ctr_key, ctr_mix, hmac_key, hmac_mix, triples,
+    path, counter_index)``: the counter and HMAC cache keys with their
+    set mixes, the ancestor chain as ``(node, key, mix)`` triples, and
+    the ancestor-path list handed to protocols — everything the event
+    loop needs without per-event derivation.
+    """
+    shape = (geometry.num_counter_blocks, geometry.arity)
+    records = _RECORDS.setdefault(shape, {})
+    record = records.get((counter_index, hmac_line))
+    if record is None:
+        # The deepest ancestor names the chain, so only the first
+        # counter of each sibling group derives its path.
+        head = (geometry.num_node_levels, counter_index // geometry.arity)
+        chains = _CHAINS.setdefault(shape, {})
+        chain = chains.get(head)
+        if chain is None:
+            path = geometry.ancestors_of_counter(counter_index)
+            chain = (tuple(node_triple(node) for node in path), path)
+            chains[head] = chain
+        ctr_key = counter_key(counter_index)
+        hkey = hmac_key(hmac_line)
+        record = (
+            ctr_key,
+            mix_of(ctr_key),
+            hkey,
+            mix_of(hkey),
+            chain[0],
+            chain[1],
+            counter_index,
+        )
+        records[(counter_index, hmac_line)] = record
+    return record
 
 
 class MemoryEncryptionEngine:
@@ -203,35 +202,17 @@ class MemoryEncryptionEngine:
         self._ctr_walk_register = self.stats.counter("walk_stopped_at_register")
         self._ctr_walk_cache = self.stats.counter("walk_stopped_at_cache")
         self._ctr_md_writebacks = self.stats.counter("metadata_writebacks")
-        # Metadata-key memos: every read/write builds ("ctr", i) /
-        # ("hmac", line) / ("node", level, i) tuples for the cache; the
-        # key space is bounded by the metadata footprint, so memoizing
-        # them removes a tuple allocation per metadata touch. The node
-        # memo stores each counter's (node, key) pairs alongside the
-        # ancestor path so the walk loops allocate nothing. The memos
-        # are the process-wide caches above, shared across engines so
-        # repeated sweep cells reuse each other's work.
-        self._counter_keys = _COUNTER_KEY_CACHE
-        self._hmac_keys = _HMAC_KEY_CACHE
-        self._node_keys = _NODE_KEY_CACHE
-        shape = (
-            self.geometry.num_counter_blocks,
-            self.geometry.arity,
-            self.geometry.page_bytes,
-        )
-        self._path_memo = _PATH_CACHE.setdefault(shape, {})
-        self._path_key_memo = _PATH_KEY_CACHE.setdefault(shape, {})
-        # Hot bound methods resolved once, plus address decode pieces:
-        # the read/write paths inline the block/page split (a bounds
-        # check and two shifts) instead of paying two method calls per
-        # access.
+        #: This tree shape's process-wide event records (see
+        #: resolve_record): the read/write entry points look an event's
+        #: record up here and resolve it only on first touch.
+        self._records = record_table(self.geometry)
+        # Address decode pieces: _record_of inlines the block/page split
+        # (a bounds check and two shifts).
         self._block_index = self.address_space.block_index
-        self._page_index = self.address_space.page_index
         self._as_capacity = self.address_space.capacity_bytes
         self._block_shift = self.address_space._block_shift
         self._page_shift = self.address_space._page_shift
         self._md_latency = self.mdcache.access_latency_cycles
-        self._md_access = self.mdcache.access_line
         self._md_clean = self.mdcache.clean
         # Per-region NVM access closures (see NVMDevice.reader/writer):
         # each call site names its region statically.
@@ -243,11 +224,6 @@ class MemoryEncryptionEngine:
         self._persist_ctr_write = self.nvm.writer(_COUNTERS, persist=True)
         self._persist_tree_write = self.nvm.writer(_TREE, persist=True)
         self._persist_hmac_write = self.nvm.writer(_HMACS, persist=True)
-        self._readers_by_kind = {
-            "ctr": self._read_ctr,
-            "node": self._read_tree,
-            "hmac": self._read_hmac,
-        }
         self._wb_writers_by_kind = {
             "ctr": self.nvm.writer(_COUNTERS),
             "node": self.nvm.writer(_TREE),
@@ -316,87 +292,17 @@ class MemoryEncryptionEngine:
         )
         self._check_trusted = proto_cls.has_trusted_registers
         protocol.bind(self)
-
-    # ------------------------------------------------------------------
-    # path helpers
-    # ------------------------------------------------------------------
-
-    def ancestor_path(self, counter_index: int) -> List[NodeId]:
-        """Memoized ancestor chain (leaf-parent .. root) for a counter."""
-        path = self._path_memo.get(counter_index)
-        if path is None:
-            path = self.geometry.ancestors_of_counter(counter_index)
-            self._path_memo[counter_index] = path
-        return path
-
-    def _ancestor_path_keys(
-        self, counter_index: int
-    ) -> List[Tuple[NodeId, tuple]]:
-        """The ancestor chain paired with ready-made cache keys."""
-        pairs = self._path_key_memo.get(counter_index)
-        if pairs is None:
-            pairs = [
-                (node, self._node_key(node))
-                for node in self.ancestor_path(counter_index)
-            ]
-            self._path_key_memo[counter_index] = pairs
-        return pairs
-
-    def _node_key(self, node: NodeId) -> tuple:
-        key = self._node_keys.get(node)
-        if key is None:
-            key = node_key(node[0], node[1])
-            self._node_keys[node] = key
-        return key
-
-    def _counter_key(self, counter_index: int) -> tuple:
-        key = self._counter_keys.get(counter_index)
-        if key is None:
-            key = counter_key(counter_index)
-            self._counter_keys[counter_index] = key
-        return key
-
-    def _hmac_key(self, hmac_line: int) -> tuple:
-        key = self._hmac_keys.get(hmac_line)
-        if key is None:
-            key = hmac_key(hmac_line)
-            self._hmac_keys[hmac_line] = key
-        return key
-
-    def _hmac_line_of_block(self, block_index: int) -> int:
-        return block_index // MACS_PER_LINE
+        #: The engine's one read/write datapath (see _event_loop).
+        self._run_events = self._event_loop()
 
     # ------------------------------------------------------------------
     # metadata cache plumbing
     # ------------------------------------------------------------------
 
-    def _fetch_metadata(self, key: tuple) -> Tuple[int, bool]:
-        """Bring a metadata line on-chip; returns (cycles, was_hit)."""
-        result = self._md_access(key)
-        if result is True:
-            return self._md_latency, True
-        return (
-            self._md_latency
-            + self._fill_miss(key, self._readers_by_kind[key[0]], result),
-            False,
-        )
-
-    def _fetch(self, key: tuple, nvm_read, dirty: bool = False) -> int:
-        """One metadata reference through the cache; returns cycles.
-
-        Fused probe+fill (+dirty-mark) with the region's pre-bound NVM
-        read closure passed by the caller — the per-access form of
-        :meth:`_fetch_metadata`.
-        """
-        result = self._md_access(key, dirty)
-        if result is True:
-            return self._md_latency
-        return self._md_latency + self._fill_miss(key, nvm_read, result)
-
     def _fill_miss(self, key: tuple, nvm_read, victim) -> int:
-        """Miss tail after :meth:`SetAssociativeCache.access_line` has
-        filled ``key``: NVM fetch latency, the protocol's fill hook, and
-        the lazy writeback of a displaced dirty victim."""
+        """Miss tail after the event loop's probe has filled ``key``:
+        NVM fetch latency, the protocol's fill hook, and the lazy
+        writeback of a displaced dirty victim."""
         cycles = nvm_read()
         hook = self._fill_hook
         if hook is not None:
@@ -461,7 +367,7 @@ class MemoryEncryptionEngine:
             # neither is anything enqueued since the last fence.
             probe.on_persist()
         cycles = self._persist_ctr_write()
-        self._md_clean(self._counter_key(counter_index))
+        self._md_clean(counter_key(counter_index))
         if self.functional:
             self.tree.persist_counter(counter_index)
         if self._wpq is not None:
@@ -473,7 +379,7 @@ class MemoryEncryptionEngine:
         if probe is not None:
             probe.on_persist()
         cycles = self._persist_hmac_write()
-        self._md_clean(self._hmac_key(hmac_line))
+        self._md_clean(hmac_key(hmac_line))
         if self.functional:
             first = hmac_line * MACS_PER_LINE
             for block in range(first, first + MACS_PER_LINE):
@@ -489,7 +395,7 @@ class MemoryEncryptionEngine:
         if probe is not None:
             probe.on_persist()
         cycles = self._persist_tree_write()
-        self._md_clean(self._node_key(node))
+        self._md_clean(node_key(node[0], node[1]))
         if self.functional:
             self.tree.persist_node(node)
         if self._wpq is not None:
@@ -542,99 +448,63 @@ class MemoryEncryptionEngine:
         return data_mac(self.engine, zero_cipher, paddr, 0, 0)
 
     # ------------------------------------------------------------------
-    # the read path
+    # the datapath entry points
     # ------------------------------------------------------------------
+
+    def _record_of(self, paddr: int) -> tuple:
+        """The event record of the block at ``paddr``."""
+        if not 0 <= paddr < self._as_capacity:
+            self._block_index(paddr)  # raises AddressError
+        counter_index = paddr >> self._page_shift
+        hmac_line = (paddr >> self._block_shift) // MACS_PER_LINE
+        record = self._records.get((counter_index, hmac_line))
+        if record is None:
+            record = resolve_record(self.geometry, counter_index, hmac_line)
+        return record
 
     def read_block(self, paddr: int) -> int:
         """Authenticate-and-fetch one block; returns cycles.
 
-        In functional mode the plaintext is available afterwards via
-        :meth:`read_block_data`, which shares this code path.
+        In functional mode the plaintext is available through
+        :meth:`read_block_data`, which runs the same event.
         """
-        cycles, _ = self._read_block_common(paddr)
-        return cycles
+        return self._run_events(((0, paddr, self._record_of(paddr)),))
 
     def read_block_data(self, paddr: int) -> bytes:
         """Functional read: authenticate, decrypt, return plaintext."""
         if not self.functional:
             raise RuntimeError("read_block_data requires functional mode")
-        _, plaintext = self._read_block_common(paddr)
-        return plaintext
+        plaintexts: List[bytes] = []
+        self._run_events(((0, paddr, self._record_of(paddr)),), None, plaintexts)
+        return plaintexts[0]
 
-    def _read_block_common(self, paddr: int) -> Tuple[int, bytes]:
-        # Address decode and key lookup, inlined (bounds check + two
-        # shifts + memo probes); the slow helpers run only on the first
-        # touch of an index or for an out-of-range address.
-        if 0 <= paddr < self._as_capacity:
-            block_index = paddr >> self._block_shift
-            counter_index = paddr >> self._page_shift
-        else:
-            block_index = self._block_index(paddr)  # raises AddressError
-            counter_index = self._page_index(paddr)
-        ctr_key = self._counter_keys.get(counter_index)
-        if ctr_key is None:
-            ctr_key = self._counter_key(counter_index)
-        pairs = self._path_key_memo.get(counter_index)
-        if pairs is None:
-            pairs = self._ancestor_path_keys(counter_index)
-        hmac_line = block_index // MACS_PER_LINE
-        hkey = self._hmac_keys.get(hmac_line)
-        if hkey is None:
-            hkey = self._hmac_key(hmac_line)
+    def write_block(
+        self,
+        paddr: int,
+        data: Optional[bytes] = None,
+        fenced: bool = False,
+    ) -> int:
+        """One data write reaching memory; returns cycles.
 
-        cycles = self._read_data()
-        self._ctr_data_reads.value += 1
+        ``fenced`` marks an application persistence fence (CLWB +
+        sfence): the data write itself is synchronous rather than
+        posted, and the protocol's fence-ordered bookkeeping is charged
+        on the critical path. ``data`` is the plaintext a functional
+        engine encrypts (zeros when omitted).
+        """
+        return self._run_events(
+            ((2 if fenced else 1, paddr, self._record_of(paddr)),), data
+        )
 
-        md_access = self._md_access
-        md_latency = self._md_latency
-        result = md_access(ctr_key)
-        cycles += md_latency
-        if result is not True:
-            cycles += self._fill_miss(ctr_key, self._read_ctr, result)
+    def replay_plan_events(self, kinds, addrs, event_records) -> int:
+        """Drive the datapath from a compiled plan; returns total cycles.
 
-        # Verification walk: stop at the first trusted anchor. The
-        # per-node register test only matters for protocols with NV
-        # anchors (AMNT's subtree root, BMF's root set); the rest of
-        # the lineup walks a branch-free loop.
-        if self._check_trusted:
-            trusted = self.protocol.trusted_register_node
-            for node, key in pairs:
-                if trusted(node, counter_index):
-                    self._ctr_walk_register.value += 1
-                    break
-                result = md_access(key)
-                if result is True:
-                    cycles += md_latency
-                    self._ctr_walk_cache.value += 1
-                    break
-                cycles += md_latency + self._fill_miss(
-                    key, self._read_tree, result
-                )
-        else:
-            for node, key in pairs:
-                result = md_access(key)
-                if result is True:
-                    cycles += md_latency
-                    self._ctr_walk_cache.value += 1
-                    break
-                cycles += md_latency + self._fill_miss(
-                    key, self._read_tree, result
-                )
-
-        result = md_access(hkey)
-        cycles += md_latency
-        if result is not True:
-            cycles += self._fill_miss(hkey, self._read_hmac, result)
-        hook = self._read_auth_hook
-        if hook is not None:
-            cycles += hook(counter_index)
-
-        plaintext = b""
-        if self.functional:
-            plaintext = self._verify_and_decrypt(
-                paddr, block_index, counter_index
-            )
-        return cycles, plaintext
+        ``kinds``/``addrs`` are a :class:`~repro.sim.replay.BoundaryStream`'s
+        event columns and ``event_records`` the matching
+        :meth:`repro.sim.plan.MetadataPlan.event_records`, so the whole
+        plan runs through one call of the event loop.
+        """
+        return self._run_events(zip(kinds, addrs, event_records))
 
     def _verify_and_decrypt(
         self, paddr: int, block_index: int, counter_index: int
@@ -661,125 +531,19 @@ class MemoryEncryptionEngine:
         self.tree.authenticate_or_raise(counter_index)
         return self.engine.decrypt(ciphertext, block_base, major, minor)
 
-    # ------------------------------------------------------------------
-    # the write path
-    # ------------------------------------------------------------------
-
-    def write_block(
-        self,
-        paddr: int,
-        data: Optional[bytes] = None,
-        fenced: bool = False,
-    ) -> int:
-        """One data write reaching memory; returns cycles.
-
-        ``fenced`` marks an application persistence fence (CLWB +
-        sfence): the data write itself is synchronous rather than
-        posted, and the protocol's fence-ordered bookkeeping is charged
-        on the critical path.
-        """
-        if 0 <= paddr < self._as_capacity:
-            block_index = paddr >> self._block_shift
-            counter_index = paddr >> self._page_shift
-        else:
-            block_index = self._block_index(paddr)  # raises AddressError
-            counter_index = self._page_index(paddr)
-        ctr_key = self._counter_keys.get(counter_index)
-        if ctr_key is None:
-            ctr_key = self._counter_key(counter_index)
-        pairs = self._path_key_memo.get(counter_index)
-        if pairs is None:
-            pairs = self._ancestor_path_keys(counter_index)
-        path = self._path_memo[counter_index]
-        hmac_line = block_index // MACS_PER_LINE
-        line_key = self._hmac_keys.get(hmac_line)
-        if line_key is None:
-            line_key = self._hmac_key(hmac_line)
-        self._ctr_data_writes.value += 1
-        probe = self.fault_probe
-        if probe is not None:
-            # The functional tree updates the NV root register atomically
-            # with the counter bump, so a crash landing between that bump
-            # and the protocol's persists would fabricate a torn state no
-            # ADR machine can produce. Phase triggers inside the group are
-            # therefore deferred to the commit below (the write completes
-            # durably); triggers outside any group raise immediately.
-            probe.begin_group()
-
-        md_access = self._md_access
-        md_latency = self._md_latency
-
-        # 1. read-modify-write the counter.
-        result = md_access(ctr_key, True)
-        cycles = md_latency
-        if result is not True:
-            cycles += self._fill_miss(ctr_key, self._read_ctr, result)
-        if self.functional:
-            self._functional_counter_bump_and_store(
-                paddr,
-                self.address_space.block_base(paddr),
-                block_index,
-                counter_index,
-                data,
-            )
-
-        # 2. update the HMAC line in cache.
-        result = md_access(line_key, True)
-        cycles += md_latency
-        if result is not True:
-            cycles += self._fill_miss(line_key, self._read_hmac, result)
-
-        # 3. update the ancestor path in cache (protocols with an NV
-        #    trust anchor stop the update below it).
-        read_tree = self._read_tree
-        if self._default_extent:
-            for node, key in pairs:
-                result = md_access(key, True)
-                cycles += md_latency
-                if result is not True:
-                    cycles += self._fill_miss(key, read_tree, result)
-        else:
-            extent = self.protocol.path_update_extent(counter_index, path)
-            node_key_of = self._node_key
-            for node in extent:
-                key = node_key_of(node)
-                result = md_access(key, True)
-                cycles += md_latency
-                if result is not True:
-                    cycles += self._fill_miss(key, read_tree, result)
-
-        # 4. the data write itself (posted, unless under a fence).
-        self._write_data()
-        cycles += (
-            self.nvm.write_latency_cycles if fenced else self._posted_write_cycles
-        )
-
-        # 5. protocol-specific persistence.
-        cycles += self.protocol.on_data_write(
-            counter_index, block_index, path, fenced=fenced
-        )
-        if self._wpq is not None:
-            # ADR drain at the group's commit point (before the commit
-            # callback, so a deferred crash finds the queue empty and
-            # the write durable — matching write_committed=True).
-            self._wpq.drain()
-        if probe is not None:
-            probe.commit_group()
-        return cycles
-
     def _functional_counter_bump_and_store(
         self,
         paddr: int,
-        block_base: int,
         block_index: int,
         counter_index: int,
         data: Optional[bytes],
-        path: Optional[List[NodeId]] = None,
+        path: List[NodeId],
     ) -> None:
         block_bytes = self.config.security.block_bytes
         plaintext = data if data is not None else bytes(block_bytes)
         if len(plaintext) != block_bytes:
             raise ValueError(f"data must be exactly {block_bytes} bytes")
+        block_base = self.address_space.block_base(paddr)
         offset = self.address_space.block_offset_in_page(paddr)
         old_counter = self.tree.current_counter(counter_index).copy()
         counter = old_counter.copy()
@@ -796,38 +560,33 @@ class MemoryEncryptionEngine:
         )
 
     # ------------------------------------------------------------------
-    # plan-driven replay (the sweep fast path, see repro.sim.plan)
+    # the event loop
     # ------------------------------------------------------------------
 
-    def replay_plan_events(self, kinds, addrs, event_records) -> int:
-        """Drive the full read/write datapath from pre-resolved metadata
-        records; returns total cycles.
+    def _event_loop(self):
+        """Build the engine's read/write datapath; returns ``run``.
 
-        ``event_records[i]`` is the :mod:`repro.sim.plan` runtime record
-        for event ``i``: the interned counter/HMAC cache keys with their
-        premixed set indices, the ``(node, key, mix)`` ancestor triples,
-        and the shared ancestor-path list. Each iteration performs the
-        same cache transitions, NVM accesses, stat bumps, hooks, and
-        functional crypto as :meth:`read_block` / :meth:`write_block` in
-        the same order — only the per-event address decode, key-memo
-        probes, and set-index hashing are gone, because the plan
-        compiler resolved them once per (trace, geometry). Bit identity
-        with the direct path is enforced by ``tests/test_plan.py``
-        across the protocol lineup and both integrity modes.
+        ``run(events, data=None, plaintexts=None)`` executes ``(kind,
+        addr, record)`` events in order and returns their cycles. Kind
+        0 is a read (an LLC fill), 1 a posted write (a dirty eviction),
+        2 a fenced write (a CLWB + sfence persist); ``record`` comes
+        from :func:`resolve_record`. ``data`` is the plaintext of
+        functional writes, and a functional read appends its plaintext
+        to ``plaintexts`` when given. The single-block entry points pass
+        one event, plan replay a whole stream.
 
-        The metadata-cache probe itself is inlined here rather than
-        going through :meth:`SetAssociativeCache.access_line_premixed`
-        — it is the single hottest operation of a sweep (several probes
-        per event, ~1M per reference grid), and the method-call frame
-        plus per-call attribute lookups dominate what remains after
-        planning. The inline body is a transcription of
-        ``access_line_premixed`` (same counters, same LRU transitions,
-        same victim semantics), valid because ``build_cache`` gives the
-        metadata cache default placement. A popped :class:`CacheLine`
-        doubles as the victim record — ``_fill_miss`` reads only
-        ``.key`` and ``.dirty``, which both classes carry.
+        Everything the loop touches is resolved here, once per engine —
+        except ``fault_probe``, which campaigns attach after
+        construction and is read per call. The metadata-cache probe is
+        inlined rather than calling
+        :meth:`SetAssociativeCache.access_line_premixed`: it runs several
+        times per event, and the call frame would dominate what remains.
+        The inline body is a transcription of ``access_line_premixed``
+        (same counters, same LRU transitions, same victim semantics),
+        valid because ``build_cache`` gives the metadata cache default
+        placement. A popped :class:`CacheLine` doubles as the victim
+        record — ``_fill_miss`` reads only ``.key`` and ``.dirty``.
         """
-        # Hoists: everything the loop body touches, resolved once.
         inner = self.mdcache._cache
         sets = inner._sets
         set_mask = inner._set_mask
@@ -838,7 +597,6 @@ class MemoryEncryptionEngine:
         md_evictions = inner._evictions
         md_dirty_evictions = inner._dirty_evictions
         line_cls = CacheLine
-        md_access = self._md_access
         md_latency = self._md_latency
         fill_miss = self._fill_miss
         read_ctr = self._read_ctr
@@ -850,98 +608,108 @@ class MemoryEncryptionEngine:
         data_writes = self._ctr_data_writes
         walk_cache = self._ctr_walk_cache
         walk_register = self._ctr_walk_register
-        trusted = (
-            self.protocol.trusted_register_node if self._check_trusted else None
-        )
+        protocol = self.protocol
+        trusted = protocol.trusted_register_node if self._check_trusted else None
         read_auth_hook = self._read_auth_hook
         default_extent = self._default_extent
-        extent_of = self.protocol.path_update_extent
-        node_key_of = self._node_key
-        on_data_write = self.protocol.on_data_write
+        extent_of = protocol.path_update_extent
+        on_data_write = protocol.on_data_write
         wpq = self._wpq
         functional = self.functional
         block_shift = self._block_shift
-        block_base_of = self.address_space.block_base
         bump_and_store = self._functional_counter_bump_and_store
         verify_and_decrypt = self._verify_and_decrypt
         posted_cycles = self._posted_write_cycles
         fenced_cycles = self.nvm.write_latency_cycles
-        probe = self.fault_probe
 
-        cycles = 0
-        for kind, addr, rec in zip(kinds, addrs, event_records):
-            ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = rec
-            if kind == 0:  # EVENT_FILL: the read path
-                cycles += read_data()
-                data_reads.value += 1
-                # Counter line (clean reference).
-                bucket = sets[ctr_mix & set_mask]
-                line = bucket.get(ctr_key)
-                cycles += md_latency
-                if line is not None:
-                    bucket.move_to_end(ctr_key)
-                    md_hits.value += 1
-                else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[ctr_key] = line_cls(ctr_key)
-                    md_fills.value += 1
-                    cycles += fill_miss(ctr_key, read_ctr, victim)
-                # BMT walk: climb until the first cached / trusted node.
-                for node, key, mix in triples:
-                    if trusted is not None and trusted(node, counter_index):
-                        walk_register.value += 1
-                        break
-                    bucket = sets[mix & set_mask]
-                    line = bucket.get(key)
+        def run(events, data=None, plaintexts=None) -> int:
+            probe = self.fault_probe
+            cycles = 0
+            for kind, addr, rec in events:
+                ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = rec
+                if kind == 0:  # read: authenticate and fetch
+                    cycles += read_data()
+                    data_reads.value += 1
+                    # Counter line (clean reference).
+                    bucket = sets[ctr_mix & set_mask]
+                    line = bucket.get(ctr_key)
+                    cycles += md_latency
                     if line is not None:
-                        bucket.move_to_end(key)
+                        bucket.move_to_end(ctr_key)
                         md_hits.value += 1
-                        cycles += md_latency
-                        walk_cache.value += 1
-                        break
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[key] = line_cls(key)
-                    md_fills.value += 1
-                    cycles += md_latency + fill_miss(key, read_tree, victim)
-                # HMAC line (clean reference).
-                bucket = sets[hmac_mix & set_mask]
-                line = bucket.get(hkey)
-                cycles += md_latency
-                if line is not None:
-                    bucket.move_to_end(hkey)
-                    md_hits.value += 1
-                else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[hkey] = line_cls(hkey)
-                    md_fills.value += 1
-                    cycles += fill_miss(hkey, read_hmac, victim)
-                if read_auth_hook is not None:
-                    cycles += read_auth_hook(counter_index)
-                if functional:
-                    verify_and_decrypt(addr, addr >> block_shift, counter_index)
-            else:  # EVENT_WRITEBACK (posted) / EVENT_PERSIST (fenced)
+                    else:
+                        md_misses.value += 1
+                        victim = None
+                        if len(bucket) >= assoc:
+                            victim = bucket.popitem(last=False)[1]
+                            md_evictions.value += 1
+                            if victim.dirty:
+                                md_dirty_evictions.value += 1
+                        bucket[ctr_key] = line_cls(ctr_key)
+                        md_fills.value += 1
+                        cycles += fill_miss(ctr_key, read_ctr, victim)
+                    # BMT walk: climb until the first cached / trusted node.
+                    for node, key, mix in triples:
+                        if trusted is not None and trusted(node, counter_index):
+                            walk_register.value += 1
+                            break
+                        bucket = sets[mix & set_mask]
+                        line = bucket.get(key)
+                        if line is not None:
+                            bucket.move_to_end(key)
+                            md_hits.value += 1
+                            cycles += md_latency
+                            walk_cache.value += 1
+                            break
+                        md_misses.value += 1
+                        victim = None
+                        if len(bucket) >= assoc:
+                            victim = bucket.popitem(last=False)[1]
+                            md_evictions.value += 1
+                            if victim.dirty:
+                                md_dirty_evictions.value += 1
+                        bucket[key] = line_cls(key)
+                        md_fills.value += 1
+                        cycles += md_latency + fill_miss(key, read_tree, victim)
+                    # HMAC line (clean reference).
+                    bucket = sets[hmac_mix & set_mask]
+                    line = bucket.get(hkey)
+                    cycles += md_latency
+                    if line is not None:
+                        bucket.move_to_end(hkey)
+                        md_hits.value += 1
+                    else:
+                        md_misses.value += 1
+                        victim = None
+                        if len(bucket) >= assoc:
+                            victim = bucket.popitem(last=False)[1]
+                            md_evictions.value += 1
+                            if victim.dirty:
+                                md_dirty_evictions.value += 1
+                        bucket[hkey] = line_cls(hkey)
+                        md_fills.value += 1
+                        cycles += fill_miss(hkey, read_hmac, victim)
+                    if read_auth_hook is not None:
+                        cycles += read_auth_hook(counter_index)
+                    if functional:
+                        plaintext = verify_and_decrypt(
+                            addr, addr >> block_shift, counter_index
+                        )
+                        if plaintexts is not None:
+                            plaintexts.append(plaintext)
+                    continue
+                # write: 1 posted, 2 fenced.
                 data_writes.value += 1
                 if probe is not None:
+                    # The functional tree updates the NV root register
+                    # atomically with the counter bump, so a crash landing
+                    # between that bump and the protocol's persists would
+                    # fabricate a torn state no ADR machine can produce.
+                    # Phase triggers inside the group are therefore
+                    # deferred to the commit below (the write completes
+                    # durably); triggers outside any group raise at once.
                     probe.begin_group()
-                # Counter line (dirtying reference).
+                # 1. read-modify-write the counter (dirtying reference).
                 bucket = sets[ctr_mix & set_mask]
                 line = bucket.get(ctr_key)
                 cycles += md_latency
@@ -960,16 +728,10 @@ class MemoryEncryptionEngine:
                     bucket[ctr_key] = line_cls(ctr_key, True)
                     md_fills.value += 1
                     cycles += fill_miss(ctr_key, read_ctr, victim)
+                block_index = addr >> block_shift
                 if functional:
-                    bump_and_store(
-                        addr,
-                        block_base_of(addr),
-                        addr >> block_shift,
-                        counter_index,
-                        None,
-                        path=path,
-                    )
-                # HMAC line (dirtying reference).
+                    bump_and_store(addr, block_index, counter_index, data, path)
+                # 2. update the HMAC line (dirtying reference).
                 bucket = sets[hmac_mix & set_mask]
                 line = bucket.get(hkey)
                 cycles += md_latency
@@ -988,49 +750,51 @@ class MemoryEncryptionEngine:
                     bucket[hkey] = line_cls(hkey, True)
                     md_fills.value += 1
                     cycles += fill_miss(hkey, read_hmac, victim)
-                if default_extent:
-                    for node, key, mix in triples:
-                        bucket = sets[mix & set_mask]
-                        line = bucket.get(key)
-                        cycles += md_latency
-                        if line is not None:
-                            line.dirty = True
-                            bucket.move_to_end(key)
-                            md_hits.value += 1
-                            continue
-                        md_misses.value += 1
-                        victim = None
-                        if len(bucket) >= assoc:
-                            victim = bucket.popitem(last=False)[1]
-                            md_evictions.value += 1
-                            if victim.dirty:
-                                md_dirty_evictions.value += 1
-                        bucket[key] = line_cls(key, True)
-                        md_fills.value += 1
-                        cycles += fill_miss(key, read_tree, victim)
-                else:
-                    for node in extent_of(counter_index, path):
-                        key = node_key_of(node)
-                        result = md_access(key, True)
-                        cycles += md_latency
-                        if result is not True:
-                            cycles += fill_miss(key, read_tree, result)
+                # 3. update the ancestor path (protocols with an NV trust
+                #    anchor stop the update below it).
+                if not default_extent:
+                    triples = [
+                        node_triple(node)
+                        for node in extent_of(counter_index, path)
+                    ]
+                for node, key, mix in triples:
+                    bucket = sets[mix & set_mask]
+                    line = bucket.get(key)
+                    cycles += md_latency
+                    if line is not None:
+                        line.dirty = True
+                        bucket.move_to_end(key)
+                        md_hits.value += 1
+                        continue
+                    md_misses.value += 1
+                    victim = None
+                    if len(bucket) >= assoc:
+                        victim = bucket.popitem(last=False)[1]
+                        md_evictions.value += 1
+                        if victim.dirty:
+                            md_dirty_evictions.value += 1
+                    bucket[key] = line_cls(key, True)
+                    md_fills.value += 1
+                    cycles += fill_miss(key, read_tree, victim)
+                # 4. the data write itself (posted, unless under a fence).
                 write_data()
-                if kind == 2:
-                    cycles += fenced_cycles
-                    cycles += on_data_write(
-                        counter_index, addr >> block_shift, path, fenced=True
-                    )
-                else:
-                    cycles += posted_cycles
-                    cycles += on_data_write(
-                        counter_index, addr >> block_shift, path, fenced=False
-                    )
+                fenced = kind == 2
+                cycles += fenced_cycles if fenced else posted_cycles
+                # 5. protocol-specific persistence.
+                cycles += on_data_write(
+                    counter_index, block_index, path, fenced=fenced
+                )
                 if wpq is not None:
+                    # ADR drain at the group's commit point (before the
+                    # commit callback, so a deferred crash finds the queue
+                    # empty and the write durable — matching
+                    # write_committed=True).
                     wpq.drain()
                 if probe is not None:
                     probe.commit_group()
-        return cycles
+            return cycles
+
+        return run
 
     def _reencrypt_page(self, counter_index, old_counter, new_counter) -> None:
         """Minor-counter overflow: re-encrypt every stored block of the

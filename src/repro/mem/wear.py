@@ -147,11 +147,11 @@ def attach_wear_tracking(mee) -> WearTracker:
             tracker.record(MetadataRegion.HMACS, key[1])
         return original_writeback(key)
 
-    def write_block(paddr, data=None):
+    def write_block(paddr, data=None, fenced=False):
         tracker.record(
             MetadataRegion.DATA, mee.address_space.block_index(paddr)
         )
-        return original_write_block(paddr, data=data)
+        return original_write_block(paddr, data=data, fenced=fenced)
 
     mee.persist_counter_line = persist_counter
     mee.persist_hmac_line = persist_hmac

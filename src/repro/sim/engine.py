@@ -136,55 +136,45 @@ def simulate(
 
 
 # ----------------------------------------------------------------------
-# compiled-stream replay (the sweep fast path)
+# compiled-plan replay (the sweep fast path)
 # ----------------------------------------------------------------------
 
 
-def simulate_from_stream(
-    stream, machine: Machine, flush_llc_at_end: bool = False
+def simulate_from_plan(
+    stream, plan, machine: Machine, flush_llc_at_end: bool = False
 ) -> SimulationResult:
     """Drive ``machine``'s MEE/protocol layer from a compiled
-    :class:`~repro.sim.replay.BoundaryStream`; returns the result.
+    :class:`~repro.sim.replay.BoundaryStream` and its
+    :class:`~repro.sim.plan.MetadataPlan`; returns the result.
 
     Bit-identical to :func:`simulate` run on the trace the stream was
     compiled from, provided the stream's data-side parameters (config
-    geometry, seed, churn, OS variant) match the machine's — the
-    stream-cache key in :mod:`repro.workloads.registry` encodes exactly
-    that contract. The machine's own LLC and memory manager are left
-    untouched; every data-side quantity the result needs was captured
-    at compile time and is spliced in here.
+    geometry, seed, churn, OS variant) match the machine's and ``plan``
+    was compiled from this ``stream`` under the machine's metadata
+    geometry — the stream- and plan-cache keys in
+    :mod:`repro.workloads.registry` encode exactly that contract. The
+    whole plan runs through one call of the MEE's event loop
+    (:meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`),
+    the same loop :func:`simulate` reaches one block at a time. The
+    machine's own LLC and memory manager are left untouched; every
+    data-side quantity the result needs was captured at compile time
+    and is spliced in here.
     """
     mee = machine.mee
     llc_latency = machine.config.llc.access_latency_cycles
-    read_block = mee.read_block
-    write_block = mee.write_block
 
     kinds = stream.kind
     addrs = stream.addr
+    event_records = plan.event_records()
     if not flush_llc_at_end:
         limit = stream.main_events
         kinds = kinds[:limit]
         addrs = addrs[:limit]
+        event_records = event_records[:limit]
 
     cycles = stream.think_total + stream.accesses * llc_latency
-    for kind, addr in zip(kinds, addrs):
-        if kind == 0:  # EVENT_FILL
-            cycles += read_block(addr)
-        elif kind == 1:  # EVENT_WRITEBACK
-            cycles += write_block(addr)
-        else:  # EVENT_PERSIST
-            cycles += write_block(addr, fenced=True)
+    cycles += mee.replay_plan_events(kinds, addrs, event_records)
 
-    return _assemble_stream_result(stream, machine, cycles)
-
-
-def _assemble_stream_result(
-    stream, machine: Machine, cycles: int
-) -> SimulationResult:
-    """Splice a replay's cycle total with the stream's captured
-    data-side fields into a result indistinguishable from a direct
-    run's (shared by the stream and plan drivers)."""
-    mee = machine.mee
     os_instructions = stream.os_instructions
     result = SimulationResult(
         workload=stream.name,
@@ -202,40 +192,6 @@ def _assemble_stream_result(
     )
     record_simulation(result, mee, stream.llc_hits, stream.llc_misses)
     return result
-
-
-def simulate_from_plan(
-    stream, plan, machine: Machine, flush_llc_at_end: bool = False
-) -> SimulationResult:
-    """Drive ``machine``'s MEE/protocol layer from a compiled
-    :class:`~repro.sim.replay.BoundaryStream` *and* its
-    :class:`~repro.sim.plan.MetadataPlan`; returns the result.
-
-    The planned form of :func:`simulate_from_stream`: same events, same
-    order, but every per-event metadata address, cache key, set index,
-    and ancestor path arrives pre-resolved, so the hot loop (moved into
-    :meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`)
-    does no address math, no key-memo probes, and no path walks.
-    Bit-identical to both the direct and the stream-replay paths —
-    ``plan`` must have been compiled from this ``stream`` under the
-    machine's metadata geometry (the plan-cache key in
-    :mod:`repro.workloads.registry` encodes that contract).
-    """
-    mee = machine.mee
-    llc_latency = machine.config.llc.access_latency_cycles
-
-    kinds = stream.kind
-    addrs = stream.addr
-    event_records = plan.event_records()
-    if not flush_llc_at_end:
-        limit = stream.main_events
-        kinds = kinds[:limit]
-        addrs = addrs[:limit]
-        event_records = event_records[:limit]
-
-    cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += mee.replay_plan_events(kinds, addrs, event_records)
-    return _assemble_stream_result(stream, machine, cycles)
 
 
 # ----------------------------------------------------------------------

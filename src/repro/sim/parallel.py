@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.config import INTEGRITY_MODES, SystemConfig
 from repro.errors import ConfigValidationError
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
+from repro.sim.engine import simulate, simulate_from_plan
 from repro.sim.machine import build_machine
 from repro.sim.results import SimulationResult
 from repro.util.rng import Seed
@@ -68,18 +68,16 @@ class SweepCell:
     #: BMT update discipline for functional cells ("eager"/"lazy");
     #: results are bit-identical either way (see repro.integrity.bmt).
     integrity_mode: str = "eager"
-    #: Drive the MEE from a compiled boundary stream instead of
-    #: re-walking the data-side hierarchy (see repro.sim.replay).
-    #: Bit-identical to the direct path; cells sharing a (trace,
-    #: data-side geometry) then share one compiled stream per process.
+    #: Drive the MEE from the compiled boundary stream and metadata
+    #: plan (see repro.sim.replay and repro.sim.plan) instead of
+    #: re-walking the data side. Bit-identical to the direct path;
+    #: cells sharing a (trace, data-side geometry) share one compiled
+    #: stream and plan per process. Off by default because compiling
+    #: only pays when several protocols replay one stream: a lone cell
+    #: (the perf harness's ``serial`` leg, fault-free functional
+    #: checks) would pay the compile for a single replay.
+    #: ``run_protocol_sweep`` builds its cells with it on.
     replay: bool = False
-    #: Replay through a compiled metadata plan (see repro.sim.plan):
-    #: per-event counter/HMAC/path addresses pre-resolved once per
-    #: (trace, geometry) and shared across protocols. Only effective
-    #: when ``replay`` is set; bit-identical either way, so this stays
-    #: on by default and exists to measure (bench) or bypass (--no-plan)
-    #: the fast path.
-    plan: bool = True
 
 
 def validate_cells(cells: Sequence[SweepCell]) -> None:
@@ -139,13 +137,14 @@ def stream_spec_for(cell: SweepCell, config: SystemConfig):
 
 
 def precompile_streams(cells: Sequence[SweepCell], config: SystemConfig) -> int:
-    """Warm the process-wide stream cache for every replay cell.
+    """Warm the process-wide stream and plan caches for every replay
+    cell, runtime records included.
 
-    Returns the number of distinct streams now cached for the grid.
-    Called in the pool parent before fan-out so fork-started workers
-    inherit compiled streams instead of each compiling their own;
-    spawn-started workers still compile at most once per (trace,
-    geometry) per process through the same cache.
+    Returns the number of distinct streams (one plan each) now cached
+    for the grid. Called in the pool parent before fan-out so
+    fork-started workers inherit compiled streams and plans instead of
+    each compiling their own; spawn-started workers still compile at
+    most once per (trace, geometry) per process through the same caches.
     """
     specs = set()
     for cell in cells:
@@ -153,28 +152,9 @@ def precompile_streams(cells: Sequence[SweepCell], config: SystemConfig) -> int:
             continue
         spec = stream_spec_for(cell, config)
         specs.add(spec)
-        materialize_boundary_stream(
-            spec, cell.config if cell.config is not None else config
-        )
-    return len(specs)
-
-
-def precompile_plans(cells: Sequence[SweepCell], config: SystemConfig) -> int:
-    """Warm the process-wide metadata-plan cache for every planned cell.
-
-    Same pool-parent discipline as :func:`precompile_streams` (and runs
-    the stream compile through the same caches if it has not happened
-    yet): fork workers inherit fully-warmed plans, runtime records
-    included. Returns the number of distinct plans now cached.
-    """
-    specs = set()
-    for cell in cells:
-        if not (cell.replay and cell.plan):
-            continue
-        spec = metadata_plan_spec(stream_spec_for(cell, config))
-        specs.add(spec)
         materialize_metadata_plan(
-            spec, cell.config if cell.config is not None else config
+            metadata_plan_spec(spec),
+            cell.config if cell.config is not None else config,
         )
     return len(specs)
 
@@ -192,12 +172,10 @@ def _run_cell_impl(cell: SweepCell, config: SystemConfig) -> SimulationResult:
     if cell.replay:
         stream_spec = stream_spec_for(cell, config)
         stream = materialize_boundary_stream(stream_spec, cell_config)
-        if cell.plan:
-            plan = materialize_metadata_plan(
-                metadata_plan_spec(stream_spec), cell_config
-            )
-            return simulate_from_plan(stream, plan, machine)
-        return simulate_from_stream(stream, machine)
+        plan = materialize_metadata_plan(
+            metadata_plan_spec(stream_spec), cell_config
+        )
+        return simulate_from_plan(stream, plan, machine)
     trace = materialize_trace(cell.trace)
     return simulate(
         machine, trace, seed=cell.seed, churn_interval=cell.churn_interval
@@ -362,13 +340,12 @@ class ParallelSweepRunner:
     ) -> List[SimulationResult]:
         """The store-oblivious path: compute every cell (pre-validated)."""
         if self.workers > 1 and len(cells) > 1:
-            # Compile each distinct data side — and each distinct
-            # metadata plan — once in the parent so fork-started
-            # workers inherit the warm caches (a spawn pool recompiles
-            # per worker — still once per process, amortized over that
-            # worker's protocol cells).
+            # Compile each distinct data side and its metadata plan
+            # once in the parent so fork-started workers inherit the
+            # warm caches (a spawn pool recompiles per worker — still
+            # once per process, amortized over that worker's protocol
+            # cells).
             precompile_streams(cells, config)
-            precompile_plans(cells, config)
         payloads = [(cell, config) for cell in cells]
         if not telemetry.enabled():
             return self.map(_pool_entry, payloads)

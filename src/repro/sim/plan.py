@@ -15,23 +15,21 @@ recipe, geometry) and emits a :class:`MetadataPlan`: columnar
 ``array('q')`` plan data — per-event counter-line address, HMAC-line
 address, BMT leaf slot, and path ids into a deduplicated node-id pool
 (a flattened, ahead-of-time form of the cross-machine ancestor-path
-memo) — plus the runtime records
+memo) — plus the per-event runtime records
 :meth:`repro.core.mee.MemoryEncryptionEngine.replay_plan_events`
-consumes: interned cache-key tuples with premixed set indices and the
-shared ancestor ``(node, key, mix)`` triples.
+consumes.
 
-Because every key tuple, path list, and mix value is resolved through
-the same process-wide memos the direct path uses
-(:mod:`repro.core.mee`'s key caches, :func:`repro.cache.cache.mix_of`),
-the planned replay performs bit-identical cache transitions and hands
-protocols path data with exactly the direct path's contents — verified
-across the full protocol lineup and both integrity modes by
-``tests/test_plan.py``.
+Every runtime record comes from :func:`repro.core.mee.resolve_record`,
+the same process-wide resolver the MEE's single-block entry points use,
+so a planned replay runs the engine's one event loop on exactly the
+records a direct run would build — verified across the full protocol
+lineup and both integrity modes by ``tests/test_plan.py``.
 
-What is *not* planned: fault campaigns keep the full direct path (their
-crash oracles need live data-cache state and per-access probes, see
-``repro.faults.campaign.run_fault_cell``), exactly as they bypass
-boundary-stream replay.
+What is *not* planned: fault campaigns drive single blocks through
+:func:`repro.sim.engine.drive_memory_boundary` (their crash oracles need
+live data-cache state and per-access probes, see
+``repro.faults.campaign.run_fault_cell``). Each block still runs the
+same event loop, with its record resolved on the spot.
 """
 
 from __future__ import annotations
@@ -39,15 +37,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import mix_of
 from repro.config import SystemConfig
-from repro.core.mee import (
-    MACS_PER_LINE,
-    shared_ancestor_path,
-    shared_counter_key,
-    shared_hmac_key,
-    shared_node_key,
-)
+from repro.core.mee import MACS_PER_LINE, resolve_record
 from repro.integrity.geometry import NodeId, TreeGeometry
 from repro.mem.address import AddressSpace
 
@@ -74,13 +65,13 @@ class MetadataPlan:
 
     The per-record table (``rec_counter``/``rec_hmac``/``rec_path``,
     one row per distinct (counter line, HMAC line) pair) backs the
-    runtime records: each row resolves once into the interned-key /
-    premixed-set-index tuple the MEE's planned loop consumes per event
-    (see :meth:`records`).
+    runtime records: each row resolves into the record the MEE's event
+    loop consumes (see :meth:`records`).
     """
 
     __slots__ = (
         "name",
+        "geometry",
         "record_id",
         "counter_line",
         "hmac_line",
@@ -92,13 +83,13 @@ class MetadataPlan:
         "path_offsets",
         "path_nodes",
         "node_pool",
-        "_paths",
         "_records",
         "_event_records",
     )
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, geometry: TreeGeometry) -> None:
         self.name = name
+        self.geometry = geometry
         self.record_id = array("q")
         self.counter_line = array("q")
         self.hmac_line = array("q")
@@ -110,11 +101,6 @@ class MetadataPlan:
         self.path_offsets = array("q", [0])
         self.path_nodes = array("q")
         self.node_pool: List[NodeId] = []
-        #: path id -> ancestor list. Filled by the compiler straight
-        #: from the process-wide ancestor memo (one shared, read-only
-        #: list per sibling group), so protocols observe ``path``
-        #: arguments with exactly the direct path's contents.
-        self._paths: List[List[NodeId]] = []
         self._records: Optional[list] = None
         self._event_records: Optional[list] = None
 
@@ -135,58 +121,16 @@ class MetadataPlan:
         ]
 
     def records(self) -> list:
-        """The resolved per-record runtime tuples (built once, cached).
-
-        Each tuple is ``(ctr_key, ctr_mix, hmac_key, hmac_mix, triples,
-        path, counter_index)``: the interned cache keys with their
-        deterministic set mixes, the ancestor chain as ``(node, key,
-        mix)`` triples, and the shared ancestor-path list — everything
-        :meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`
-        needs without per-event derivation.
-        """
+        """The per-record runtime tuples (built once, cached), from the
+        process-wide :func:`~repro.core.mee.resolve_record` — see there
+        for the tuple layout."""
         records = self._records
         if records is None:
-            triple_pool = [
-                (node, key, mix_of(key))
-                for node, key in (
-                    (node, shared_node_key(node)) for node in self.node_pool
-                )
+            geometry = self.geometry
+            records = [
+                resolve_record(geometry, counter, hline)
+                for counter, hline in zip(self.rec_counter, self.rec_hmac)
             ]
-            offsets = self.path_offsets
-            path_nodes = self.path_nodes
-            triples_by_path = [
-                tuple(
-                    triple_pool[i]
-                    for i in path_nodes[offsets[pid] : offsets[pid + 1]]
-                )
-                for pid in range(len(offsets) - 1)
-            ]
-            paths = self._paths
-            if not paths:
-                # Rebuilt plan without compiler-attached paths: fall
-                # back to content-equal lists from the node pool.
-                node_pool = self.node_pool
-                paths = [
-                    [node_pool[i] for i in self.path_node_ids(pid)]
-                    for pid in range(self.num_paths())
-                ]
-            records = []
-            for counter, hline, pid in zip(
-                self.rec_counter, self.rec_hmac, self.rec_path
-            ):
-                ctr_key = shared_counter_key(counter)
-                hkey = shared_hmac_key(hline)
-                records.append(
-                    (
-                        ctr_key,
-                        mix_of(ctr_key),
-                        hkey,
-                        mix_of(hkey),
-                        triples_by_path[pid],
-                        paths[pid],
-                        counter,
-                    )
-                )
             self._records = records
         return records
 
@@ -236,8 +180,9 @@ def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
     block_shift = address_space._block_shift
     page_shift = address_space._page_shift
     arity = geometry.arity
+    levels = geometry.num_node_levels
 
-    plan = MetadataPlan(stream.name)
+    plan = MetadataPlan(stream.name, geometry)
     record_id = plan.record_id
     counter_col = plan.counter_line
     hmac_col = plan.hmac_line
@@ -249,7 +194,6 @@ def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
     path_offsets = plan.path_offsets
     path_nodes = plan.path_nodes
     node_pool = plan.node_pool
-    paths = plan._paths
 
     #: (counter, hmac line) -> record id. Keyed by the pair: with small
     #: pages one HMAC line can span several counter blocks, so neither
@@ -275,14 +219,12 @@ def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
             pair = (counter, hline)
             rid = rec_ids.get(pair)
             if rid is None:
-                path = shared_ancestor_path(geometry, counter)
-                head = path[0]
+                head = (levels, counter // arity)
                 pid = path_ids.get(head)
                 if pid is None:
                     pid = len(path_offsets) - 1
                     path_ids[head] = pid
-                    paths.append(path)
-                    for node in path:
+                    for node in geometry.ancestors_of_counter(counter):
                         nid = node_ids.get(node)
                         if nid is None:
                             nid = len(node_pool)

@@ -15,12 +15,13 @@ columnar, ``array``-backed record of every boundary event in program
 order plus the data-side half of the eventual
 :class:`~repro.sim.results.SimulationResult` (LLC hit counters, page
 faults, OS instruction charges, think-cycle totals).
-:func:`repro.sim.engine.simulate_from_stream` then drives any machine's
-MEE/protocol layer straight from the compiled events. Because the
-events are byte-for-byte the calls ``simulate()`` would have issued,
-the replayed result is bit-identical to the direct one by construction
-— and verified across the full protocol lineup and both integrity
-modes by ``tests/test_replay.py``.
+:func:`repro.sim.engine.simulate_from_plan` then drives any machine's
+MEE/protocol layer straight from the compiled events and their metadata
+plan (:mod:`repro.sim.plan`). Because the events are byte-for-byte the
+calls ``simulate()`` would have issued, and both reach the MEE's one
+event loop, the replayed result is bit-identical to the direct one by
+construction — and verified across the full protocol lineup and both
+integrity modes by ``tests/test_replay.py`` and ``tests/test_plan.py``.
 
 What is *not* compiled away: fault campaigns keep the full direct path
 (their crash oracles need live data-cache state, see

@@ -6,32 +6,26 @@ modified OS's physical placement — which is the experiment). The runner
 is the building block every figure's benchmark harness uses.
 
 Sweeps accept either a materialized :class:`Trace` or a picklable
-:class:`~repro.workloads.registry.TraceSpec`; with ``workers > 1`` the
-cells fan out over a :class:`~repro.sim.parallel.ParallelSweepRunner`
-process pool and come back bit-identical to the serial run.
+:class:`~repro.workloads.registry.TraceSpec`; every protocol replays one
+compiled boundary stream and metadata plan per OS variant, and with
+``workers > 1`` the cells fan out over a
+:class:`~repro.sim.parallel.ParallelSweepRunner` process pool and come
+back bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Sequence, Union
 
 from repro import telemetry
 from repro.config import SystemConfig
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
+from repro.sim.engine import simulate_from_plan
 from repro.sim.machine import build_machine
 from repro.sim.parallel import ParallelSweepRunner, SweepCell
 from repro.sim.results import SimulationResult, normalized_cycles
 from repro.util.rng import Seed
-from repro.workloads.registry import (
-    TraceSpec,
-    boundary_stream_spec,
-    literal_spec,
-    materialize_boundary_stream,
-    materialize_metadata_plan,
-    materialize_trace,
-    metadata_plan_spec,
-)
+from repro.workloads.registry import TraceSpec, literal_spec
 from repro.workloads.trace import Trace
 
 #: The protocol lineup of the paper's runtime figures (4, 5, 8).
@@ -49,31 +43,26 @@ def run_protocol_sweep(
     scatter_span_chunks: int = 0,
     churn_interval: int = 16384,
     workers: int = 1,
-    replay: bool = True,
-    plan: bool = True,
     store=None,
 ) -> Dict[str, SimulationResult]:
     """Run ``trace`` under each protocol on a fresh machine.
 
-    ``workers > 1`` distributes the protocols over a process pool. A
-    raw :class:`Trace` is wrapped in a literal spec for the pool (the
-    whole trace is pickled once per worker); pass a
-    :class:`~repro.workloads.registry.TraceSpec` so workers regenerate
-    it locally instead.
+    The protocol-independent data side is compiled to a boundary-event
+    stream once per OS variant, and its metadata plan once per stream,
+    then replayed into every protocol's MEE (see :mod:`repro.sim.replay`
+    and :mod:`repro.sim.plan`) — bit-identical to running
+    :func:`~repro.sim.engine.simulate` per protocol, with one LLC walk
+    instead of ``len(protocols)``.
 
-    With ``replay=True`` (the default) the protocol-independent data
-    side is compiled to a boundary-event stream once per OS variant and
-    replayed into every protocol's MEE (see :mod:`repro.sim.replay`) —
-    bit-identical results, one LLC walk instead of ``len(protocols)``.
-    ``replay=False`` keeps the direct path (the ``--no-replay`` escape
-    hatch; fault campaigns never come through here at all).
-
-    With ``plan=True`` (the default) each replay additionally consumes
-    the stream's compiled metadata plan (:mod:`repro.sim.plan`):
-    per-event counter/HMAC/path addresses resolved once per (trace,
-    geometry) and shared across every protocol. Bit-identical again;
-    ``plan=False`` (``--no-plan``) falls back to stream replay with
-    per-event derivation. Ignored unless ``replay`` is on.
+    A :class:`~repro.workloads.registry.TraceSpec` sweep is a list of
+    cells handed to :class:`~repro.sim.parallel.ParallelSweepRunner`:
+    ``workers > 1`` distributes them over a process pool (workers
+    regenerate the trace locally), and the stream and plan go through
+    the process-wide caches. A raw :class:`Trace` with one worker and
+    no store compiles its stream and plan sweep-locally, so they are
+    freed with the sweep; otherwise it is wrapped in a literal spec
+    (the whole trace is pickled once per worker, and hashed into each
+    cell's fingerprint).
 
     With a :class:`~repro.store.ResultStore` as ``store`` the sweep is
     *incremental*: cells whose fingerprints are already in the store are
@@ -83,80 +72,15 @@ def run_protocol_sweep(
     _validate_sweep(trace, protocols, churn_interval)
     label = trace.name if isinstance(trace, Trace) else trace.label()
     with telemetry.span(f"sweep:{label}"):
-        if store is not None:
-            return _run_stored_sweep(
+        if isinstance(trace, Trace) and workers <= 1 and store is None:
+            return _run_local_sweep(
                 trace,
                 config,
                 protocols,
                 seed=seed,
                 scatter_span_chunks=scatter_span_chunks,
                 churn_interval=churn_interval,
-                workers=workers,
-                replay=replay,
-                plan=plan,
-                store=store,
             )
-        return _run_protocol_sweep(
-            trace,
-            config,
-            protocols,
-            seed=seed,
-            scatter_span_chunks=scatter_span_chunks,
-            churn_interval=churn_interval,
-            workers=workers,
-            replay=replay,
-            plan=plan,
-        )
-
-
-def _run_stored_sweep(
-    trace: TraceLike,
-    config: SystemConfig,
-    protocols: Sequence[str],
-    seed: Seed,
-    scatter_span_chunks: int,
-    churn_interval: int,
-    workers: int,
-    replay: bool,
-    plan: bool,
-    store,
-) -> Dict[str, SimulationResult]:
-    """The incremental path: express the sweep as cells, let the
-    parallel runner partition them into store hits and misses. A raw
-    :class:`Trace` is wrapped in a literal spec so its full payload is
-    part of the fingerprint closure (and with ``workers <= 1`` the
-    runner stays in-process — same engine path as the serial sweep)."""
-    spec = trace if isinstance(trace, TraceSpec) else literal_spec(trace)
-    cells = [
-        SweepCell(
-            protocol=name,
-            trace=spec,
-            seed=seed,
-            scatter_span_chunks=scatter_span_chunks,
-            churn_interval=churn_interval,
-            replay=replay,
-            plan=plan,
-        )
-        for name in protocols
-    ]
-    results = ParallelSweepRunner(workers=workers).run(
-        cells, config, store=store
-    )
-    return dict(zip(protocols, results))
-
-
-def _run_protocol_sweep(
-    trace: TraceLike,
-    config: SystemConfig,
-    protocols: Sequence[str],
-    seed: Seed,
-    scatter_span_chunks: int,
-    churn_interval: int,
-    workers: int,
-    replay: bool,
-    plan: bool,
-) -> Dict[str, SimulationResult]:
-    if workers > 1:
         spec = trace if isinstance(trace, TraceSpec) else literal_spec(trace)
         cells = [
             SweepCell(
@@ -165,79 +89,47 @@ def _run_protocol_sweep(
                 seed=seed,
                 scatter_span_chunks=scatter_span_chunks,
                 churn_interval=churn_interval,
-                replay=replay,
-                plan=plan,
+                replay=True,
             )
             for name in protocols
         ]
-        results = ParallelSweepRunner(workers=workers).run(cells, config)
+        results = ParallelSweepRunner(workers=workers).run(
+            cells, config, store=store
+        )
         return dict(zip(protocols, results))
 
+
+def _run_local_sweep(
+    trace: Trace,
+    config: SystemConfig,
+    protocols: Sequence[str],
+    seed: Seed,
+    scatter_span_chunks: int,
+    churn_interval: int,
+) -> Dict[str, SimulationResult]:
+    """A raw trace's sweep with its stream and plan compiled here, one
+    per OS variant in the lineup (stock vs AMNT++-modified placement),
+    and dropped with the sweep instead of joining the process-wide
+    caches."""
+    from repro.core.protocol import protocol_uses_modified_os
+    from repro.sim.plan import compile_metadata_plan
+    from repro.sim.replay import compile_boundary_stream
+
+    compiled: Dict[bool, tuple] = {}
     results_by_name: Dict[str, SimulationResult] = {}
-    if replay:
-        from repro.core.protocol import protocol_uses_modified_os
-        from repro.sim.replay import compile_boundary_stream
-
-        # One compiled stream — and, with ``plan``, one metadata plan —
-        # per OS variant present in the lineup (stock vs AMNT++-modified
-        # placement), shared by every protocol on that variant.
-        # TraceSpec sweeps go through the process-wide caches; raw
-        # traces compile sweep-locally.
-        streams: Dict[bool, object] = {}
-        plans: Dict[bool, object] = {}
-        for name in protocols:
-            modified = protocol_uses_modified_os(name)
-            stream = streams.get(modified)
-            if stream is None:
-                if isinstance(trace, TraceSpec):
-                    stream_spec = boundary_stream_spec(
-                        trace,
-                        config,
-                        seed=seed,
-                        churn_interval=churn_interval,
-                        scatter_span_chunks=scatter_span_chunks,
-                        modified_os=modified,
-                    )
-                    stream = materialize_boundary_stream(stream_spec, config)
-                    if plan:
-                        plans[modified] = materialize_metadata_plan(
-                            metadata_plan_spec(stream_spec), config
-                        )
-                else:
-                    stream = compile_boundary_stream(
-                        trace,
-                        config,
-                        seed=seed,
-                        churn_interval=churn_interval,
-                        scatter_span_chunks=scatter_span_chunks,
-                        modified_os=modified,
-                    )
-                    if plan:
-                        from repro.sim.plan import compile_metadata_plan
-
-                        plans[modified] = compile_metadata_plan(stream, config)
-                streams[modified] = stream
-            with telemetry.span(f"cell:{name}"):
-                machine = build_machine(
-                    config,
-                    name,
-                    seed=seed,
-                    scatter_span_chunks=scatter_span_chunks,
-                )
-                if plan:
-                    results_by_name[name] = simulate_from_plan(
-                        stream, plans[modified], machine
-                    )
-                else:
-                    results_by_name[name] = simulate_from_stream(
-                        stream, machine
-                    )
-        return results_by_name
-
-    materialized = (
-        materialize_trace(trace) if isinstance(trace, TraceSpec) else trace
-    )
     for name in protocols:
+        modified = protocol_uses_modified_os(name)
+        if modified not in compiled:
+            stream = compile_boundary_stream(
+                trace,
+                config,
+                seed=seed,
+                churn_interval=churn_interval,
+                scatter_span_chunks=scatter_span_chunks,
+                modified_os=modified,
+            )
+            compiled[modified] = (stream, compile_metadata_plan(stream, config))
+        stream, plan = compiled[modified]
         with telemetry.span(f"cell:{name}"):
             machine = build_machine(
                 config,
@@ -245,9 +137,7 @@ def _run_protocol_sweep(
                 seed=seed,
                 scatter_span_chunks=scatter_span_chunks,
             )
-            results_by_name[name] = simulate(
-                machine, materialized, seed=seed, churn_interval=churn_interval
-            )
+            results_by_name[name] = simulate_from_plan(stream, plan, machine)
     return results_by_name
 
 
@@ -288,8 +178,6 @@ def sweep_normalized(
     scatter_span_chunks: int = 0,
     baseline: str = "volatile",
     workers: int = 1,
-    replay: bool = True,
-    plan: bool = True,
     store=None,
 ) -> Dict[str, float]:
     """Normalized cycles (the paper's y-axis) for each protocol."""
@@ -303,8 +191,6 @@ def sweep_normalized(
         seed=seed,
         scatter_span_chunks=scatter_span_chunks,
         workers=workers,
-        replay=replay,
-        plan=plan,
         store=store,
     )
     return normalized_cycles(results, baseline=baseline)

@@ -8,10 +8,11 @@ useless:
    closure. Miss one and the store serves a stale result for a changed
    knob (silent wrong numbers, the cardinal sin of a cache).
 2. **Stability modulo execution strategy** — inputs that provably
-   *cannot* change the result stay out. The direct, stream-replay, and
-   plan-replay paths are bit-identical by construction (property-tested
-   since PRs 5 and 9), so ``replay``/``plan`` do not participate; a
-   warm sweep hits regardless of which engine path computed the entry.
+   *cannot* change the result stay out. The direct and compiled-plan
+   drivers run the MEE's one event loop and are bit-identical
+   (property-tested in ``tests/test_plan.py``), so ``replay`` does not
+   participate; a warm sweep hits regardless of which driver computed
+   the entry.
 
 The closure hashed here is therefore: the full effective
 :class:`~repro.config.SystemConfig` (geometry, timing, metadata cache,

@@ -48,7 +48,7 @@ class TestRuntimeCosts:
     def test_write_updates_shadow_without_critical_cycles(self, config):
         mee = engine_for(config)
         mee.write_block(0)
-        extra = mee.protocol.on_data_write(0, 0, mee.ancestor_path(0))
+        extra = mee.protocol.on_data_write(0, 0, mee.geometry.ancestors_of_counter(0))
         assert extra == 0  # coalesced off the critical path
         assert mee.protocol.stats.get("shadow_updates") >= 1
 

@@ -28,7 +28,7 @@ class TestVolatile:
 
     def test_write_cost_is_posted_only(self, config):
         mee = engine_for(config, "volatile")
-        protocol_cycles = mee.protocol.on_data_write(0, 0, mee.ancestor_path(0))
+        protocol_cycles = mee.protocol.on_data_write(0, 0, mee.geometry.ancestors_of_counter(0))
         assert protocol_cycles == 0
 
 
@@ -45,7 +45,7 @@ class TestStrict:
         mee = engine_for(config, "strict")
         mee.write_block(0)
         assert not mee.mdcache.is_dirty(counter_key(0))
-        for node in mee.ancestor_path(0):
+        for node in mee.geometry.ancestors_of_counter(0):
             assert not mee.mdcache.is_dirty(node_key(node[0], node[1]))
 
     def test_strict_costs_more_than_leaf(self, config):
@@ -70,7 +70,7 @@ class TestLeaf:
         mee = engine_for(config, "leaf")
         mee.write_block(0)
         assert not mee.mdcache.is_dirty(counter_key(0))
-        for node in mee.ancestor_path(0):
+        for node in mee.geometry.ancestors_of_counter(0):
             assert mee.mdcache.is_dirty(node_key(node[0], node[1]))
 
     def test_full_memory_stale_coverage(self, config):

@@ -33,7 +33,7 @@ class TestRootSet:
 
     def test_nearest_root_is_global_initially(self, config):
         mee = engine_for(config)
-        path = mee.ancestor_path(0)
+        path = mee.geometry.ancestors_of_counter(0)
         assert mee.protocol.nearest_persistent_root(path) == (1, 0)
 
     def test_roots_act_as_read_trust_anchors(self, config):

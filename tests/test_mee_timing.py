@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.metadata_cache import counter_key, hmac_key, node_key
 from repro.config import default_config
-from repro.core.mee import MemoryEncryptionEngine
+from repro.core.mee import MemoryEncryptionEngine, resolve_record
 from repro.core.protocol import make_protocol
 from repro.mem.backend import MetadataRegion
 from repro.util.units import MB
@@ -61,7 +61,7 @@ class TestWritePath:
         mee.write_block(0)
         assert mee.mdcache.is_dirty(counter_key(0))
         assert mee.mdcache.is_dirty(hmac_key(0))
-        for node in mee.ancestor_path(0):
+        for node in mee.geometry.ancestors_of_counter(0):
             assert mee.mdcache.is_dirty(node_key(node[0], node[1]))
 
     def test_volatile_write_never_persists(self, config):
@@ -97,7 +97,7 @@ class TestPersistHelpers:
     def test_persist_tree_node_cleans_line(self, config):
         mee = engine_for(config)
         mee.write_block(0)
-        node = mee.ancestor_path(0)[0]
+        node = mee.geometry.ancestors_of_counter(0)[0]
         mee.persist_tree_node(node)
         assert not mee.mdcache.is_dirty(node_key(node[0], node[1]))
 
@@ -109,11 +109,18 @@ class TestPersistHelpers:
 class TestPathMemo:
     def test_ancestor_path_memoized(self, config):
         mee = engine_for(config)
-        assert mee.ancestor_path(5) is mee.ancestor_path(5)
+        first = resolve_record(mee.geometry, 5, 40)
+        assert resolve_record(mee.geometry, 5, 40) is first
+        # Sibling counters share one ancestor chain object.
+        sibling = resolve_record(mee.geometry, 4, 32)
+        assert sibling[4] is first[4] and sibling[5] is first[5]
 
     def test_path_matches_geometry(self, config):
         mee = engine_for(config)
-        assert mee.ancestor_path(5) == mee.geometry.ancestors_of_counter(5)
+        record = resolve_record(mee.geometry, 5, 40)
+        path = mee.geometry.ancestors_of_counter(5)
+        assert record[5] == path
+        assert [node for node, _, _ in record[4]] == path
 
 
 class TestCrash:

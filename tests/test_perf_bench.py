@@ -26,7 +26,6 @@ class TestInterleavedLegs:
             "serial_uncached",
             "serial",
             "serial_telemetry",
-            "serial_replay",
             "serial_plan",
             "store_cold",
             "warm_sweep",
@@ -53,14 +52,8 @@ class TestInterleavedLegs:
         assert report["speedups"]["trace_cache"] == pytest.approx(
             timings["serial_uncached"] / timings["serial"]
         )
-        assert report["speedups"]["replay_vs_serial"] == pytest.approx(
-            timings["serial"] / timings["serial_replay"]
-        )
         assert report["speedups"]["plan_vs_serial"] == pytest.approx(
             timings["serial"] / timings["serial_plan"]
-        )
-        assert report["speedups"]["plan_vs_replay"] == pytest.approx(
-            timings["serial_replay"] / timings["serial_plan"]
         )
 
     def test_skip_uncached_drops_leg(self):
@@ -77,21 +70,6 @@ class TestInterleavedLegs:
         assert "serial_uncached" not in report["samples_seconds"]
         assert report["speedups"]["trace_cache"] is None
 
-    def test_skip_replay_drops_leg(self):
-        report = run_reference_bench(
-            workers=1,
-            benchmarks=("blackscholes",),
-            protocols=("leaf",),
-            accesses=300,
-            output=None,
-            include_uncached=False,
-            include_replay=False,
-            rounds=1,
-        )
-        assert report["timings_seconds"]["serial_replay"] is None
-        assert "serial_replay" not in report["samples_seconds"]
-        assert report["speedups"]["replay_vs_serial"] is None
-
     def test_skip_plan_drops_leg(self):
         report = run_reference_bench(
             workers=1,
@@ -106,7 +84,6 @@ class TestInterleavedLegs:
         assert report["timings_seconds"]["serial_plan"] is None
         assert "serial_plan" not in report["samples_seconds"]
         assert report["speedups"]["plan_vs_serial"] is None
-        assert report["speedups"]["plan_vs_replay"] is None
 
     def test_skip_store_drops_legs(self):
         report = run_reference_bench(

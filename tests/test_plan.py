@@ -23,12 +23,11 @@ from repro.core.mee import MACS_PER_LINE, MetadataRegion
 from repro.core.protocol import protocol_names, protocol_uses_modified_os
 from repro.integrity.geometry import TreeGeometry
 from repro.mem.address import AddressSpace
-from repro.sim.engine import simulate, simulate_from_plan, simulate_from_stream
+from repro.sim.engine import simulate, simulate_from_plan
 from repro.sim.machine import build_machine
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
-    precompile_plans,
     precompile_streams,
     run_cell,
     stream_spec_for,
@@ -102,20 +101,20 @@ class TestPlanBitIdentity:
             direct_machine
         )
 
-    def test_plan_matches_stream_timing_only(self, small_config):
-        """Timing-only machines (no functional crypto) through both
-        replay flavours, including the pointer-chasing profile."""
+    def test_plan_matches_direct_timing_only(self, small_config):
+        """Timing-only machines (no functional crypto) on the
+        pointer-chasing profile."""
         trace = materialize_trace(profile_spec("parsec", "canneal", 800, 7))
         stream = compile_boundary_stream(trace, small_config, seed=7)
         plan = compile_metadata_plan(stream, small_config)
         for protocol in ("volatile", "strict", "amnt"):
-            streamed = simulate_from_stream(
-                stream, build_machine(small_config, protocol, seed=7)
+            direct = simulate(
+                build_machine(small_config, protocol, seed=7), trace, seed=7
             )
             planned = simulate_from_plan(
                 stream, plan, build_machine(small_config, protocol, seed=7)
             )
-            assert planned == streamed, protocol
+            assert planned == direct, protocol
 
 
 GEOMETRY_CHOICES = {
@@ -312,9 +311,8 @@ class TestPlanCache:
             )
             for name in ("volatile", "leaf", "amnt", "amnt++")
         ]
-        precompile_streams(cells, small_config)
         # Three stock-OS protocols share one plan; amnt++ gets its own.
-        assert precompile_plans(cells, small_config) == 2
+        assert precompile_streams(cells, small_config) == 2
         assert metadata_plan_cache_size() == 2
 
 
@@ -323,13 +321,16 @@ class TestSweepPaths:
         trace_spec = profile_spec("parsec", "bodytrack", 800, 7)
         protocols = ("volatile", "strict", "amnt", "amnt++")
         planned = run_protocol_sweep(trace_spec, small_config, protocols, seed=7)
-        unplanned = run_protocol_sweep(
-            trace_spec, small_config, protocols, seed=7, plan=False
-        )
-        direct = run_protocol_sweep(
-            trace_spec, small_config, protocols, seed=7, replay=False
-        )
-        assert planned == unplanned == direct
+        direct = {
+            name: run_cell(
+                SweepCell(protocol=name, trace=trace_spec, seed=7), small_config
+            )
+            for name in protocols
+        }
+        assert planned == direct
+        # Spec sweeps share the process-wide plan cache: one plan per
+        # OS variant.
+        assert metadata_plan_cache_size() == 2
 
     def test_parallel_plan_matches_serial_direct(self, small_config):
         cells = [

@@ -94,7 +94,6 @@ class TestProfileRun:
             seed=11,
             capture_cprofile=False,
             replay=True,
-            plan=True,
         )
         assert validate_profile_document(doc) == []
         assert doc["run"]["replay"] is True
@@ -111,15 +110,11 @@ class TestProfileRun:
         )
         assert doc["result"] == direct["result"]
 
-    def test_plan_requires_replay(self):
-        with pytest.raises(ValueError):
-            profile_run(
-                benchmark="blackscholes",
-                protocol="leaf",
-                accesses=100,
-                capture_cprofile=False,
-                plan=True,
-            )
+    def test_direct_run_compiles_nothing(self, document):
+        assert document["run"]["replay"] is False
+        assert document["run"]["plan"] is False
+        assert document["phases"]["boundary_compile"] == 0.0
+        assert document["phases"]["boundary_plan"] == 0.0
 
 
 class TestValidator:

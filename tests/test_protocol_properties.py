@@ -77,7 +77,7 @@ def test_bmf_coverage_invariant_under_any_schedule(writes):
     assert protocol.covers_all_leaves()
     # Every path still finds a persistent root.
     for page in set(writes):
-        path = mee.ancestor_path(page)
+        path = mee.geometry.ancestors_of_counter(page)
         assert protocol.nearest_persistent_root(path) in protocol._root_counts
     assert len(protocol.persistent_roots()) <= CONFIG.bmf.root_set_entries
 

@@ -1,0 +1,218 @@
+"""A naive reference timing MEE, diffed against the engine.
+
+The engine's single-block entry points and plan replay share one event
+loop, so comparing them with each other cannot catch an error they
+share. This model re-derives the timing semantics from the paper's
+read/write paths with the plainest data structures — a dict of LRU
+``OrderedDict`` sets, string region names, no memos, no plans — and
+must agree with the engine on cycles and on every operation count.
+
+Only the set placement (``mix_of``) and the tree's ancestor arithmetic
+(``TreeGeometry``) are borrowed, so both sides put a line in the same
+set and walk the same path.
+"""
+
+from collections import OrderedDict
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache.cache import mix_of
+from repro.config import default_config
+from repro.integrity.geometry import TreeGeometry
+from repro.sim.engine import simulate_from_plan
+from repro.sim.machine import build_machine
+from repro.util.units import KB, MB
+from repro.workloads.registry import (
+    boundary_stream_spec,
+    literal_spec,
+    materialize_boundary_stream,
+    materialize_metadata_plan,
+    metadata_plan_spec,
+)
+from repro.workloads.trace import MemoryAccess, Trace
+
+READ, POSTED, FENCED = 0, 1, 2
+REGIONS = ("data", "counters", "tree", "hmacs")
+COUNTS = ("hits", "misses", "dirty_evictions", "walk_stopped_at_cache")
+
+
+class ReferenceMEE:
+    """Volatile, leaf, and strict timing semantics, written out."""
+
+    def __init__(self, config, protocol):
+        self.protocol = protocol
+        md = config.metadata_cache
+        self.num_sets = md.capacity_bytes // md.line_bytes // md.associativity
+        self.ways = md.associativity
+        self.md_cycles = md.access_latency_cycles
+        self.read_cycles = config.pcm.read_latency_cycles
+        self.write_cycles = config.pcm.write_latency_cycles
+        self.posted_cycles = max(
+            1, int(self.write_cycles * config.pcm.posted_write_latency_fraction)
+        )
+        self.page = config.security.page_bytes
+        self.block = config.security.block_bytes
+        self.geometry = TreeGeometry.from_config(config)
+        self.sets = {}
+        self.reads = dict.fromkeys(REGIONS, 0)
+        self.writes = dict.fromkeys(REGIONS, 0)
+        self.persists = dict.fromkeys(REGIONS, 0)
+        self.counts = dict.fromkeys(COUNTS, 0)
+        self.cycles = 0
+
+    def region(self, key):
+        return {"ctr": "counters", "node": "tree", "hmac": "hmacs"}[key[0]]
+
+    def lines(self, key):
+        return self.sets.setdefault(mix_of(key) % self.num_sets, OrderedDict())
+
+    def touch(self, key, dirty):
+        """One metadata reference: hit, or fill (evicting the LRU way)."""
+        lines = self.lines(key)
+        self.cycles += self.md_cycles
+        if key in lines:
+            lines.move_to_end(key)
+            lines[key] = lines[key] or dirty
+            self.counts["hits"] += 1
+            return True
+        self.counts["misses"] += 1
+        if len(lines) == self.ways:
+            victim, victim_dirty = lines.popitem(last=False)
+            if victim_dirty:
+                # Lazy writeback of the dirty victim (a posted write).
+                self.counts["dirty_evictions"] += 1
+                self.writes[self.region(victim)] += 1
+                self.cycles += self.posted_cycles
+        lines[key] = dirty
+        self.reads[self.region(key)] += 1
+        self.cycles += self.read_cycles
+        return False
+
+    def persist(self, key):
+        """Write-through of one line; it stays cached, now clean."""
+        self.writes[self.region(key)] += 1
+        self.persists[self.region(key)] += 1
+        lines = self.lines(key)
+        if key in lines:
+            lines[key] = False
+
+    def event(self, kind, addr):
+        counter = addr // self.page
+        ctr = ("ctr", counter)
+        hmac = ("hmac", addr // self.block // 8)
+        path = [("node", level, index) for level, index in
+                self.geometry.ancestors_of_counter(counter)]
+        if kind == READ:
+            self.reads["data"] += 1
+            self.cycles += self.read_cycles
+            self.touch(ctr, False)
+            for node in path:  # verify up to the first cached node
+                if self.touch(node, False):
+                    self.counts["walk_stopped_at_cache"] += 1
+                    break
+            self.touch(hmac, False)
+            return
+        for key in [ctr, hmac] + path:
+            self.touch(key, True)
+        self.writes["data"] += 1
+        self.cycles += self.write_cycles if kind == FENCED else self.posted_cycles
+        if self.protocol == "volatile":
+            return
+        # Counter and HMAC persist as an overlapped pair.
+        self.persist(ctr)
+        self.persist(hmac)
+        self.cycles += self.write_cycles + self.posted_cycles
+        if self.protocol == "strict":
+            for node in path:  # ordered: one full write per level
+                self.persist(node)
+                self.cycles += self.write_cycles
+
+
+def engine_counts(mee):
+    nvm, md = mee.nvm.stats, mee.mdcache.stats
+    return (
+        {r: nvm.get(f"reads.{r}") for r in REGIONS},
+        {r: nvm.get(f"writes.{r}") for r in REGIONS},
+        {r: nvm.get(f"persists.{r}") for r in REGIONS},
+        {
+            "hits": md.get("hits"),
+            "misses": md.get("misses"),
+            "dirty_evictions": md.get("dirty_evictions"),
+            "walk_stopped_at_cache": mee.stats.get("walk_stopped_at_cache"),
+        },
+    )
+
+
+def reference_counts(ref):
+    return ref.reads, ref.writes, ref.persists, ref.counts
+
+
+configs = st.builds(
+    lambda capacity, arity, md: replace(
+        default_config(capacity_bytes=capacity * MB),
+        security=replace(default_config().security, tree_arity=arity),
+        metadata_cache=replace(
+            default_config().metadata_cache,
+            capacity_bytes=md[0] * KB,
+            associativity=md[1],
+        ),
+        llc=replace(default_config().llc, capacity_bytes=4 * KB, associativity=4),
+    ),
+    st.sampled_from([4, 16, 64]),
+    st.sampled_from([2, 4, 8]),
+    st.sampled_from([(1, 2), (2, 4), (1, 16)]),
+)
+protocols = st.sampled_from(["volatile", "leaf", "strict"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    configs,
+    protocols,
+    st.lists(st.tuples(st.sampled_from([READ, POSTED, FENCED]),
+                       st.integers(0, 15), st.integers(0, 31)),
+             min_size=20, max_size=300),
+)
+def test_block_entry_points_match_reference(config, protocol, events):
+    mee = build_machine(config, protocol).mee
+    ref = ReferenceMEE(config, protocol)
+    cycles = 0
+    for kind, page, block in events:
+        addr = page * 37 * 4096 % config.pcm.capacity_bytes + block * 64
+        if kind == READ:
+            cycles += mee.read_block(addr)
+        else:
+            cycles += mee.write_block(addr, fenced=kind == FENCED)
+        ref.event(kind, addr)
+    assert cycles == ref.cycles
+    assert engine_counts(mee) == reference_counts(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    configs,
+    protocols,
+    st.lists(st.tuples(st.integers(0, 63), st.booleans(), st.booleans()),
+             min_size=1, max_size=150),
+)
+def test_plan_replay_matches_reference(config, protocol, records):
+    trace = Trace("random", [
+        MemoryAccess(vaddr=page * 4096 + 64 * (page % 7), is_write=write,
+                     pid=1, think_cycles=3, flush=write and flush)
+        for page, write, flush in records
+    ])
+    stream_spec = boundary_stream_spec(literal_spec(trace), config, seed=5)
+    stream = materialize_boundary_stream(stream_spec, config, cache=False)
+    plan = materialize_metadata_plan(
+        metadata_plan_spec(stream_spec), config, cache=False
+    )
+    machine = build_machine(config, protocol, seed=5)
+    result = simulate_from_plan(stream, plan, machine)
+    ref = ReferenceMEE(config, protocol)
+    for kind, addr in zip(stream.kind[: stream.main_events], stream.addr):
+        ref.event(kind, addr)
+    llc = config.llc.access_latency_cycles
+    assert result.cycles == stream.think_total + stream.accesses * llc + ref.cycles
+    assert engine_counts(machine.mee) == reference_counts(ref)

@@ -1,11 +1,12 @@
 """Boundary-event compilation: compiled replay == direct simulation.
 
 The replay pipeline (repro.sim.replay) simulates the protocol-agnostic
-data side once and replays the resulting boundary-event stream into
-every protocol's MEE. Its entire correctness claim is *bit-identity*
-with the direct path, so these tests compare full
-:class:`SimulationResult` objects — and, for functional machines, the
-persisted tree bytes and root registers left behind — never summaries.
+data side once and replays the resulting boundary-event stream, with
+its metadata plan, into every protocol's MEE. Its entire correctness
+claim is *bit-identity* with the direct path, so these tests compare
+full :class:`SimulationResult` objects — and, for functional machines,
+the persisted tree bytes and root registers left behind — never
+summaries.
 """
 
 from dataclasses import replace
@@ -16,15 +17,15 @@ from repro.bench.perf import reference_cells
 from repro.config import default_config
 from repro.core.mee import MetadataRegion
 from repro.core.protocol import protocol_names, protocol_uses_modified_os
-from repro.sim.engine import simulate, simulate_from_stream
+from repro.sim.engine import simulate, simulate_from_plan
 from repro.sim.machine import build_machine
 from repro.sim.parallel import (
-    ParallelSweepRunner,
     SweepCell,
     precompile_streams,
     run_cell,
     stream_spec_for,
 )
+from repro.sim.plan import compile_metadata_plan
 from repro.sim.replay import (
     EVENT_FILL,
     EVENT_PERSIST,
@@ -39,7 +40,10 @@ from repro.workloads.registry import (
     boundary_stream_cache_size,
     boundary_stream_spec,
     materialize_boundary_stream,
+    materialize_metadata_plan,
     materialize_trace,
+    metadata_plan_cache_clear,
+    metadata_plan_spec,
     profile_spec,
 )
 
@@ -47,8 +51,10 @@ from repro.workloads.registry import (
 @pytest.fixture(autouse=True)
 def _clean_stream_cache():
     boundary_stream_cache_clear()
+    metadata_plan_cache_clear()
     yield
     boundary_stream_cache_clear()
+    metadata_plan_cache_clear()
 
 
 def machine_tree_state(machine):
@@ -67,28 +73,37 @@ def machine_tree_state(machine):
 
 class TestFunctionalEquivalence:
     """Every registered protocol, both BMT disciplines, real crypto:
-    the replayed MEE must end in the same state the direct walk does."""
+    the replayed MEE must end in the same state the direct walk does.
+    These replays take the stream and plan from the process-wide caches
+    (as sweep cells do) and include the end-of-run flush tail."""
 
     @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_replay_matches_direct(self, small_config, protocol, integrity_mode):
-        trace = materialize_trace(profile_spec("parsec", "blackscholes", 600, 7))
-        modified = protocol_uses_modified_os(protocol)
+        trace_spec = profile_spec("parsec", "blackscholes", 600, 7)
+        trace = materialize_trace(trace_spec)
 
         direct_machine = build_machine(
             small_config, protocol, functional=True,
             seed=7, integrity_mode=integrity_mode,
         )
-        direct = simulate(direct_machine, trace, seed=7)
+        direct = simulate(direct_machine, trace, seed=7, flush_llc_at_end=True)
 
-        stream = compile_boundary_stream(
-            trace, small_config, seed=7, modified_os=modified
+        stream_spec = boundary_stream_spec(
+            trace_spec, small_config, seed=7,
+            modified_os=protocol_uses_modified_os(protocol),
+        )
+        stream = materialize_boundary_stream(stream_spec, small_config)
+        plan = materialize_metadata_plan(
+            metadata_plan_spec(stream_spec), small_config
         )
         replay_machine = build_machine(
             small_config, protocol, functional=True,
             seed=7, integrity_mode=integrity_mode,
         )
-        replayed = simulate_from_stream(stream, replay_machine)
+        replayed = simulate_from_plan(
+            stream, plan, replay_machine, flush_llc_at_end=True
+        )
 
         assert replayed == direct
         assert machine_tree_state(replay_machine) == machine_tree_state(
@@ -102,8 +117,9 @@ class TestFunctionalEquivalence:
             trace, seed=7, flush_llc_at_end=True,
         )
         stream = compile_boundary_stream(trace, small_config, seed=7)
-        replayed = simulate_from_stream(
+        replayed = simulate_from_plan(
             stream,
+            compile_metadata_plan(stream, small_config),
             build_machine(small_config, "strict", functional=True, seed=7),
             flush_llc_at_end=True,
         )
@@ -195,29 +211,18 @@ class TestStreamCache:
 
 class TestSweepPaths:
     def test_run_protocol_sweep_replay_default_matches_direct(self, small_config):
-        trace_spec = profile_spec("parsec", "bodytrack", 800, 7)
+        """A raw trace's sweep-local compile against one direct
+        simulate() per protocol."""
+        trace = materialize_trace(profile_spec("parsec", "bodytrack", 800, 7))
         protocols = ("volatile", "strict", "amnt", "amnt++")
-        replayed = run_protocol_sweep(trace_spec, small_config, protocols, seed=7)
-        direct = run_protocol_sweep(
-            trace_spec, small_config, protocols, seed=7, replay=False
-        )
+        replayed = run_protocol_sweep(trace, small_config, protocols, seed=7)
+        direct = {
+            name: simulate(build_machine(small_config, name, seed=7), trace, seed=7)
+            for name in protocols
+        }
         assert replayed == direct
-
-    def test_parallel_replay_matches_serial_direct(self, small_config):
-        cells = [
-            SweepCell(
-                protocol=name,
-                trace=profile_spec("parsec", "bodytrack", 800, 7),
-                seed=7,
-                replay=True,
-            )
-            for name in ("volatile", "strict", "amnt")
-        ]
-        parallel = ParallelSweepRunner(workers=2).run(cells, small_config)
-        serial = [
-            run_cell(replace(cell, replay=False), small_config) for cell in cells
-        ]
-        assert parallel == serial
+        # Raw traces compile sweep-locally, not into the shared caches.
+        assert boundary_stream_cache_size() == 0
 
     def test_stream_spec_keys_off_protocol_os_variant(self, small_config):
         trace_spec = profile_spec("parsec", "bodytrack", 800, 7)

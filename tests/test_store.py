@@ -121,16 +121,13 @@ class TestFingerprint:
         )
 
     def test_execution_strategy_is_excluded(self, small_config):
-        """replay/plan are bit-identical engine paths (property-tested
-        elsewhere) and MUST NOT fragment the store."""
+        """The direct and compiled-plan paths are bit-identical
+        (property-tested elsewhere), so ``replay`` MUST NOT fragment the
+        store."""
         cell = small_cells()[0]
         fp = cell_fingerprint(cell, small_config)
-        for flags in (
-            {"replay": True, "plan": False},
-            {"replay": True, "plan": True},
-            {"replay": False, "plan": False},
-        ):
-            assert cell_fingerprint(replace(cell, **flags), small_config) == fp
+        for replay in (True, False):
+            assert cell_fingerprint(replace(cell, replay=replay), small_config) == fp
 
 
 # ----------------------------------------------------------------------

@@ -428,7 +428,7 @@ class TestSurfacing:
             seed=SEED,
             output=None,
             include_uncached=False,
-            include_replay=False,
+            include_plan=False,
             rounds=1,
             metrics_out=tmp_path / "METRICS.json",
         )

@@ -140,7 +140,7 @@ class TestSpoofing:
         mee.write_block(0, data=b"\x01" * 64)
         injector = CrashInjector(mee)
         injector.crash_only()
-        node = mee.ancestor_path(0)[0]
+        node = mee.geometry.ancestors_of_counter(0)[0]
         mee.nvm.backend.write(MetadataRegion.TREE, node, b"\xcc" * 64)
         with pytest.raises(IntegrityError):
             mee.read_block_data(0)

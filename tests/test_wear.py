@@ -105,3 +105,35 @@ class TestProtocolWearProfiles:
         assert report.write_amplification() == pytest.approx(
             (total - data) / data
         )
+
+
+class TestSimulatedWear:
+    def test_tracking_storage_trace_keeps_cycles_and_counts_fenced_writes(self):
+        """Storage apps issue fenced writes (CLWB + sfence); the wear
+        wrapper must forward ``fenced`` and leave timing untouched."""
+        from repro.sim.engine import simulate
+        from repro.sim.machine import build_machine
+        from repro.sim.replay import EVENT_PERSIST, compile_boundary_stream
+        from repro.workloads.storage import (
+            generate_storage_trace,
+            storage_profile,
+        )
+
+        config = default_config()
+        trace = generate_storage_trace(
+            storage_profile("kvstore"), seed=1, accesses=2000
+        )
+        untracked = simulate(build_machine(config, "strict", seed=1), trace, seed=1)
+        machine = build_machine(config, "strict", seed=1)
+        tracker = attach_wear_tracking(machine.mee)
+        tracked = simulate(machine, trace, seed=1)
+
+        assert tracked.cycles == untracked.cycles
+        assert tracked == untracked
+        fenced = list(compile_boundary_stream(trace, config, seed=1).kind).count(
+            EVENT_PERSIST
+        )
+        assert fenced > 0
+        data_writes = tracker.report().writes_by_region["data"]
+        assert data_writes == machine.mee.nvm.stats.get("writes.data")
+        assert data_writes >= fenced
