@@ -209,24 +209,25 @@ def fig6_fig7_level_sweep(
 
     Every (pair, level, protocol) run is one sweep cell with its own
     level-specific config override, so the whole sensitivity grid fans
-    out at once when ``workers > 1``.
+    out at once when ``workers > 1``. The volatile baseline runs once
+    per pair and normalizes every level: the subtree level is AMNT
+    state, and a volatile machine runs the stock OS and never reads it,
+    so its result is the same at every level.
     """
     base_config = config or default_config()
-    level_protocols = ("volatile", "amnt", "amnt++")
+    level_protocols = ("amnt", "amnt++")
     cells = []
     for pair in pairs:
         spec = multiprogram_spec("parsec", pair, accesses_each, seed)
+        common = dict(
+            trace=spec, seed=seed, scatter_span_chunks=MULTIPROGRAM_SCATTER_CHUNKS
+        )
+        cells.append(SweepCell(protocol="volatile", **common))
         for level in levels:
             level_config = base_config.with_amnt(subtree_level=level)
             for protocol in level_protocols:
                 cells.append(
-                    SweepCell(
-                        protocol=protocol,
-                        trace=spec,
-                        seed=seed,
-                        scatter_span_chunks=MULTIPROGRAM_SCATTER_CHUNKS,
-                        config=level_config,
-                    )
+                    SweepCell(protocol=protocol, config=level_config, **common)
                 )
     results = iter(ParallelSweepRunner(workers=workers).run(cells, base_config))
 
@@ -239,9 +240,9 @@ def fig6_fig7_level_sweep(
             "amnt_hitrate": {},
             "amnt++_hitrate": {},
         }
+        baseline = next(results)
         for level in levels:
-            baseline = next(results)
-            for protocol in ("amnt", "amnt++"):
+            for protocol in level_protocols:
                 result = next(results)
                 sweep[label][f"{protocol}_cycles"][level] = (
                     result.cycles / baseline.cycles

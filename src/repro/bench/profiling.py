@@ -19,7 +19,11 @@ protocol) cell and attributes wall-clock to the pipeline's phases:
 
   * ``mee`` — time inside the MEE's datapath entry points (the
     metadata walk, i.e. everything below the LLC) *excluding* the
-    functional tree;
+    functional tree. ``simulate()`` feeds the event loop a generator
+    that walks the data side, so that walk runs inside the loop call:
+    its entry points (address translation, page churn, the LLC probe
+    and CLWB flush) are timed too and subtracted here, so the data
+    side lands in ``engine_other`` on both paths;
   * ``bmt`` — time inside the functional Merkle tree (zero in
     timing-only runs, and near-zero in lazy mode until a
     materialization point);
@@ -89,16 +93,24 @@ MEASURED_PHASES = (
 
 #: Methods whose cumulative time defines the ``mee`` sub-phase. The
 #: engine hoists these bound methods once per run, so instance-level
-#: wrappers installed *before* simulate() capture every call.
-#: ``read_block``/``write_block`` and plan replay share one event loop:
-#: the block methods run it one event at a time, and
-#: ``replay_plan_events`` runs a whole plan through it in one call.
+#: wrappers installed *before* simulate() capture every call. Every
+#: driver reaches the one event loop, ``run_events``: ``simulate()``
+#: and plan replay in one call per run, the block methods (which also
+#: resolve the block's record first) one event at a time.
 _MEE_METHODS = (
+    "run_events",
     "read_block",
     "write_block",
     "read_block_data",
-    "replay_plan_events",
 )
+
+#: Data-side entry points, per object, that ``simulate()``'s event
+#: generator calls from inside ``run_events``: their time is taken back
+#: out of the ``mee`` sub-phase.
+_DATA_SIDE_METHODS = {
+    "mm": ("translate", "churn"),
+    "llc": ("access", "flush_block"),
+}
 
 #: Functional-tree methods charged to the ``bmt`` sub-phase.
 _BMT_METHODS = (
@@ -257,6 +269,8 @@ def profile_run(
             metadata_plan = compile_metadata_plan(stream, config)
 
     _instrument(machine.mee, _MEE_METHODS, clock, "mee")
+    for part, methods in _DATA_SIDE_METHODS.items():
+        _instrument(getattr(machine, part), methods, clock, "data_side")
     tree = getattr(machine.mee, "tree", None)
     if tree is not None:
         _instrument(tree, _BMT_METHODS, clock, "bmt")
@@ -281,11 +295,13 @@ def profile_run(
     phases = {name: clock.seconds.get(name, 0.0) for name in MEASURED_PHASES}
     engine = phases["engine"]
     # The tree is only ever called from inside the MEE's walk, and the
-    # walk only from inside the engine: carve the nesting into three
+    # walk only from inside the engine; on the direct path the data
+    # side runs inside the walk's call too. Carve the nesting into three
     # disjoint buckets so the engine sub-phases sum to the engine time.
+    data_side = clock.seconds.get("data_side", 0.0)
     bmt = min(phases["bmt"], phases["mee"], engine)
     phases["bmt"] = bmt
-    phases["mee"] = min(max(phases["mee"] - bmt, 0.0), engine)
+    phases["mee"] = min(max(phases["mee"] - data_side - bmt, 0.0), engine)
     phases["engine_other"] = max(engine - phases["mee"] - bmt, 0.0)
     total = (
         phases["trace_gen"]

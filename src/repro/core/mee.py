@@ -32,13 +32,14 @@ the engine (the volatile baseline's only metadata traffic); protocols
 hook fills and writebacks for their own bookkeeping (Anubis's shadow
 table lives entirely in those hooks).
 
-Both paths are one event loop, built once per engine
-(:meth:`MemoryEncryptionEngine._event_loop`). The single-block entry
-points (:meth:`~MemoryEncryptionEngine.read_block`,
-:meth:`~MemoryEncryptionEngine.write_block`) run it on one event, and
-plan replay (:meth:`~MemoryEncryptionEngine.replay_plan_events`, see
-:mod:`repro.sim.plan`) on a whole compiled stream, so the direct and
-compiled drivers cannot drift apart.
+Both paths are one event loop, built once per engine and exposed as
+:attr:`MemoryEncryptionEngine.run_events`. ``simulate()`` streams a
+whole trace's boundary events through it in one call, plan replay
+(``simulate_from_plan``, see :mod:`repro.sim.plan`) a whole compiled
+stream, and the single-block entry points
+(:meth:`~MemoryEncryptionEngine.read_block`,
+:meth:`~MemoryEncryptionEngine.write_block`) one event, so the direct
+and compiled drivers cannot drift apart.
 
 Timing and function are separable: built with ``functional=False`` the
 engine tracks cache/NVM events and cycles only; with
@@ -206,7 +207,7 @@ class MemoryEncryptionEngine:
         #: resolve_record): the read/write entry points look an event's
         #: record up here and resolve it only on first touch.
         self._records = record_table(self.geometry)
-        # Address decode pieces: _record_of inlines the block/page split
+        # Address decode pieces: record_of inlines the block/page split
         # (a bounds check and two shifts).
         self._block_index = self.address_space.block_index
         self._as_capacity = self.address_space.capacity_bytes
@@ -242,10 +243,11 @@ class MemoryEncryptionEngine:
         self.engine: Optional[CryptoEngine] = None
         self.tree: Optional[BonsaiMerkleTree] = None
         self._volatile_hmacs: Dict[int, bytes] = {}
-        #: Optional wear instrumentation (repro.mem.wear). When set,
-        #: protocols report their private-region writes (e.g. Anubis's
-        #: shadow table) here; the engine's own write paths are wrapped
-        #: by attach_wear_tracking.
+        #: Optional wear instrumentation (repro.mem.wear). When set, the
+        #: event loop records every data write here and protocols their
+        #: private-region writes (e.g. Anubis's shadow table); the
+        #: metadata persist and writeback paths are wrapped by
+        #: attach_wear_tracking.
         self.wear_tracker = None
         #: Optional crash scheduler (repro.faults.triggers). When set,
         #: the engine announces phase boundaries to it and brackets each
@@ -292,8 +294,11 @@ class MemoryEncryptionEngine:
         )
         self._check_trusted = proto_cls.has_trusted_registers
         protocol.bind(self)
-        #: The engine's one read/write datapath (see _event_loop).
-        self._run_events = self._event_loop()
+        #: The engine's one read/write datapath:
+        #: ``run_events(events, data=None, plaintexts=None)`` runs
+        #: ``(kind, addr, record)`` events in order and returns their
+        #: cycles (see _event_loop).
+        self.run_events = self._event_loop()
 
     # ------------------------------------------------------------------
     # metadata cache plumbing
@@ -451,8 +456,9 @@ class MemoryEncryptionEngine:
     # the datapath entry points
     # ------------------------------------------------------------------
 
-    def _record_of(self, paddr: int) -> tuple:
-        """The event record of the block at ``paddr``."""
+    def record_of(self, paddr: int) -> tuple:
+        """The event record of the block at ``paddr`` (see
+        :func:`resolve_record`), as :attr:`run_events` consumes it."""
         if not 0 <= paddr < self._as_capacity:
             self._block_index(paddr)  # raises AddressError
         counter_index = paddr >> self._page_shift
@@ -468,14 +474,14 @@ class MemoryEncryptionEngine:
         In functional mode the plaintext is available through
         :meth:`read_block_data`, which runs the same event.
         """
-        return self._run_events(((0, paddr, self._record_of(paddr)),))
+        return self.run_events(((0, paddr, self.record_of(paddr)),))
 
     def read_block_data(self, paddr: int) -> bytes:
         """Functional read: authenticate, decrypt, return plaintext."""
         if not self.functional:
             raise RuntimeError("read_block_data requires functional mode")
         plaintexts: List[bytes] = []
-        self._run_events(((0, paddr, self._record_of(paddr)),), None, plaintexts)
+        self.run_events(((0, paddr, self.record_of(paddr)),), None, plaintexts)
         return plaintexts[0]
 
     def write_block(
@@ -492,19 +498,9 @@ class MemoryEncryptionEngine:
         on the critical path. ``data`` is the plaintext a functional
         engine encrypts (zeros when omitted).
         """
-        return self._run_events(
-            ((2 if fenced else 1, paddr, self._record_of(paddr)),), data
+        return self.run_events(
+            ((2 if fenced else 1, paddr, self.record_of(paddr)),), data
         )
-
-    def replay_plan_events(self, kinds, addrs, event_records) -> int:
-        """Drive the datapath from a compiled plan; returns total cycles.
-
-        ``kinds``/``addrs`` are a :class:`~repro.sim.replay.BoundaryStream`'s
-        event columns and ``event_records`` the matching
-        :meth:`repro.sim.plan.MetadataPlan.event_records`, so the whole
-        plan runs through one call of the event loop.
-        """
-        return self._run_events(zip(kinds, addrs, event_records))
 
     def _verify_and_decrypt(
         self, paddr: int, block_index: int, counter_index: int
@@ -572,13 +568,14 @@ class MemoryEncryptionEngine:
         2 a fenced write (a CLWB + sfence persist); ``record`` comes
         from :func:`resolve_record`. ``data`` is the plaintext of
         functional writes, and a functional read appends its plaintext
-        to ``plaintexts`` when given. The single-block entry points pass
-        one event, plan replay a whole stream.
+        to ``plaintexts`` when given. ``simulate()`` passes a generator
+        over a whole trace's boundary events, plan replay a whole
+        compiled stream, and the single-block entry points one event.
 
         Everything the loop touches is resolved here, once per engine —
-        except ``fault_probe``, which campaigns attach after
-        construction and is read per call. The metadata-cache probe is
-        inlined rather than calling
+        except ``fault_probe`` and ``wear_tracker``, which are attached
+        after construction and read once per call. The metadata-cache
+        probe is inlined rather than calling
         :meth:`SetAssociativeCache.access_line_premixed`: it runs several
         times per event, and the call frame would dominate what remains.
         The inline body is a transcription of ``access_line_premixed``
@@ -624,6 +621,7 @@ class MemoryEncryptionEngine:
 
         def run(events, data=None, plaintexts=None) -> int:
             probe = self.fault_probe
+            tracker = self.wear_tracker
             cycles = 0
             for kind, addr, rec in events:
                 ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = rec
@@ -700,6 +698,8 @@ class MemoryEncryptionEngine:
                     continue
                 # write: 1 posted, 2 fenced.
                 data_writes.value += 1
+                if tracker is not None:
+                    tracker.record(_DATA, addr >> block_shift)
                 if probe is not None:
                     # The functional tree updates the NV root register
                     # atomically with the counter bump, so a crash landing

@@ -113,8 +113,10 @@ class WearTracker:
 def attach_wear_tracking(mee) -> WearTracker:
     """Instrument a MemoryEncryptionEngine's write paths with a tracker.
 
-    Wraps the engine's persist helpers, lazy writeback, and data write
-    so every NVM line write is attributed. Returns the tracker; call
+    Wraps the engine's persist helpers and lazy writeback, and sets
+    ``mee.wear_tracker``, through which the engine's event loop records
+    every data write — on every driver, direct or plan replay — so
+    every NVM line write is attributed. Returns the tracker; call
     ``tracker.report()`` after simulation.
     """
     tracker = WearTracker()
@@ -123,7 +125,6 @@ def attach_wear_tracking(mee) -> WearTracker:
     original_persist_hmac = mee.persist_hmac_line
     original_persist_node = mee.persist_tree_node
     original_writeback = mee._writeback_metadata
-    original_write_block = mee.write_block
 
     def persist_counter(counter_index):
         tracker.record(MetadataRegion.COUNTERS, counter_index)
@@ -147,18 +148,11 @@ def attach_wear_tracking(mee) -> WearTracker:
             tracker.record(MetadataRegion.HMACS, key[1])
         return original_writeback(key)
 
-    def write_block(paddr, data=None, fenced=False):
-        tracker.record(
-            MetadataRegion.DATA, mee.address_space.block_index(paddr)
-        )
-        return original_write_block(paddr, data=data, fenced=fenced)
-
     mee.persist_counter_line = persist_counter
     mee.persist_hmac_line = persist_hmac
     mee.persist_tree_node = persist_node
     mee._writeback_metadata = writeback
-    mee.write_block = write_block
-    # Protocols with private NVM regions (Anubis's shadow table) report
-    # their writes through this attribute.
+    # The event loop reports data writes, and protocols with private
+    # NVM regions (Anubis's shadow table) theirs, through this attribute.
     mee.wear_tracker = tracker
     return tracker

@@ -48,6 +48,76 @@ def _trace_columns(trace: Trace):
 INSTRUCTIONS_PER_PAGE_FAULT = 500
 
 
+def _boundary_events(
+    machine: Machine,
+    vaddrs,
+    pids,
+    flag_col,
+    rng,
+    churn_interval: int,
+    churn_bursts: int,
+    churn_pages_per_burst: int,
+    flush_llc_at_end: bool,
+):
+    """The data-side walk of a trace's (vaddr, pid, flags) columns:
+    yields its memory-boundary events as ``(kind, addr, record)`` for
+    the MEE's event loop.
+
+    For each reference: translate (demand paging), probe the LLC, yield
+    the fill and the dirty writebacks it caused, then a CLWB + fence's
+    flushed block, and churn pages every ``churn_interval`` references;
+    with ``flush_llc_at_end`` the end-of-run flush follows as posted
+    writes. The loop consumes each event before the walk resumes, so
+    the data side and the MEE interleave exactly as per-block calls
+    would.
+    """
+    mee = machine.mee
+    llc = machine.llc
+    mm = machine.mm
+    block_bytes = machine.config.security.block_bytes
+
+    # The loop below runs once per trace record — hoist every bound
+    # method and attribute it touches so the interpreter does the
+    # lookups once instead of hundreds of thousands of times.
+    translate = mm.translate
+    llc_access = llc.access
+    llc_flush_block = llc.flush_block
+    record_of = mee.record_of
+    churn = mm.churn
+
+    # The loop iterates the trace's raw columns: machine integers per
+    # record via zip, no per-record object or attribute lookups. Flags
+    # pack is_write in bit 0 and flush in bit 1.
+    position = 0
+    for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
+        position += 1
+        is_write = flags & 1
+        paddr = translate(pid, vaddr)
+        traffic = llc_access(paddr, is_write)
+        if traffic.fill_block is not None:
+            addr = traffic.fill_block * block_bytes
+            yield 0, addr, record_of(addr)
+        for victim_block in traffic.writeback_blocks:
+            addr = victim_block * block_bytes
+            yield 1, addr, record_of(addr)
+        if is_write and flags & 2:
+            # CLWB + fence: the store is pushed to memory now, and the
+            # core waits for the (protocol-dependent) persist to finish
+            # — the path in-memory storage applications live on.
+            flushed_block = llc_flush_block(paddr)
+            if flushed_block is not None:
+                addr = flushed_block * block_bytes
+                yield 2, addr, record_of(addr)
+        if churn_interval and position % churn_interval == 0:
+            churn(
+                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
+            )
+    if flush_llc_at_end:
+        for victim_block in llc.flush():
+            addr = victim_block * block_bytes
+            yield 1, addr, record_of(addr)
+
+
 def simulate(
     machine: Machine,
     trace: Trace,
@@ -57,59 +127,37 @@ def simulate(
     churn_pages_per_burst: int = 32,
     flush_llc_at_end: bool = False,
 ) -> SimulationResult:
-    """Run ``trace`` to completion on ``machine``; returns the result."""
+    """Run ``trace`` to completion on ``machine``; returns the result.
+
+    The data-side walk (:func:`_boundary_events`) is a generator the
+    MEE's event loop consumes in one call, as plan replay consumes a
+    compiled plan.
+    """
     rng = make_rng(f"{seed}/engine/{trace.name}")
     mee = machine.mee
     llc = machine.llc
     mm = machine.mm
-    block_bytes = machine.config.security.block_bytes
     llc_latency = machine.config.llc.access_latency_cycles
 
-    # The loop below runs once per trace record — hoist every bound
-    # method and attribute it touches so the interpreter does the
-    # lookups once instead of hundreds of thousands of times.
-    translate = mm.translate
-    llc_access = llc.access
-    llc_flush_block = llc.flush_block
-    read_block = mee.read_block
-    write_block = mee.write_block
-    churn = mm.churn
-
-    # The loop iterates the trace's raw columns: four machine integers
-    # per record via zip, no per-record object or attribute lookups.
-    # Flags pack is_write in bit 0 and flush in bit 1.
+    # Per reference: its think cycles and one LLC access (the app
+    # instructions count the access itself as one).
     vaddrs, pids, thinks, flag_col = _trace_columns(trace)
-
-    cycles = 0
-    app_instructions = 0
-    position = 0
-    for vaddr, pid, think, flags in zip(vaddrs, pids, thinks, flag_col):
-        position += 1
-        is_write = flags & 1
-        paddr = translate(pid, vaddr)
-        traffic = llc_access(paddr, is_write)
-        cycles += think + llc_latency
-        app_instructions += think + 1
-        if traffic.fill_block is not None:
-            cycles += read_block(traffic.fill_block * block_bytes)
-        for victim_block in traffic.writeback_blocks:
-            cycles += write_block(victim_block * block_bytes)
-        if is_write and flags & 2:
-            # CLWB + fence: the store is pushed to memory now, and the
-            # core waits for the (protocol-dependent) persist to finish
-            # — the path in-memory storage applications live on.
-            flushed_block = llc_flush_block(paddr)
-            if flushed_block is not None:
-                cycles += write_block(
-                    flushed_block * block_bytes, fenced=True
-                )
-        if churn_interval and position % churn_interval == 0:
-            churn(
-                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
-            )
-    if flush_llc_at_end:
-        for victim_block in llc.flush():
-            cycles += mee.write_block(victim_block * block_bytes)
+    think_total = sum(thinks)
+    app_instructions = think_total + len(thinks)
+    cycles = think_total + len(thinks) * llc_latency
+    cycles += mee.run_events(
+        _boundary_events(
+            machine,
+            vaddrs,
+            pids,
+            flag_col,
+            rng,
+            churn_interval,
+            churn_bursts,
+            churn_pages_per_burst,
+            flush_llc_at_end,
+        )
+    )
 
     os_instructions = (
         mm.allocator.instructions()
@@ -153,9 +201,10 @@ def simulate_from_plan(
     was compiled from this ``stream`` under the machine's metadata
     geometry — the stream- and plan-cache keys in
     :mod:`repro.workloads.registry` encode exactly that contract. The
-    whole plan runs through one call of the MEE's event loop
-    (:meth:`~repro.core.mee.MemoryEncryptionEngine.replay_plan_events`),
-    the same loop :func:`simulate` reaches one block at a time. The
+    stream's event columns, zipped with the plan's per-event records,
+    run through one call of the MEE's event loop
+    (:attr:`~repro.core.mee.MemoryEncryptionEngine.run_events`), the
+    loop :func:`simulate` feeds from its live data-side walk. The
     machine's own LLC and memory manager are left untouched; every
     data-side quantity the result needs was captured at compile time
     and is spliced in here.
@@ -173,7 +222,7 @@ def simulate_from_plan(
         event_records = event_records[:limit]
 
     cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += mee.replay_plan_events(kinds, addrs, event_records)
+    cycles += mee.run_events(zip(kinds, addrs, event_records))
 
     os_instructions = stream.os_instructions
     result = SimulationResult(

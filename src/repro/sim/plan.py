@@ -15,9 +15,8 @@ recipe, geometry) and emits a :class:`MetadataPlan`: columnar
 ``array('q')`` plan data — per-event counter-line address, HMAC-line
 address, BMT leaf slot, and path ids into a deduplicated node-id pool
 (a flattened, ahead-of-time form of the cross-machine ancestor-path
-memo) — plus the per-event runtime records
-:meth:`repro.core.mee.MemoryEncryptionEngine.replay_plan_events`
-consumes.
+memo) — plus the per-event runtime records the MEE's event loop
+(:attr:`repro.core.mee.MemoryEncryptionEngine.run_events`) consumes.
 
 Every runtime record comes from :func:`repro.core.mee.resolve_record`,
 the same process-wide resolver the MEE's single-block entry points use,

@@ -130,10 +130,13 @@ def compile_boundary_stream(
     """Run the data-side hierarchy over ``trace`` once; return its
     boundary-event stream.
 
-    The loop is ``simulate()``'s, minus the MEE calls: same demand
-    paging, same LRU transitions, same churn RNG stream, same
-    end-of-run flush — every parameter that shapes data-side behaviour
-    is an argument here and a field of the stream-cache key
+    The walk mirrors the event generator ``simulate()`` feeds the MEE
+    (:func:`repro.sim.engine._boundary_events`), recording each event
+    into columns instead: same demand paging, same LRU transitions,
+    same churn RNG stream, same end-of-run flush (compiled always,
+    replayed only under ``flush_llc_at_end``) — every parameter that
+    shapes data-side behaviour is an argument here and a field of the
+    stream-cache key
     (:class:`repro.workloads.registry.BoundaryStreamSpec`).
     ``modified_os`` selects the AMNT++ allocator variant, which changes
     physical placement and therefore the compiled addresses.

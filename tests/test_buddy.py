@@ -114,6 +114,57 @@ class TestAging:
         assert head != sorted(head)  # no longer contiguous
         assert all(pfn % 2 == 0 for pfn in head)
 
+    @pytest.mark.parametrize(
+        "total_pages, max_order, span_chunks, seed",
+        [
+            (1024, 5, 4, 7),
+            (1024, 5, 13, 3),
+            (1024, 5, 32, 1),  # the whole of memory
+            (1024, 5, 40, 2),  # more than memory: alloc fails mid-span
+            (4096, 10, 3, 11),
+            (256, 0, 40, 5),  # single-page chunks: no coalesce check
+            (256, 0, 300, 9),  # ... and more of them than memory holds
+        ],
+    )
+    def test_bulk_scatter_matches_per_page_frees(
+        self, total_pages, max_order, span_chunks, seed
+    ):
+        def per_page_scatter(allocator, rng):
+            frames = []
+            for _ in range(span_chunks):
+                try:
+                    base = allocator.alloc_pages(allocator.max_order)
+                except AllocationError:
+                    break
+                frames.extend(range(base, base + (1 << allocator.max_order)))
+            even_frames = [pfn for pfn in frames if pfn % 2 == 0]
+            rng.shuffle(even_frames)
+            for pfn in even_frames:
+                allocator.free_pages(pfn, 0)
+            allocator.stats.add("scatter_pages", len(even_frames))
+            return len(even_frames)
+
+        bulk = BuddyAllocator(total_pages, max_order=max_order)
+        reference = BuddyAllocator(total_pages, max_order=max_order)
+        for allocator in (bulk, reference):
+            # Start from an already-used allocator: lower lists non-empty.
+            for order in (0, max_order, 0):
+                allocator.alloc_pages(order)
+        produced = bulk.scatter(make_rng(seed), span_chunks=span_chunks)
+        assert produced == per_page_scatter(reference, make_rng(seed))
+        assert produced > 0
+        for order in range(max_order + 1):
+            assert list(bulk.free_area[order]) == list(reference.free_area[order])
+            assert list(bulk._free_set[order]) == list(reference._free_set[order])
+        assert bulk.stats.snapshot() == reference.stats.snapshot()
+        assert bulk.instructions() == reference.instructions()
+        assert bulk.stats.get("frees") == reference.stats.get("frees") == produced
+        assert bulk.stats.get("scatter_pages") == produced
+        # Both keep allocating the same frames afterwards.
+        assert [bulk.alloc_pages(0) for _ in range(8)] == [
+            reference.alloc_pages(0) for _ in range(8)
+        ]
+
     def test_fragment_keeps_allocator_usable(self, allocator):
         allocator.fragment(make_rng(7), churn_allocations=64)
         pfn = allocator.alloc_pages(0)

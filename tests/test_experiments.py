@@ -86,6 +86,77 @@ class TestFig6Fig7:
             assert 0.0 <= rate <= 1.0
 
 
+    def test_volatile_baseline_is_level_independent(self, config):
+        from repro.bench.experiments import MULTIPROGRAM_SCATTER_CHUNKS
+        from repro.sim.parallel import SweepCell, run_cell
+        from repro.workloads.registry import multiprogram_spec
+
+        cell = SweepCell(
+            protocol="volatile",
+            trace=multiprogram_spec(
+                "parsec", ("bodytrack", "fluidanimate"), 3000, 2024
+            ),
+            seed=2024,
+            scatter_span_chunks=MULTIPROGRAM_SCATTER_CHUNKS,
+        )
+        results = [
+            run_cell(
+                replace(cell, config=config.with_amnt(subtree_level=level)),
+                config,
+            )
+            for level in (2, 3, 5, 7)
+        ]
+        assert all(result == results[0] for result in results[1:])
+
+    def test_one_baseline_per_pair_matches_one_per_level(self, config):
+        """The sweep's single volatile run per pair normalizes exactly as
+        a volatile run at every level would."""
+        from repro.bench.experiments import MULTIPROGRAM_SCATTER_CHUNKS
+        from repro.sim.parallel import SweepCell, run_cell
+        from repro.workloads.registry import multiprogram_spec
+
+        pair, levels, seed = ("bodytrack", "fluidanimate"), (2, 4), 2024
+        spec = multiprogram_spec("parsec", pair, 3000, seed)
+        expected = {
+            "amnt_cycles": {},
+            "amnt++_cycles": {},
+            "amnt_hitrate": {},
+            "amnt++_hitrate": {},
+        }
+        for level in levels:
+            level_config = config.with_amnt(subtree_level=level)
+
+            def run(protocol):
+                cell = SweepCell(
+                    protocol=protocol,
+                    trace=spec,
+                    seed=seed,
+                    scatter_span_chunks=MULTIPROGRAM_SCATTER_CHUNKS,
+                    config=level_config,
+                )
+                return run_cell(cell, config)
+
+            baseline = run("volatile")
+            for protocol in ("amnt", "amnt++"):
+                result = run(protocol)
+                expected[f"{protocol}_cycles"][level] = (
+                    result.cycles / baseline.cycles
+                )
+                hit_rate = result.subtree_hit_rate()
+                expected[f"{protocol}_hitrate"][level] = (
+                    hit_rate if hit_rate is not None else 1.0
+                )
+
+        sweep = fig6_fig7_level_sweep(
+            pairs=[pair],
+            levels=levels,
+            accesses_each=3000,
+            seed=seed,
+            config=config,
+        )
+        assert sweep == {"bodyt and fluida": expected}
+
+
 class TestFig8:
     def test_structure(self, config):
         figure = fig8_spec(

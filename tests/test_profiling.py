@@ -44,6 +44,14 @@ class TestProfileRun:
         parts = phases["mee"] + phases["bmt"] + phases["engine_other"]
         assert parts == pytest.approx(phases["engine"], rel=1e-3, abs=1e-5)
 
+    def test_direct_run_keeps_data_side_out_of_mee(self, document):
+        # simulate() runs its data-side walk inside the MEE's event-loop
+        # call; address translation, the LLC and churn must still land
+        # in engine_other, not in mee.
+        phases = document["phases"]
+        assert phases["engine_other"] > 0.0
+        assert phases["engine_other"] > 0.05 * phases["engine"]
+
     def test_timing_mode_has_no_bmt_time(self, document):
         assert document["phases"]["bmt"] == 0.0
 

@@ -137,3 +137,38 @@ class TestSimulatedWear:
         data_writes = tracker.report().writes_by_region["data"]
         assert data_writes == machine.mee.nvm.stats.get("writes.data")
         assert data_writes >= fenced
+
+    @pytest.mark.parametrize("protocol", ["strict", "anubis", "amnt"])
+    def test_plan_replay_tracks_the_same_writes_as_simulate(self, protocol):
+        """Wear is recorded in the MEE's event loop, so the compiled-plan
+        driver, which never calls ``write_block``, counts data writes
+        exactly as the direct one does."""
+        from repro.sim.engine import simulate, simulate_from_plan
+        from repro.sim.machine import build_machine
+        from repro.sim.plan import compile_metadata_plan
+        from repro.sim.replay import compile_boundary_stream
+        from repro.workloads.storage import (
+            generate_storage_trace,
+            storage_profile,
+        )
+
+        config = default_config()
+        trace = generate_storage_trace(
+            storage_profile("kvstore"), seed=1, accesses=2000
+        )
+        stream = compile_boundary_stream(trace, config, seed=1)
+        plan = compile_metadata_plan(stream, config)
+
+        direct_machine = build_machine(config, protocol, seed=1)
+        direct = attach_wear_tracking(direct_machine.mee)
+        simulate(direct_machine, trace, seed=1)
+        planned_machine = build_machine(config, protocol, seed=1)
+        planned = attach_wear_tracking(planned_machine.mee)
+        simulate_from_plan(stream, plan, planned_machine)
+
+        direct_report = direct.report()
+        assert direct_report.writes_by_region["data"] > 0
+        assert (
+            planned.report().writes_by_region == direct_report.writes_by_region
+        )
+        assert planned.report() == direct_report
