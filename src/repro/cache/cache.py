@@ -41,8 +41,8 @@ def _avalanche(value: int) -> int:
 #: Mixed values of non-int key *parts* (the ``"ctr"``/``"node"``/
 #: ``"hmac"`` tag strings, in practice). The original recursive mixer
 #: re-hashed the tag string character by character for every distinct
-#: tuple key — 67k calls with 2x primitive-call amplification in
-#: PROFILE_run.json. Memoizing the handful of distinct parts turns a
+#: tuple key — 67k calls with 2x primitive-call amplification in a
+#: cProfile of one canneal cell. Memoizing the handful of distinct parts turns a
 #: tuple mix into pure integer folds.
 _PART_MIX_MEMO: dict = {}
 

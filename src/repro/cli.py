@@ -6,11 +6,6 @@ Commands:
   print the normalized-cycles table (one bar group of Figure 4/8);
 * ``experiment`` — regenerate a whole paper artifact by name
   (``fig3``..``fig8``, ``table2``..``table4``);
-* ``perf`` — time the reference sweep serial vs parallel and write
-  ``BENCH_sweep.json``;
-* ``profile`` — attribute one cell's wall-clock to pipeline phases
-  (trace-gen/engine/MEE/BMT/export) with optional cProfile hotspots,
-  writing ``PROFILE_run.json``;
 * ``faults`` — run a fault-injection campaign (swept crash points,
   recovery + integrity oracle) and write ``FAULTS_campaign.json``;
 * ``area-table`` — print Table 3;
@@ -18,39 +13,38 @@ Commands:
 * ``protocols`` — list registered protocols;
 * ``store`` — inspect/maintain the content-addressed result store
   (``stats``/``verify``/``gc``/``ls``, see docs/STORE.md);
-* ``history`` — render ``BENCH_history.jsonl`` as per-leg trend tables
-  (delta + speedup vs the previous recorded run);
 * ``metrics`` — print a ``repro.metrics/v1`` document (from
   ``--metrics-out``) as snapshot tables or Prometheus text.
 
-``sweep``, ``experiment``, and ``perf`` accept ``--workers N`` to fan
-the sweep grid out over a process pool; results are bit-identical to
-the serial run. Sweeps compile each trace's data side and metadata
-plan once and replay them into every protocol (see
-docs/PERFORMANCE.md).
-``perf`` also appends each timing run's headline numbers to a JSONL
-trend log (``--history``, default ``BENCH_history.jsonl``) and prints
-the delta against the previous entry.
+``sweep`` and ``experiment`` accept ``--workers N`` to fan the sweep
+grid out over a process pool; results are bit-identical to the serial
+run. Sweeps compile each trace's data side and metadata plan once and
+replay them into every protocol (see docs/PERFORMANCE.md). Host-time
+measurement lives in ``perfbench/``; for one cell's hotspots run
+``python -m cProfile -s cumtime -m repro.cli sweep <bench> --protocols
+amnt``.
 
-``perf`` and ``faults`` accept ``--run-dir DIR`` to journal every
+``sweep`` and ``faults`` accept ``--run-dir DIR`` to journal every
 completed cell (crash-safe, resumable with ``--resume DIR``) and
 supervision knobs (``--max-attempts``, ``--cell-timeout``); see
-docs/RESILIENCE.md for the journal format and exit codes. Supervised
-runs additionally write lifecycle events to ``<run-dir>/events.jsonl``.
+docs/RESILIENCE.md for the journal format and exit codes. A journaled
+sweep writes its per-cell results to ``<run-dir>/SWEEP_results.json``;
+it runs PARSEC benchmarks at the default subtree level without
+scatter. Supervised runs additionally write lifecycle events to
+``<run-dir>/events.jsonl``.
 
-``sweep``, ``perf``, ``profile``, and ``faults`` accept
-``--metrics-out PATH`` (export the run's metrics as a
-``repro.metrics/v1`` document) and ``--no-telemetry`` (disable
-collection; results are bit-identical either way) — see
-docs/OBSERVABILITY.md.
+``sweep`` and ``faults`` accept ``--metrics-out PATH`` (export the
+run's metrics as a ``repro.metrics/v1`` document) and
+``--no-telemetry`` (disable collection; results are bit-identical
+either way) — see docs/OBSERVABILITY.md.
 
-``sweep`` and ``perf`` accept ``--store-dir DIR`` (or
-``$REPRO_STORE_DIR``) to reuse cells already computed under identical
-inputs through the content-addressed result store, and ``--no-store``
-to force it off; fault campaigns never consult the store (they mutate
-machine state mid-run). ``sweep``, ``perf``, and ``profile`` accept
-``--cache-limit N`` (or ``$REPRO_CACHE_LIMIT``) to cap the
-trace/stream/plan materialization caches — see docs/STORE.md.
+``sweep`` accepts ``--store-dir DIR`` (or ``$REPRO_STORE_DIR``) to
+reuse cells already computed under identical inputs through the
+content-addressed result store, and ``--no-store`` to force it off;
+fault campaigns never consult the store (they mutate machine state
+mid-run). ``sweep`` accepts ``--cache-limit N`` (or
+``$REPRO_CACHE_LIMIT``) to cap the trace/stream/plan materialization
+caches — see docs/STORE.md.
 
 Everything the CLI does is a thin wrapper over the public API, so the
 printed numbers are identical to what the pytest benchmark harness
@@ -92,10 +86,25 @@ def _profile_for(name: str):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    config = default_config(subtree_level=args.subtree_level)
+    run_dir, resume = _resolve_run_dir(args)
+    if run_dir:
+        # The journaled grid always runs the default machine unscattered.
+        if config != default_config() or args.scatter_chunks:
+            raise SystemExit(
+                "--run-dir/--resume run the default subtree level without "
+                "scatter; drop --subtree-level and --scatter-chunks"
+            )
+        if args.benchmark not in PARSEC_PROFILES:
+            raise SystemExit(
+                f"--run-dir/--resume journal PARSEC benchmarks only, "
+                f"got {args.benchmark!r}"
+            )
     _telemetry_begin(args)
     _apply_cache_limit(args)
     store = _resolve_store(args)
-    config = default_config(subtree_level=args.subtree_level)
+    if run_dir:
+        return _journaled_sweep(args, run_dir, resume, store)
     if args.benchmark in PARSEC_PROFILES:
         trace = profile_spec("parsec", args.benchmark, args.accesses, args.seed)
     elif args.benchmark in SPEC_PROFILES:
@@ -123,14 +132,53 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"subtree level {args.subtree_level})",
         )
     )
-    if store is not None:
-        session = store.session
-        print(
-            f"store: {session['hits']} hit(s), {session['misses']} miss(es), "
-            f"{session['puts']} put(s) in {store.directory}"
-        )
+    _print_store_session(store)
     _telemetry_end(args, "sweep")
     return 0
+
+
+def _journaled_sweep(args: argparse.Namespace, run_dir, resume, store) -> int:
+    """``sweep --run-dir``: the same grid under supervision, each
+    cell's deterministic result journaled and exported to
+    ``<run-dir>/SWEEP_results.json`` (see docs/RESILIENCE.md)."""
+    from pathlib import Path
+
+    from repro.sim.runner import run_resilient_sweep
+
+    _install_run_events(run_dir)
+    outcome = run_resilient_sweep(
+        Path(run_dir),
+        resume=resume,
+        workers=args.workers,
+        benchmarks=(args.benchmark,),
+        protocols=tuple(args.protocols),
+        accesses=args.accesses,
+        seed=args.seed,
+        policy=_policy_from_args(args),
+        store=store,
+    )
+    _print_store_session(store)
+    print(
+        f"resilient sweep: {outcome['completed']}/{outcome['cells']} "
+        f"cells completed, {len(outcome['failures'])} quarantined"
+    )
+    print(f"journal: {outcome['journal']}")
+    print(f"wrote {outcome['artifact']}")
+    _telemetry_end(args, "sweep-resilient")
+    if outcome["failures"]:
+        _report_failures(outcome["failures"])
+        return EXIT_QUARANTINED
+    return EXIT_OK
+
+
+def _print_store_session(store) -> None:
+    if store is None:
+        return
+    session = store.session
+    print(
+        f"store: {session['hits']} hit(s), {session['misses']} miss(es), "
+        f"{session['puts']} put(s) in {store.directory}"
+    )
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -420,120 +468,6 @@ def _report_failures(failures) -> None:
             print(failure.traceback, file=sys.stderr)
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Time the reference sweep (serial and parallel) and record it.
-
-    With ``--run-dir``/``--resume`` the command switches to the
-    resilient mode: the same grid runs under supervision, each cell's
-    deterministic result is journaled, and the artifact is the grid's
-    ``SWEEP_results.json`` instead of wall-clock timings.
-    """
-    from pathlib import Path
-
-    from repro.bench.perf import (
-        format_history_delta,
-        format_report,
-        run_reference_bench,
-        run_resilient_sweep,
-    )
-
-    _telemetry_begin(args)
-    _apply_cache_limit(args)
-    run_dir, resume = _resolve_run_dir(args)
-    if run_dir:
-        _install_run_events(run_dir)
-        store = _resolve_store(args)
-        outcome = run_resilient_sweep(
-            Path(run_dir),
-            resume=resume,
-            workers=args.workers,
-            benchmarks=tuple(args.benchmarks),
-            accesses=args.accesses,
-            policy=_policy_from_args(args),
-            store=store,
-        )
-        if store is not None:
-            session = store.session
-            print(
-                f"store: {session['hits']} hit(s), "
-                f"{session['misses']} miss(es), {session['puts']} put(s) "
-                f"in {store.directory}"
-            )
-        print(
-            f"resilient sweep: {outcome['completed']}/{outcome['cells']} "
-            f"cells completed, {len(outcome['failures'])} quarantined"
-        )
-        print(f"journal: {outcome['journal']}")
-        print(f"wrote {outcome['artifact']}")
-        _telemetry_end(args, "perf-resilient")
-        if outcome["failures"]:
-            _report_failures(outcome["failures"])
-            return EXIT_QUARANTINED
-        return EXIT_OK
-
-    report = run_reference_bench(
-        workers=args.workers,
-        benchmarks=tuple(args.benchmarks),
-        accesses=args.accesses,
-        output=Path(args.output) if args.output else None,
-        include_uncached=not args.skip_uncached,
-        include_telemetry=not args.no_telemetry,
-        include_store=not args.no_store,
-        rounds=args.rounds,
-        metrics_out=Path(args.metrics_out) if args.metrics_out else None,
-        history=Path(args.history) if args.history else None,
-    )
-    print(format_report(report))
-    history = report.get("history")
-    if history is not None:
-        print(format_history_delta(report, history["previous"]))
-        print(f"appended {history['path']}")
-    if args.output:
-        print(f"wrote {args.output}")
-    if args.metrics_out and not args.no_telemetry:
-        print(f"wrote {args.metrics_out}")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation cell and write the JSON artifact."""
-    from repro.bench.profiling import (
-        format_profile,
-        profile_run,
-        write_profile_artifact,
-    )
-    from repro.workloads.parsec import PARSEC_PROFILES
-    from repro.workloads.spec import SPEC_PROFILES as _SPEC
-
-    _telemetry_begin(args)
-    _apply_cache_limit(args)
-    if args.benchmark in PARSEC_PROFILES:
-        suite = "parsec"
-    elif args.benchmark in _SPEC:
-        suite = "spec"
-    else:
-        _profile_for(args.benchmark)  # raises with the known-name list
-        raise AssertionError("unreachable")
-    document = profile_run(
-        benchmark=args.benchmark,
-        protocol=args.protocol,
-        accesses=args.accesses,
-        seed=args.seed,
-        suite=suite,
-        functional=args.functional,
-        integrity_mode=args.integrity_mode,
-        capture_cprofile=not args.no_cprofile,
-        top=args.top,
-        replay=args.replay,
-    )
-    print(format_profile(document, top=args.top))
-    if args.output:
-        write_profile_artifact(document, args.output)
-        print(f"wrote {args.output}")
-    _telemetry_end(args, "profile")
-    return EXIT_OK
-
-
 def cmd_crash_drill(args: argparse.Namespace) -> int:
     """Functional crash/recovery drill: write, pull the plug, recover,
     audit — the quickest way to see a protocol's guarantee in action."""
@@ -751,55 +685,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown store action {args.action!r}")
 
 
-def cmd_history(args: argparse.Namespace) -> int:
-    """Render the BENCH_history.jsonl trend log as per-leg tables."""
-    from pathlib import Path
-
-    from repro.util.atomicio import read_jsonl
-
-    path = Path(args.path)
-    entries = read_jsonl(path)
-    if not entries:
-        raise SystemExit(
-            f"no history at {path} — produce entries with `repro perf`"
-        )
-    if args.last is not None and args.last >= 1:
-        entries = entries[-args.last :]
-    latest = entries[-1]
-    previous = entries[-2] if len(entries) > 1 else None
-
-    def block(kind: str, unit: str, better_when_lower: bool) -> List[dict]:
-        rows = []
-        current = latest.get(kind) or {}
-        prior = (previous or {}).get(kind) or {}
-        for leg, value in current.items():
-            if value is None:
-                continue
-            row = {"leg": leg, f"latest_{unit}": value}
-            before = prior.get(leg)
-            if before is not None and before > 0:
-                row[f"previous_{unit}"] = before
-                row["delta_pct"] = (value - before) / before * 100.0
-                row["speedup_vs_prev"] = (
-                    before / value if better_when_lower else value / before
-                )
-            rows.append(row)
-        return rows
-
-    print(
-        f"{len(entries)} recorded run(s) in {path}; "
-        f"latest {latest.get('recorded_at')}"
-        + (f", previous {previous.get('recorded_at')}" if previous else "")
-    )
-    timing_rows = block("timings_seconds", "s", better_when_lower=True)
-    if timing_rows:
-        print(format_table(timing_rows, title="leg timings", precision=3))
-    speedup_rows = block("speedups", "x", better_when_lower=False)
-    if speedup_rows:
-        print(format_table(speedup_rows, title="derived speedups", precision=3))
-    return EXIT_OK
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Print a ``repro.metrics/v1`` document as snapshot tables."""
     import json
@@ -812,7 +697,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if not path.exists():
         raise SystemExit(
             f"no metrics document at {path} — produce one with "
-            f"--metrics-out on sweep/perf/profile/faults"
+            f"--metrics-out on sweep/faults"
         )
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
@@ -858,6 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_args(sweep)
     _add_cache_limit_arg(sweep)
+    _add_resilience_args(sweep)
     _add_telemetry_args(sweep)
     sweep.set_defaults(handler=cmd_sweep)
 
@@ -879,95 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes for the experiment's sweep grid",
     )
     experiment.set_defaults(handler=cmd_experiment)
-
-    perf = commands.add_parser(
-        "perf",
-        help="time the reference sweep and write BENCH_sweep.json",
-    )
-    perf.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool size for the parallel leg (default: visible cores)",
-    )
-    perf.add_argument("--accesses", type=int, default=20_000)
-    perf.add_argument(
-        "--benchmarks",
-        nargs="+",
-        default=["blackscholes", "bodytrack", "canneal"],
-    )
-    perf.add_argument(
-        "--output",
-        default="BENCH_sweep.json",
-        help="report path ('' to skip writing)",
-    )
-    perf.add_argument(
-        "--skip-uncached",
-        action="store_true",
-        help="skip the slow no-trace-cache leg (CI smoke)",
-    )
-    perf.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="interleaved rounds per leg; reported time is the best",
-    )
-    perf.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="JSONL trend log appended after each timing run "
-        "('' to skip)",
-    )
-    _add_store_args(perf)
-    _add_cache_limit_arg(perf)
-    _add_resilience_args(perf)
-    _add_telemetry_args(perf)
-    perf.set_defaults(handler=cmd_perf)
-
-    prof = commands.add_parser(
-        "profile",
-        help="attribute one cell's wall-clock to phases, with hotspots",
-    )
-    prof.add_argument("benchmark", help="PARSEC or SPEC profile name")
-    prof.add_argument(
-        "--protocol", default="amnt", choices=protocol_names()
-    )
-    prof.add_argument("--accesses", type=int, default=20_000)
-    prof.add_argument("--seed", type=int, default=2024)
-    prof.add_argument(
-        "--functional",
-        action="store_true",
-        help="run with the functional crypto/tree engaged",
-    )
-    prof.add_argument(
-        "--integrity-mode",
-        choices=["eager", "lazy"],
-        default="eager",
-        help="BMT update discipline for functional runs",
-    )
-    prof.add_argument(
-        "--no-cprofile",
-        action="store_true",
-        help="skip cProfile capture (pure phase timers, less overhead)",
-    )
-    prof.add_argument(
-        "--replay",
-        action="store_true",
-        help="profile the compile-then-replay pipeline a sweep runs "
-        "(splits out the boundary_compile and boundary_plan phases) "
-        "instead of the direct path",
-    )
-    prof.add_argument(
-        "--top", type=int, default=15, help="hotspot rows to keep/print"
-    )
-    prof.add_argument(
-        "--output",
-        default="PROFILE_run.json",
-        help="artifact path ('' to skip writing)",
-    )
-    _add_cache_limit_arg(prof)
-    _add_telemetry_args(prof)
-    prof.set_defaults(handler=cmd_profile)
 
     area = commands.add_parser("area-table", help="print Table 3")
     area.set_defaults(handler=cmd_area_table)
@@ -1114,25 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ls: show at most this many entries (newest first)",
     )
     store.set_defaults(handler=cmd_store)
-
-    history = commands.add_parser(
-        "history",
-        help="render the BENCH_history.jsonl trend log as tables",
-    )
-    history.add_argument(
-        "path",
-        nargs="?",
-        default="BENCH_history.jsonl",
-        help="trend log to read (default: BENCH_history.jsonl)",
-    )
-    history.add_argument(
-        "--last",
-        type=int,
-        default=None,
-        metavar="N",
-        help="only consider the last N recorded runs",
-    )
-    history.set_defaults(handler=cmd_history)
 
     metrics = commands.add_parser(
         "metrics",

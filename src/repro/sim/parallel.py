@@ -74,8 +74,8 @@ class SweepCell:
     #: cells sharing a (trace, data-side geometry) share one compiled
     #: stream and plan per process. Off by default because compiling
     #: only pays when several protocols replay one stream: a lone cell
-    #: (the perf harness's ``serial`` leg, fault-free functional
-    #: checks) would pay the compile for a single replay.
+    #: (a single direct run, fault-free functional checks) would pay
+    #: the compile for a single replay.
     #: ``run_protocol_sweep`` builds its cells with it on.
     replay: bool = False
 

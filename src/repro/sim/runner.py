@@ -11,21 +11,41 @@ compiled boundary stream and metadata plan per OS variant, and with
 ``workers > 1`` the cells fan out over a
 :class:`~repro.sim.parallel.ParallelSweepRunner` process pool and come
 back bit-identical to the serial run.
+
+:func:`run_resilient_sweep` runs a PARSEC reference grid under
+supervision instead: every finished cell is journaled, so a killed run
+resumes where it stopped and exports the same ``SWEEP_results.json``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence, Union
+from dataclasses import replace
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import telemetry
-from repro.config import SystemConfig
+from repro.config import SystemConfig, default_config
 from repro.sim.engine import simulate_from_plan
 from repro.sim.machine import build_machine
-from repro.sim.parallel import ParallelSweepRunner, SweepCell
+from repro.sim.parallel import (
+    ParallelSweepRunner,
+    SweepCell,
+    _pool_entry,
+    precompile_streams,
+    validate_cells,
+)
 from repro.sim.results import SimulationResult, normalized_cycles
+from repro.sim.supervisor import (
+    CellFailure,
+    RunJournal,
+    SupervisedRunner,
+    SupervisionPolicy,
+    build_manifest,
+    split_outcomes,
+)
 from repro.util.rng import Seed
-from repro.workloads.registry import TraceSpec, literal_spec
+from repro.workloads.registry import TraceSpec, literal_spec, profile_spec
 from repro.workloads.trace import Trace
 
 #: The protocol lineup of the paper's runtime figures (4, 5, 8).
@@ -33,6 +53,15 @@ FIGURE_PROTOCOLS = ("volatile", "leaf", "strict", "anubis", "bmf", "amnt")
 FIGURE_PROTOCOLS_WITH_OS = FIGURE_PROTOCOLS + ("amnt++",)
 
 TraceLike = Union[Trace, TraceSpec]
+
+#: Deterministic per-cell results artifact of a resilient sweep.
+SWEEP_RESULTS_NAME = "SWEEP_results.json"
+
+#: Cache-resident, balanced, and pointer-chasing: three distinct
+#: hot-path mixes, so the reference grid is not hostage to one regime.
+REFERENCE_BENCHMARKS = ("blackscholes", "bodytrack", "canneal")
+REFERENCE_ACCESSES = 20_000
+REFERENCE_SEED = 2024
 
 
 def run_protocol_sweep(
@@ -212,3 +241,161 @@ def geometric_mean(values: Iterable[float]) -> float:
             raise ValueError(f"geometric mean requires positive values, got {value}")
         log_sum += math.log(value)
     return math.exp(log_sum / len(values))
+
+
+# ----------------------------------------------------------------------
+# resilient (journaled, resumable) reference sweep
+# ----------------------------------------------------------------------
+
+
+def reference_cells(
+    benchmarks: Sequence[str] = REFERENCE_BENCHMARKS,
+    protocols: Sequence[str] = FIGURE_PROTOCOLS,
+    accesses: int = REFERENCE_ACCESSES,
+    seed: Seed = REFERENCE_SEED,
+) -> List[SweepCell]:
+    """The reference grid: every (benchmark, protocol) cell."""
+    return [
+        SweepCell(
+            protocol=protocol,
+            trace=profile_spec("parsec", name, accesses, seed),
+            seed=seed,
+        )
+        for name in benchmarks
+        for protocol in protocols
+    ]
+
+
+def sweep_cell_key(index: int, cell: SweepCell) -> str:
+    """Stable journal identity of one reference-grid cell."""
+    return (
+        f"{index:04d}/{cell.protocol}/{cell.trace.label()}"
+        f"/a{cell.trace.accesses}/s{cell.seed}"
+    )
+
+
+def run_resilient_sweep(
+    run_dir: Path,
+    resume: bool = False,
+    workers: Optional[int] = 1,
+    benchmarks: Sequence[str] = REFERENCE_BENCHMARKS,
+    protocols: Sequence[str] = FIGURE_PROTOCOLS,
+    accesses: int = REFERENCE_ACCESSES,
+    seed: Seed = REFERENCE_SEED,
+    policy: Optional[SupervisionPolicy] = None,
+    store=None,
+) -> Dict[str, object]:
+    """Run the reference grid under supervision, journaled in ``run_dir``.
+
+    Every cell's deterministic :class:`SimulationResult` is
+    checkpointed to ``run_dir/journal.jsonl`` as it completes and
+    exported to ``run_dir/SWEEP_results.json`` at the end. A run killed at any point and restarted with
+    ``resume=True`` skips the journaled cells and produces a final
+    artifact bit-identical to an uninterrupted run.
+
+    Cells run through the compiled-plan path: the data side and its
+    metadata plan are compiled once per (benchmark, OS variant) in the
+    supervisor parent and replayed into every protocol cell. Results
+    are bit-identical to the direct path, and cell keys do not encode
+    the execution strategy.
+
+    With a :class:`~repro.store.ResultStore` as ``store``, the journal
+    and the store *compose*: cells already in the store are recorded
+    into the journal as done (zero attempts) before the supervised run,
+    so only genuinely new cells execute; cells the run computes — and
+    cells found done in a resumed journal — are written back to the
+    store afterwards. Cold, warm, and resumed runs all export the same
+    bit-identical ``SWEEP_results.json``.
+    """
+    # Local import: repro.bench imports this module.
+    from repro.bench.export import export_experiment
+
+    config = default_config()
+    cells = [
+        replace(cell, replay=True)
+        for cell in reference_cells(benchmarks, protocols, accesses, seed)
+    ]
+    validate_cells(cells)
+    # Compile each distinct data side and its metadata plan once up
+    # front so fork-started supervised workers inherit warm caches.
+    precompile_streams(cells, config)
+    keys = [sweep_cell_key(i, cell) for i, cell in enumerate(cells)]
+    parameters = {
+        "benchmarks": list(benchmarks),
+        "protocols": list(protocols),
+        "accesses_per_trace": accesses,
+        "seed": seed,
+    }
+    manifest = build_manifest("resilient-sweep", config, keys, parameters)
+    journal = RunJournal.open(run_dir, manifest, resume=resume)
+    fingerprints: List[str] = []
+    if store is not None:
+        from repro.store.fingerprint import cell_fingerprint
+
+        fingerprints = [cell_fingerprint(cell, config) for cell in cells]
+        # Pre-seed the journal from the store: a warm cell becomes a
+        # "done" journal entry with zero attempts, and the supervised
+        # runner then skips it exactly as it skips resumed cells. The
+        # store payload is the same codec the journal itself uses, so
+        # warm, resumed, and cold runs are indistinguishable downstream.
+        seeded = 0
+        for key, fingerprint in zip(keys, fingerprints):
+            entry = journal.entry(key)
+            if entry is not None and entry.get("status") == "done":
+                continue
+            hit = store.get(fingerprint)
+            if hit is not None:
+                journal.record_done(key, hit.to_json_dict(), attempts=0)
+                seeded += 1
+        if seeded:
+            journal.flush()
+    runner = SupervisedRunner(workers=workers, policy=policy, journal=journal)
+    outcomes = runner.map(
+        _pool_entry,
+        [(cell, config) for cell in cells],
+        keys,
+        encode=lambda result: result.to_json_dict(),
+        decode=SimulationResult.from_json_dict,
+    )
+    results, failures = split_outcomes(outcomes)
+    if store is not None:
+        # Write back everything the run now knows: freshly computed
+        # cells AND cells recovered from a resumed journal — so a
+        # journal-only run backfills the store for the next one.
+        for cell, fingerprint, outcome in zip(cells, fingerprints, outcomes):
+            if isinstance(outcome, CellFailure):
+                continue
+            if not store.contains(fingerprint):
+                store.put(
+                    fingerprint,
+                    outcome,
+                    meta={
+                        "protocol": cell.protocol,
+                        "workload": cell.trace.label(),
+                    },
+                )
+    records = []
+    for key, outcome in zip(keys, outcomes):
+        if isinstance(outcome, CellFailure):
+            records.append(
+                {"key": key, "status": "failed", "failure": outcome}
+            )
+        else:
+            records.append(
+                {"key": key, "status": "done", "result": outcome.to_json_dict()}
+            )
+    artifact = Path(run_dir) / SWEEP_RESULTS_NAME
+    export_experiment(
+        "resilient-sweep",
+        {"cells": records, "failed_cells": len(failures)},
+        artifact,
+        parameters=parameters,
+    )
+    return {
+        "cells": len(cells),
+        "completed": len(results),
+        "failures": failures,
+        "outcomes": outcomes,
+        "artifact": artifact,
+        "journal": journal.path,
+    }

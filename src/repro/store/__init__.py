@@ -17,7 +17,7 @@ incremental execution path that consults it before computing.
 The incremental path is threaded through
 :meth:`repro.sim.parallel.ParallelSweepRunner.run`,
 :func:`repro.sim.runner.run_protocol_sweep`, and
-:func:`repro.bench.perf.run_resilient_sweep` via their ``store=``
+:func:`repro.sim.runner.run_resilient_sweep` via their ``store=``
 parameter; fault campaigns never pass a store (they mutate machine
 state mid-run through :func:`repro.faults.campaign.run_fault_cell`,
 which pins the direct path). See docs/STORE.md.

@@ -1,7 +1,7 @@
 """Structured JSONL event sink for run-lifecycle observability.
 
-The supervisor, fault campaigns, workload caches, and perf bench publish
-events here: cell start/finish/retry/timeout/requeue, pool respawns,
+The supervisor, fault campaigns, workload caches, and the result store
+publish events here: cell start/finish/retry/timeout/requeue, pool respawns,
 crash-injection verdicts, checkpoint flushes, stream-cache
 hit/miss/eviction. Events are buffered in memory and flushed as an
 atomic full rewrite through ``util/atomicio.py`` — the same journal

@@ -1,11 +1,10 @@
 """Export telemetry as a ``repro.metrics/v1`` document or Prometheus text.
 
-The JSON document mirrors the self-describing artifact style of
-``bench/profiling.py`` (``repro.profile/v2``): a ``schema`` tag, a
-``run`` context block, and the payload. ``validate_metrics_document``
-follows the ``validate_profile_document`` convention — dependency-free,
-returning a list of human-readable problems (empty == valid) — so CI
-smoke jobs can gate on it without extra packages.
+The JSON document is self-describing: a ``schema`` tag, a ``run``
+context block, and the payload. ``validate_metrics_document`` is
+dependency-free and returns a list of human-readable problems
+(empty == valid), so CI smoke jobs can gate on it without extra
+packages.
 """
 
 from __future__ import annotations

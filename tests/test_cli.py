@@ -94,7 +94,7 @@ class TestCommands:
 
 
 class TestResilienceCLI:
-    """Exit codes of the supervised perf/faults modes.
+    """Exit codes of the supervised sweep/faults modes.
 
     The full kill-at-a-checkpoint → resume → bit-identical-artifact
     round trip, through the real argv surface an operator uses.
@@ -164,10 +164,10 @@ class TestResilienceCLI:
                 )
             )
 
-    def test_perf_quarantine_exit_code(self, tmp_path, capsys, monkeypatch):
-        """A sweep that completes with quarantined cells exits 3 and
-        prints each failure with its traceback."""
-        from repro.bench import perf
+    def test_sweep_quarantine_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A journaled sweep that completes with quarantined cells exits
+        3 and prints each failure with its traceback."""
+        from repro.sim import runner
         from repro.sim.supervisor import CellFailure
 
         failure = CellFailure(
@@ -188,10 +188,34 @@ class TestResilienceCLI:
                 "journal": run_dir / "journal.jsonl",
             }
 
-        monkeypatch.setattr(perf, "run_resilient_sweep", fake_sweep)
-        code = main(["perf", "--run-dir", str(tmp_path / "run")])
+        monkeypatch.setattr(runner, "run_resilient_sweep", fake_sweep)
+        code = main(
+            ["sweep", "blackscholes", "--run-dir", str(tmp_path / "run")]
+        )
         assert code == EXIT_QUARANTINED
         captured = capsys.readouterr()
         assert "1 quarantined" in captured.out
         assert "QUARANTINED" in captured.err
         assert "injected failure" in captured.err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--subtree-level", "4"],
+            ["--scatter-chunks", "8"],
+        ],
+    )
+    @pytest.mark.parametrize("journal_flag", ["--run-dir", "--resume"])
+    def test_sweep_run_dir_refuses_non_default_geometry(
+        self, tmp_path, extra, journal_flag
+    ):
+        """The journaled grid runs the default machine unscattered, so
+        flags it would silently ignore are refused before any work."""
+        run_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match="--subtree-level"):
+            main(["sweep", "blackscholes", journal_flag, str(run_dir)] + extra)
+        assert not run_dir.exists()
+
+    def test_sweep_run_dir_refuses_spec_benchmark(self, tmp_path):
+        with pytest.raises(SystemExit, match="PARSEC"):
+            main(["sweep", "lbm", "--run-dir", str(tmp_path / "run")])

@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.perf import reference_cells
 from repro.config import default_config
 from repro.core.mee import MetadataRegion
 from repro.core.protocol import protocol_names, protocol_uses_modified_os
@@ -33,7 +32,7 @@ from repro.sim.replay import (
     BoundaryStream,
     compile_boundary_stream,
 )
-from repro.sim.runner import run_protocol_sweep
+from repro.sim.runner import reference_cells, run_protocol_sweep
 from repro.util.units import MB
 from repro.workloads.registry import (
     boundary_stream_cache_clear,

@@ -8,9 +8,17 @@ journal only changes *when* cells execute, never *what* they compute.
 
 import pytest
 
-from repro.bench.perf import SWEEP_RESULTS_NAME, run_resilient_sweep
+from repro.bench.export import load_experiment
+from repro.cli import EXIT_OK, main
+from repro.config import default_config
 from repro.errors import ResumeManifestMismatch
 from repro.faults import default_fault_config, run_campaign
+from repro.sim.results import SimulationResult
+from repro.sim.runner import (
+    SWEEP_RESULTS_NAME,
+    run_protocol_sweep,
+    run_resilient_sweep,
+)
 from repro.sim.supervisor import RunJournal, SupervisionPolicy
 from repro.util.units import MB
 from repro.workloads.registry import profile_spec
@@ -19,8 +27,8 @@ SEED = 2024
 #: Near-zero backoff so any retries do not slow the suite down.
 FAST = dict(backoff_base_seconds=0.01, backoff_max_seconds=0.02)
 
-#: Tiny two-cell perf grid: one benchmark, two protocols.
-PERF_KW = dict(
+#: Tiny two-cell reference grid: one benchmark, two protocols.
+SWEEP_KW = dict(
     benchmarks=("blackscholes",),
     protocols=("volatile", "leaf"),
     accesses=300,
@@ -57,7 +65,7 @@ class TestResilientSweepResume:
         killed_dir = tmp_path / "killed"
 
         clean = run_resilient_sweep(
-            clean_dir, policy=SupervisionPolicy(**FAST), **PERF_KW
+            clean_dir, policy=SupervisionPolicy(**FAST), **SWEEP_KW
         )
         assert clean["completed"] == clean["cells"] == 2
 
@@ -65,7 +73,7 @@ class TestResilientSweepResume:
             run_resilient_sweep(
                 killed_dir,
                 policy=SupervisionPolicy(die_after_flushes=1, **FAST),
-                **PERF_KW,
+                **SWEEP_KW,
             )
         partial = RunJournal.load(killed_dir)
         assert partial.counts() == {"done": 1, "failed": 0}
@@ -74,7 +82,7 @@ class TestResilientSweepResume:
             killed_dir,
             resume=True,
             policy=SupervisionPolicy(**FAST),
-            **PERF_KW,
+            **SWEEP_KW,
         )
         assert resumed["completed"] == resumed["cells"] == 2
         assert not resumed["failures"]
@@ -84,20 +92,20 @@ class TestResilientSweepResume:
 
     def test_resumed_results_equal_clean_cell_for_cell(self, tmp_path):
         clean = run_resilient_sweep(
-            tmp_path / "clean", policy=SupervisionPolicy(**FAST), **PERF_KW
+            tmp_path / "clean", policy=SupervisionPolicy(**FAST), **SWEEP_KW
         )
         killed_dir = tmp_path / "killed"
         with pytest.raises(KeyboardInterrupt):
             run_resilient_sweep(
                 killed_dir,
                 policy=SupervisionPolicy(die_after_flushes=1, **FAST),
-                **PERF_KW,
+                **SWEEP_KW,
             )
         resumed = run_resilient_sweep(
             killed_dir,
             resume=True,
             policy=SupervisionPolicy(**FAST),
-            **PERF_KW,
+            **SWEEP_KW,
         )
         assert resumed["outcomes"] == clean["outcomes"]
 
@@ -107,9 +115,9 @@ class TestResilientSweepResume:
             run_resilient_sweep(
                 run_dir,
                 policy=SupervisionPolicy(die_after_flushes=1, **FAST),
-                **PERF_KW,
+                **SWEEP_KW,
             )
-        changed = dict(PERF_KW, accesses=301)
+        changed = dict(SWEEP_KW, accesses=301)
         with pytest.raises(ResumeManifestMismatch) as excinfo:
             run_resilient_sweep(
                 run_dir,
@@ -118,6 +126,36 @@ class TestResilientSweepResume:
                 **changed,
             )
         assert "grid_digest" in excinfo.value.mismatches
+
+
+    def test_cli_run_dir_results_equal_protocol_sweep(self, tmp_path):
+        """``repro sweep --run-dir`` journals the same results a plain
+        sweep computes: cell for cell, equal to ``run_protocol_sweep``
+        on the same spec and seed."""
+        protocols = ("volatile", "leaf", "amnt")
+        run_dir = tmp_path / "run"
+        argv = [
+            "sweep", "blackscholes",
+            "--accesses", "300",
+            "--seed", str(SEED),
+            "--protocols", *protocols,
+            "--run-dir", str(run_dir),
+            "--no-store",
+        ]
+        assert main(argv) == EXIT_OK
+        cells = load_experiment(run_dir / SWEEP_RESULTS_NAME)["data"]["cells"]
+        expected = run_protocol_sweep(
+            profile_spec("parsec", "blackscholes", 300, SEED),
+            default_config(),
+            protocols,
+            seed=SEED,
+        )
+        assert [cell["status"] for cell in cells] == ["done"] * len(protocols)
+        assert [cell["key"].split("/")[1] for cell in cells] == list(protocols)
+        for cell, name in zip(cells, protocols):
+            assert SimulationResult.from_json_dict(cell["result"]) == (
+                expected[name]
+            ), name
 
 
 class TestCampaignResume:

@@ -416,7 +416,7 @@ class TestIncrementalRunner:
 
 class TestJournalStoreCompose:
     def run(self, run_dir, store, **kwargs):
-        from repro.bench.perf import run_resilient_sweep
+        from repro.sim.runner import run_resilient_sweep
 
         return run_resilient_sweep(
             run_dir,
@@ -551,35 +551,6 @@ class TestStoreCli:
         monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         with pytest.raises(SystemExit):
             main(["store", "stats"])
-
-
-class TestHistoryCli:
-    def test_renders_trend_table(self, tmp_path, capsys):
-        log = tmp_path / "hist.jsonl"
-        entries = [
-            {
-                "recorded_at": "2026-08-01T00:00:00+00:00",
-                "timings_seconds": {"serial": 2.0, "warm_sweep": 0.2},
-                "speedups": {"warm_vs_cold": 10.0},
-            },
-            {
-                "recorded_at": "2026-08-02T00:00:00+00:00",
-                "timings_seconds": {"serial": 1.0, "warm_sweep": 0.1},
-                "speedups": {"warm_vs_cold": 12.0},
-            },
-        ]
-        log.write_text(
-            "".join(json.dumps(entry) + "\n" for entry in entries)
-        )
-        assert main(["history", str(log)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "2 recorded run(s)" in out
-        assert "serial" in out and "warm_vs_cold" in out
-        assert "-50" in out  # serial halved
-
-    def test_missing_log_errors(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["history", str(tmp_path / "absent.jsonl")])
 
 
 class TestCacheLimitFlag:

@@ -11,10 +11,9 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.bench.perf import run_reference_bench, run_resilient_sweep
-from repro.bench.profiling import profile_run, validate_profile_document
 from repro.config import default_config
 from repro.sim.parallel import ParallelSweepRunner, SweepCell, run_cell
+from repro.sim.runner import run_resilient_sweep
 from repro.sim.supervisor import SupervisionPolicy
 from repro.telemetry.events import EventSink, install_sink, load_events, set_sink
 from repro.telemetry.export import (
@@ -361,7 +360,7 @@ class TestBitIdentity:
 
 
 class TestSupervisedEvents:
-    PERF_KW = dict(
+    SWEEP_KW = dict(
         benchmarks=("blackscholes",),
         protocols=("volatile", "leaf"),
         accesses=300,
@@ -379,7 +378,7 @@ class TestSupervisedEvents:
             run_resilient_sweep(
                 run_dir,
                 policy=SupervisionPolicy(die_after_flushes=1, **FAST),
-                **self.PERF_KW,
+                **self.SWEEP_KW,
             )
         # The sink flushed at the checkpoint *before* the injected kill,
         # so the first cell's journal_record survived the crash.
@@ -390,7 +389,7 @@ class TestSupervisedEvents:
             run_dir,
             resume=True,
             policy=SupervisionPolicy(**FAST),
-            **self.PERF_KW,
+            **self.SWEEP_KW,
         )
         telemetry.get_sink().flush()
 
@@ -411,47 +410,3 @@ class TestSupervisedEvents:
         # The resumed leg re-announced the restored cell.
         assert any(e["kind"] == "journal_restored" for e in events)
         assert any(e["kind"] == "checkpoint_flush" for e in events)
-
-
-# ----------------------------------------------------------------------
-# surfacing: bench overhead leg and profile environment
-# ----------------------------------------------------------------------
-
-
-class TestSurfacing:
-    def test_reference_bench_reports_telemetry_overhead(self, tmp_path):
-        report = run_reference_bench(
-            workers=1,
-            benchmarks=("blackscholes",),
-            protocols=("volatile", "leaf"),
-            accesses=300,
-            seed=SEED,
-            output=None,
-            include_uncached=False,
-            include_plan=False,
-            rounds=1,
-            metrics_out=tmp_path / "METRICS.json",
-        )
-        timings = report["timings_seconds"]
-        assert "serial_telemetry" in timings
-        overhead = report["telemetry"]
-        assert overhead["overhead_ratio"] > 0
-        assert overhead["budget_ratio"] == pytest.approx(1.05)
-        assert isinstance(overhead["within_budget"], bool)
-        doc = json.loads((tmp_path / "METRICS.json").read_text())
-        assert validate_metrics_document(doc) == []
-        assert doc["run"]["kind"] == "reference-bench-serial"
-
-    def test_profile_document_reports_environment(self):
-        doc = profile_run(
-            benchmark="blackscholes",
-            protocol="volatile",
-            accesses=500,
-            seed=SEED,
-            capture_cprofile=False,
-        )
-        assert validate_profile_document(doc) == []
-        env = doc["environment"]
-        assert env["visible_cpus"] >= 1
-        assert env["workers"] == 1
-        assert isinstance(env["python"], str)
