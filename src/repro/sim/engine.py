@@ -21,6 +21,7 @@ scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 from repro.errors import PowerFailure, SimulationError
@@ -49,7 +50,10 @@ INSTRUCTIONS_PER_PAGE_FAULT = 500
 
 
 def _boundary_events(
-    machine: Machine,
+    llc,
+    mm,
+    block_bytes: int,
+    record_of,
     vaddrs,
     pids,
     flag_col,
@@ -57,32 +61,28 @@ def _boundary_events(
     churn_interval: int,
     churn_bursts: int,
     churn_pages_per_burst: int,
-    flush_llc_at_end: bool,
 ):
     """The data-side walk of a trace's (vaddr, pid, flags) columns:
-    yields its memory-boundary events as ``(kind, addr, record)`` for
-    the MEE's event loop.
+    yields its memory-boundary events as ``(kind, addr,
+    record_of(addr))``.
 
-    For each reference: translate (demand paging), probe the LLC, yield
-    the fill and the dirty writebacks it caused, then a CLWB + fence's
-    flushed block, and churn pages every ``churn_interval`` references;
-    with ``flush_llc_at_end`` the end-of-run flush follows as posted
-    writes. The loop consumes each event before the walk resumes, so
-    the data side and the MEE interleave exactly as per-block calls
-    would.
+    For each reference: translate (demand paging) through ``mm``, probe
+    ``llc``, yield the fill and the dirty writebacks it caused, then a
+    CLWB + fence's flushed block, and churn pages every
+    ``churn_interval`` references. Kinds are the MEE event loop's (0
+    fill, 1 posted write, 2 fenced write). ``simulate()`` hands the
+    events to the MEE's event loop, which consumes each one before the
+    walk resumes, so the data side and the MEE interleave exactly as
+    per-block calls would; the stream compiler
+    (:func:`repro.sim.replay.compile_boundary_stream`) drains the same
+    walk into columns.
     """
-    mee = machine.mee
-    llc = machine.llc
-    mm = machine.mm
-    block_bytes = machine.config.security.block_bytes
-
     # The loop below runs once per trace record — hoist every bound
-    # method and attribute it touches so the interpreter does the
-    # lookups once instead of hundreds of thousands of times.
+    # method it touches so the interpreter does the lookups once
+    # instead of hundreds of thousands of times.
     translate = mm.translate
     llc_access = llc.access
     llc_flush_block = llc.flush_block
-    record_of = mee.record_of
     churn = mm.churn
 
     # The loop iterates the trace's raw columns: machine integers per
@@ -112,10 +112,15 @@ def _boundary_events(
             churn(
                 rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
             )
-    if flush_llc_at_end:
-        for victim_block in llc.flush():
-            addr = victim_block * block_bytes
-            yield 1, addr, record_of(addr)
+
+
+def _flush_events(llc, block_bytes: int, record_of):
+    """The end-of-run LLC flush as posted writes, ``(1, addr,
+    record_of(addr))``. The flush runs when the first event is drawn,
+    so chained after :func:`_boundary_events` it sees the final LLC."""
+    for victim_block in llc.flush():
+        addr = victim_block * block_bytes
+        yield 1, addr, record_of(addr)
 
 
 def simulate(
@@ -129,7 +134,8 @@ def simulate(
 ) -> SimulationResult:
     """Run ``trace`` to completion on ``machine``; returns the result.
 
-    The data-side walk (:func:`_boundary_events`) is a generator the
+    The data-side walk (:func:`_boundary_events`, then
+    :func:`_flush_events` under ``flush_llc_at_end``) is a generator the
     MEE's event loop consumes in one call, as plan replay consumes a
     compiled plan.
     """
@@ -137,6 +143,7 @@ def simulate(
     mee = machine.mee
     llc = machine.llc
     mm = machine.mm
+    block_bytes = machine.config.security.block_bytes
     llc_latency = machine.config.llc.access_latency_cycles
 
     # Per reference: its think cycles and one LLC access (the app
@@ -145,19 +152,22 @@ def simulate(
     think_total = sum(thinks)
     app_instructions = think_total + len(thinks)
     cycles = think_total + len(thinks) * llc_latency
-    cycles += mee.run_events(
-        _boundary_events(
-            machine,
-            vaddrs,
-            pids,
-            flag_col,
-            rng,
-            churn_interval,
-            churn_bursts,
-            churn_pages_per_burst,
-            flush_llc_at_end,
-        )
+    events = _boundary_events(
+        llc,
+        mm,
+        block_bytes,
+        mee.record_of,
+        vaddrs,
+        pids,
+        flag_col,
+        rng,
+        churn_interval,
+        churn_bursts,
+        churn_pages_per_burst,
     )
+    if flush_llc_at_end:
+        events = chain(events, _flush_events(llc, block_bytes, mee.record_of))
+    cycles += mee.run_events(events)
 
     os_instructions = (
         mm.allocator.instructions()
@@ -199,8 +209,8 @@ def simulate_from_plan(
     compiled from, provided the stream's data-side parameters (config
     geometry, seed, churn, OS variant) match the machine's and ``plan``
     was compiled from this ``stream`` under the machine's metadata
-    geometry — the stream- and plan-cache keys in
-    :mod:`repro.workloads.registry` encode exactly that contract. The
+    geometry — the compiled-artifact cache key in
+    :mod:`repro.workloads.registry` encodes exactly that contract. The
     stream's event columns, zipped with the plan's per-event records,
     run through one call of the MEE's event loop
     (:attr:`~repro.core.mee.MemoryEncryptionEngine.run_events`), the

@@ -1,22 +1,20 @@
-"""Metadata-plan compilation: resolve per-event metadata addresses once.
+"""Metadata-plan compilation: resolve each event's runtime record once.
 
-PR 5's boundary streams (:mod:`repro.sim.replay`) compile the
-protocol-independent *data side* of a trace once and replay it into
+The boundary stream (:mod:`repro.sim.replay`) compiles the
+protocol-independent *data side* of a trace once and replays it into
 every protocol. This module applies the same argument one layer down:
-for a fixed trace + geometry, the metadata lines each boundary event
-touches — the counter line, the HMAC line, and the BMT ancestor path —
-are identical for every protocol and every metadata-cache size, yet the
-direct MEE path re-derives them per event per replay (address decode,
-key-memo probes, set-index hashing, ancestor walks).
+for a fixed trace + geometry, the metadata each boundary event touches
+— the counter line, the HMAC line, and the BMT ancestor path — is
+identical for every protocol and every metadata-cache size, yet the
+direct MEE path re-derives it per event per replay (address decode and
+a record-table probe).
 
 :func:`compile_metadata_plan` walks a compiled
-:class:`~repro.sim.replay.BoundaryStream` exactly once per (trace
-recipe, geometry) and emits a :class:`MetadataPlan`: columnar
-``array('q')`` plan data — per-event counter-line address, HMAC-line
-address, BMT leaf slot, and path ids into a deduplicated node-id pool
-(a flattened, ahead-of-time form of the cross-machine ancestor-path
-memo) — plus the per-event runtime records the MEE's event loop
-(:attr:`repro.core.mee.MemoryEncryptionEngine.run_events`) consumes.
+:class:`~repro.sim.replay.BoundaryStream`'s addresses exactly once per
+(trace recipe, geometry) and emits a :class:`MetadataPlan`: the
+per-event runtime records the MEE's event loop
+(:attr:`repro.core.mee.MemoryEncryptionEngine.run_events`) consumes,
+plus the counts of distinct records and ancestor paths.
 
 Every runtime record comes from :func:`repro.core.mee.resolve_record`,
 the same process-wide resolver the MEE's single-block entry points use,
@@ -33,217 +31,86 @@ same event loop, with its record resolved on the spot.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.core.mee import MACS_PER_LINE, resolve_record
-from repro.integrity.geometry import NodeId, TreeGeometry
-from repro.mem.address import AddressSpace
+from repro.integrity.geometry import TreeGeometry
+from repro.util.bitops import ilog2
 
 
 class MetadataPlan:
-    """The compiled metadata-access plan of one boundary stream.
+    """The compiled metadata side of one boundary stream: one runtime
+    record per stream event (flush tail included), in stream order."""
 
-    Columnar like the stream itself. Per-event columns (parallel to the
-    stream's ``kind``/``addr`` columns, flush tail included):
+    __slots__ = ("name", "_event_records", "_num_records", "_num_paths")
 
-    * ``record_id`` — index into the deduplicated record table below;
-    * ``counter_line`` — counter-block index (the COUNTERS-region line
-      address) the event's counter access touches;
-    * ``hmac_line`` — HMAC-region line address covering the block;
-    * ``leaf_slot`` — the counter's child slot in its BMT parent
-      (``counter_line % arity``);
-    * ``path_id`` — index into the flattened ancestor-path table.
-
-    The ancestor-path table is ``path_offsets``/``path_nodes``: path
-    ``p`` is ``path_nodes[path_offsets[p]:path_offsets[p+1]]``, each
-    entry an index into ``node_pool`` (the deduplicated ``(level,
-    index)`` node ids, deepest integrity level first — the order every
-    walk in the engine uses).
-
-    The per-record table (``rec_counter``/``rec_hmac``/``rec_path``,
-    one row per distinct (counter line, HMAC line) pair) backs the
-    runtime records: each row resolves into the record the MEE's event
-    loop consumes (see :meth:`records`).
-    """
-
-    __slots__ = (
-        "name",
-        "geometry",
-        "record_id",
-        "counter_line",
-        "hmac_line",
-        "leaf_slot",
-        "path_id",
-        "rec_counter",
-        "rec_hmac",
-        "rec_path",
-        "path_offsets",
-        "path_nodes",
-        "node_pool",
-        "_records",
-        "_event_records",
-    )
-
-    def __init__(self, name: str, geometry: TreeGeometry) -> None:
+    def __init__(
+        self, name: str, event_records: List[tuple], num_records: int, num_paths: int
+    ) -> None:
         self.name = name
-        self.geometry = geometry
-        self.record_id = array("q")
-        self.counter_line = array("q")
-        self.hmac_line = array("q")
-        self.leaf_slot = array("q")
-        self.path_id = array("q")
-        self.rec_counter = array("q")
-        self.rec_hmac = array("q")
-        self.rec_path = array("q")
-        self.path_offsets = array("q", [0])
-        self.path_nodes = array("q")
-        self.node_pool: List[NodeId] = []
-        self._records: Optional[list] = None
-        self._event_records: Optional[list] = None
+        self._event_records = event_records
+        self._num_records = num_records
+        self._num_paths = num_paths
 
     def __len__(self) -> int:
-        return len(self.record_id)
+        return len(self._event_records)
+
+    def event_records(self) -> List[tuple]:
+        """Per-event runtime records (see
+        :func:`~repro.core.mee.resolve_record` for the tuple layout) —
+        the column the planned replay zips against the stream's
+        kind/addr columns."""
+        return self._event_records
 
     def num_records(self) -> int:
-        return len(self.rec_counter)
+        """Distinct (counter line, HMAC line) records the stream touches."""
+        return self._num_records
 
     def num_paths(self) -> int:
-        return len(self.path_offsets) - 1
-
-    def path_node_ids(self, path_id: int) -> array:
-        """Node-pool indices of ancestor path ``path_id`` (deepest
-        integrity level first, root last)."""
-        return self.path_nodes[
-            self.path_offsets[path_id] : self.path_offsets[path_id + 1]
-        ]
-
-    def records(self) -> list:
-        """The per-record runtime tuples (built once, cached), from the
-        process-wide :func:`~repro.core.mee.resolve_record` — see there
-        for the tuple layout."""
-        records = self._records
-        if records is None:
-            geometry = self.geometry
-            records = [
-                resolve_record(geometry, counter, hline)
-                for counter, hline in zip(self.rec_counter, self.rec_hmac)
-            ]
-            self._records = records
-        return records
-
-    def event_records(self) -> list:
-        """Per-event runtime records (``records()`` fanned out by
-        ``record_id``), built once and cached — the column the planned
-        replay loop zips against the stream's kind/addr columns."""
-        events = self._event_records
-        if events is None:
-            records = self.records()
-            events = [records[i] for i in self.record_id]
-            self._event_records = events
-        return events
-
-    def warm(self) -> None:
-        """Resolve the runtime records now, not on first replay — keeps
-        the cost inside the measured compile phase, and inside the pool
-        parent's precompile so fork workers inherit them."""
-        self.event_records()
+        """Distinct BMT ancestor paths among the records (sibling
+        counters share one)."""
+        return self._num_paths
 
     def __repr__(self) -> str:
         return (
-            f"MetadataPlan(name={self.name!r}, events={len(self.record_id)}, "
-            f"records={len(self.rec_counter)}, paths={self.num_paths()})"
+            f"MetadataPlan(name={self.name!r}, events={len(self)}, "
+            f"records={self._num_records}, paths={self._num_paths})"
         )
 
 
 def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
-    """Resolve every metadata address ``stream``'s events will touch.
+    """Resolve the runtime record of every event in ``stream``.
 
     One pass over the stream's ``addr`` column, flush tail included (a
-    replay slices plan columns exactly as it slices stream columns).
+    replay slices the records exactly as it slices stream columns).
     Pure address/tree arithmetic — identical to what the direct MEE
     path derives per event — so the plan depends only on the stream and
     the metadata geometry (block/page split, capacity, tree arity),
     never on the metadata-cache shape or the protocol: one plan serves
     every protocol replay of the stream, and a metadata-cache-only
-    config change shares it (the plan-cache key in
+    config change shares it (the compiled-artifact cache key in
     :mod:`repro.workloads.registry` encodes exactly that contract).
     """
     geometry = TreeGeometry.from_config(config)
-    address_space = AddressSpace(
-        config.pcm.capacity_bytes,
-        block_bytes=config.security.block_bytes,
-        page_bytes=config.security.page_bytes,
-    )
-    block_shift = address_space._block_shift
-    page_shift = address_space._page_shift
-    arity = geometry.arity
-    levels = geometry.num_node_levels
+    block_shift = ilog2(config.security.block_bytes)
+    page_shift = ilog2(config.security.page_bytes)
 
-    plan = MetadataPlan(stream.name, geometry)
-    record_id = plan.record_id
-    counter_col = plan.counter_line
-    hmac_col = plan.hmac_line
-    slot_col = plan.leaf_slot
-    path_col = plan.path_id
-    rec_counter = plan.rec_counter
-    rec_hmac = plan.rec_hmac
-    rec_path = plan.rec_path
-    path_offsets = plan.path_offsets
-    path_nodes = plan.path_nodes
-    node_pool = plan.node_pool
-
-    #: (counter, hmac line) -> record id. Keyed by the pair: with small
+    #: (counter, hmac line) -> record. Keyed by the pair: with small
     #: pages one HMAC line can span several counter blocks, so neither
-    #: column alone identifies a record.
-    rec_ids: Dict[Tuple[int, int], int] = {}
-    #: deepest ancestor -> path id (sibling counters share one path:
-    #: the chain is a pure function of its deepest node).
-    path_ids: Dict[NodeId, int] = {}
-    node_ids: Dict[NodeId, int] = {}
-    #: counter -> (record id, path id) of the last block seen under it
-    #: — consecutive events overwhelmingly repeat (counter, hmac) pairs,
-    #: so the common case is one narrow probe.
-    by_counter: Dict[int, Tuple[int, int]] = {}
-
+    #: alone identifies a record.
+    records: Dict[Tuple[int, int], tuple] = {}
+    records_get = records.get
+    events: List[tuple] = []
+    append = events.append
     for addr in stream.addr:
-        block = addr >> block_shift
-        counter = addr >> page_shift
-        hline = block // MACS_PER_LINE
-        cached = by_counter.get(counter)
-        if cached is not None and rec_hmac[cached[0]] == hline:
-            rid, pid = cached
-        else:
-            pair = (counter, hline)
-            rid = rec_ids.get(pair)
-            if rid is None:
-                head = (levels, counter // arity)
-                pid = path_ids.get(head)
-                if pid is None:
-                    pid = len(path_offsets) - 1
-                    path_ids[head] = pid
-                    for node in geometry.ancestors_of_counter(counter):
-                        nid = node_ids.get(node)
-                        if nid is None:
-                            nid = len(node_pool)
-                            node_ids[node] = nid
-                            node_pool.append(node)
-                        path_nodes.append(nid)
-                    path_offsets.append(len(path_nodes))
-                rid = len(rec_counter)
-                rec_ids[pair] = rid
-                rec_counter.append(counter)
-                rec_hmac.append(hline)
-                rec_path.append(pid)
-            else:
-                pid = rec_path[rid]
-            by_counter[counter] = (rid, pid)
-        record_id.append(rid)
-        counter_col.append(counter)
-        hmac_col.append(hline)
-        slot_col.append(counter % arity)
-        path_col.append(pid)
+        key = (addr >> page_shift, (addr >> block_shift) // MACS_PER_LINE)
+        record = records_get(key)
+        if record is None:
+            record = resolve_record(geometry, *key)
+            records[key] = record
+        append(record)
 
-    plan.warm()
-    return plan
+    arity = geometry.arity
+    paths = {counter // arity for counter, _ in records}
+    return MetadataPlan(stream.name, events, len(records), len(paths))

@@ -14,14 +14,18 @@ times instead of 3.
 columnar, ``array``-backed record of every boundary event in program
 order plus the data-side half of the eventual
 :class:`~repro.sim.results.SimulationResult` (LLC hit counters, page
-faults, OS instruction charges, think-cycle totals).
-:func:`repro.sim.engine.simulate_from_plan` then drives any machine's
-MEE/protocol layer straight from the compiled events and their metadata
-plan (:mod:`repro.sim.plan`). Because the events are byte-for-byte the
-calls ``simulate()`` would have issued, and both reach the MEE's one
-event loop, the replayed result is bit-identical to the direct one by
-construction — and verified across the full protocol lineup and both
-integrity modes by ``tests/test_replay.py`` and ``tests/test_plan.py``.
+faults, OS instruction charges, think-cycle totals). It has no walk of
+its own: it drains the generator ``simulate()`` feeds the MEE
+(:func:`repro.sim.engine._boundary_events`) into columns.
+:func:`compile_trace` pairs the stream with its metadata plan
+(:mod:`repro.sim.plan`), and
+:func:`repro.sim.engine.simulate_from_plan` drives any machine's
+MEE/protocol layer straight from that pair. The events come from the
+walk ``simulate()`` runs and both paths reach the MEE's one event loop,
+so the replayed result is bit-identical to the direct one by
+construction — verified across the full protocol lineup and both
+integrity modes by ``tests/test_replay.py``, ``tests/test_plan.py`` and
+the golden results (``tests/test_golden.py``).
 
 What is *not* compiled away: fault campaigns keep the full direct path
 (their crash oracles need live data-cache state, see
@@ -36,6 +40,14 @@ from array import array
 from typing import Tuple
 
 from repro.config import SystemConfig
+from repro.sim.engine import (
+    INSTRUCTIONS_PER_PAGE_FAULT,
+    _boundary_events,
+    _flush_events,
+    _trace_columns,
+)
+from repro.sim.machine import build_data_side
+from repro.sim.plan import MetadataPlan, compile_metadata_plan
 from repro.util.rng import Seed, make_rng
 from repro.workloads.trace import Trace
 
@@ -48,14 +60,12 @@ EVENT_PERSIST = 2  #: CLWB + fence: fenced write on the critical path.
 class BoundaryStream:
     """The compiled memory-boundary trace of one data-side simulation.
 
-    Columnar like :class:`~repro.workloads.trace.ColumnarAccesses`:
-    four parallel ``array`` columns (event kind, physical block base,
-    issuing pid, originating access index) instead of per-event
-    objects. Events ``[0, main_events)`` are the run proper; the tail
-    ``[main_events, len)`` is the end-of-run LLC flush sequence, which
-    a replay applies only when the direct run would have
-    (``flush_llc_at_end=True``). The flush tail carries ``pid == -1``
-    and ``access_index == accesses``.
+    Columnar like :class:`~repro.workloads.trace.ColumnarAccesses`: two
+    parallel ``array`` columns (event kind, physical block base) instead
+    of per-event objects. Events ``[0, main_events)`` are the run
+    proper; the tail ``[main_events, len)`` is the end-of-run LLC flush
+    (all :data:`EVENT_WRITEBACK`), which a replay applies only when the
+    direct run would have (``flush_llc_at_end=True``).
 
     The scalar fields carry the data-side half of the result: the
     replay splices them into its :class:`SimulationResult` so the
@@ -66,8 +76,6 @@ class BoundaryStream:
         "name",
         "kind",
         "addr",
-        "pid",
-        "access_index",
         "main_events",
         "accesses",
         "think_total",
@@ -81,8 +89,6 @@ class BoundaryStream:
         self.name = name
         self.kind = array("B")
         self.addr = array("q")
-        self.pid = array("q")
-        self.access_index = array("q")
         self.main_events = 0
         self.accesses = 0
         self.think_total = 0
@@ -104,15 +110,16 @@ class BoundaryStream:
         total = self.llc_hits + self.llc_misses
         return self.llc_hits / total if total else 0.0
 
-    def columns(self) -> Tuple[array, array, array, array]:
-        """Raw (kind, addr, pid, access_index) columns."""
-        return self.kind, self.addr, self.pid, self.access_index
-
     def __repr__(self) -> str:
         return (
             f"BoundaryStream(name={self.name!r}, events={len(self.kind)}, "
             f"accesses={self.accesses})"
         )
+
+
+#: The stream compiler's ``record_of``: a C-level callable that returns
+#: ``None`` for any address (the plan resolves records separately).
+_NO_RECORD = {}.get
 
 
 def compile_boundary_stream(
@@ -130,19 +137,17 @@ def compile_boundary_stream(
     """Run the data-side hierarchy over ``trace`` once; return its
     boundary-event stream.
 
-    The walk mirrors the event generator ``simulate()`` feeds the MEE
-    (:func:`repro.sim.engine._boundary_events`), recording each event
-    into columns instead: same demand paging, same LRU transitions,
-    same churn RNG stream, same end-of-run flush (compiled always,
-    replayed only under ``flush_llc_at_end``) — every parameter that
-    shapes data-side behaviour is an argument here and a field of the
-    stream-cache key
+    The walk *is* the one ``simulate()`` feeds the MEE
+    (:func:`repro.sim.engine._boundary_events`, then its end-of-run
+    flush), drained into columns: same demand paging, same LRU
+    transitions, same churn RNG stream. The flush tail is compiled
+    always and replayed only under ``flush_llc_at_end``. Every parameter
+    that shapes data-side behaviour is an argument here and a field of
+    the compiled-artifact cache key
     (:class:`repro.workloads.registry.BoundaryStreamSpec`).
     ``modified_os`` selects the AMNT++ allocator variant, which changes
     physical placement and therefore the compiled addresses.
     """
-    from repro.sim.machine import build_data_side
-
     llc, mm = build_data_side(
         config,
         modified_os=modified_os,
@@ -151,66 +156,35 @@ def compile_boundary_stream(
         max_order=max_order,
         reclaim_interval=reclaim_interval,
     )
-    from repro.sim.engine import INSTRUCTIONS_PER_PAGE_FAULT, _trace_columns
-
-    rng = make_rng(f"{seed}/engine/{trace.name}")
     block_bytes = config.security.block_bytes
+    vaddrs, pids, thinks, flag_col = _trace_columns(trace)
 
     stream = BoundaryStream(trace.name)
-    kinds = stream.kind
-    addrs = stream.addr
-    out_pids = stream.pid
-    out_index = stream.access_index
-    kind_append = kinds.append
-    addr_append = addrs.append
-    pid_append = out_pids.append
-    index_append = out_index.append
+    kind_append = stream.kind.append
+    addr_append = stream.addr.append
+    for kind, addr, _ in _boundary_events(
+        llc,
+        mm,
+        block_bytes,
+        _NO_RECORD,
+        vaddrs,
+        pids,
+        flag_col,
+        make_rng(f"{seed}/engine/{trace.name}"),
+        churn_interval,
+        churn_bursts,
+        churn_pages_per_burst,
+    ):
+        kind_append(kind)
+        addr_append(addr)
+    stream.main_events = len(stream.kind)
+    # The flush is a pure function of the final LLC state and mutates
+    # nothing the main walk reads, so compiling it costs no fidelity.
+    for kind, addr, _ in _flush_events(llc, block_bytes, _NO_RECORD):
+        kind_append(kind)
+        addr_append(addr)
 
-    translate = mm.translate
-    llc_access = llc.access
-    llc_flush_block = llc.flush_block
-    churn = mm.churn
-
-    vaddrs, pids, thinks, flag_col = _trace_columns(trace)
-    position = 0
-    for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
-        position += 1
-        is_write = flags & 1
-        paddr = translate(pid, vaddr)
-        traffic = llc_access(paddr, is_write)
-        if traffic.fill_block is not None:
-            kind_append(EVENT_FILL)
-            addr_append(traffic.fill_block * block_bytes)
-            pid_append(pid)
-            index_append(position - 1)
-        for victim_block in traffic.writeback_blocks:
-            kind_append(EVENT_WRITEBACK)
-            addr_append(victim_block * block_bytes)
-            pid_append(pid)
-            index_append(position - 1)
-        if is_write and flags & 2:
-            flushed_block = llc_flush_block(paddr)
-            if flushed_block is not None:
-                kind_append(EVENT_PERSIST)
-                addr_append(flushed_block * block_bytes)
-                pid_append(pid)
-                index_append(position - 1)
-        if churn_interval and position % churn_interval == 0:
-            churn(
-                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
-            )
-
-    stream.main_events = len(kinds)
-    # The end-of-run flush sequence is compiled unconditionally (it is
-    # a pure function of the final LLC state and mutates nothing the
-    # main loop reads); replays apply it only under flush_llc_at_end.
-    for victim_block in llc.flush():
-        kind_append(EVENT_WRITEBACK)
-        addr_append(victim_block * block_bytes)
-        pid_append(-1)
-        index_append(position)
-
-    stream.accesses = position
+    stream.accesses = len(vaddrs)
     stream.think_total = sum(thinks)
     stream.llc_hits = llc.stats.get("hits")
     stream.llc_misses = llc.stats.get("misses")
@@ -220,3 +194,14 @@ def compile_boundary_stream(
         + stream.page_faults * INSTRUCTIONS_PER_PAGE_FAULT
     )
     return stream
+
+
+def compile_trace(
+    trace: Trace, config: SystemConfig, **data_side
+) -> Tuple[BoundaryStream, MetadataPlan]:
+    """Compile ``trace``'s boundary stream and its metadata plan — the
+    pair a planned replay (:func:`repro.sim.engine.simulate_from_plan`)
+    consumes. ``data_side`` is :func:`compile_boundary_stream`'s
+    keyword arguments."""
+    stream = compile_boundary_stream(trace, config, **data_side)
+    return stream, compile_metadata_plan(stream, config)

@@ -2,7 +2,7 @@
 
 The supervisor, fault campaigns, workload caches, and the result store
 publish events here: cell start/finish/retry/timeout/requeue, pool respawns,
-crash-injection verdicts, checkpoint flushes, stream-cache
+crash-injection verdicts, checkpoint flushes, compiled-cache
 hit/miss/eviction. Events are buffered in memory and flushed as an
 atomic full rewrite through ``util/atomicio.py`` — the same journal
 discipline ``sim/supervisor.py`` uses — so a crash mid-flush can never

@@ -238,11 +238,10 @@ class _LRUCache:
 
 
 #: Default LRU bounds — generous relative to the reference grids (a
-#: full sweep touches ~6 traces and ~2 streams) but finite, so
+#: full sweep touches ~6 traces and ~2 compiled streams) but finite, so
 #: long-running campaigns cannot leak materialized traces.
 DEFAULT_TRACE_CACHE_LIMIT = 64
-DEFAULT_STREAM_CACHE_LIMIT = 32
-DEFAULT_PLAN_CACHE_LIMIT = 32
+DEFAULT_COMPILED_CACHE_LIMIT = 32
 
 #: Process-wide materialization cache. Workers forked from a warm
 #: parent inherit it; spawned workers fill their own on first use.
@@ -285,21 +284,23 @@ def trace_cache_limit() -> int:
 
 
 # ----------------------------------------------------------------------
-# boundary-stream cache (compile the data side once, replay per protocol)
+# compiled-artifact cache (compile a trace once, replay per protocol)
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class BoundaryStreamSpec:
-    """Cache identity of one compiled boundary stream.
+    """Cache identity of one compiled boundary stream and its plan.
 
     Everything that shapes the data-side simulation — and therefore the
     compiled events — is a field: the trace recipe, the engine seed and
     churn schedule, allocator aging, the OS variant, and the data-side
     geometry (LLC shape, block/page sizes, device capacity, and the
-    tree shape the modified OS's region mapping derives from). Two
-    sweep cells with equal specs replay the same stream object; any
-    geometry change produces a different key and forces a recompile.
+    tree shape the modified OS's region mapping derives from). The
+    metadata plan reads only geometry already in that list (block/page
+    split, capacity, tree arity), so the same key identifies it. Two
+    sweep cells with equal specs replay the same pair; any geometry
+    change produces a different key and forces a recompile.
 
     Like :class:`TraceSpec`, the spec is frozen, hashable, and
     picklable, so pool workers rebuild streams from it through the same
@@ -338,7 +339,8 @@ def boundary_stream_spec(
     max_order: int = 10,
     reclaim_interval: int = 64,
 ) -> BoundaryStreamSpec:
-    """The stream-cache key for ``trace`` under ``config``'s data side.
+    """The compiled-artifact cache key for ``trace`` under ``config``'s
+    data side.
 
     ``config`` is a :class:`~repro.config.SystemConfig`; only its
     data-side geometry lands in the key, so two configs differing in —
@@ -368,27 +370,33 @@ def boundary_stream_spec(
     )
 
 
-#: Process-wide compiled-stream cache, disciplined like _TRACE_CACHE:
-#: workers forked from a warm parent inherit it; spawned workers fill
-#: their own on first use. Values are immutable once compiled.
-_STREAM_CACHE = _LRUCache("stream_cache", DEFAULT_STREAM_CACHE_LIMIT)
+#: Process-wide compiled-artifact cache of ``(stream, plan)`` pairs,
+#: disciplined like _TRACE_CACHE: workers forked from a warm parent
+#: inherit it (runtime records included — plans resolve them at compile
+#: time); spawned workers fill their own on first use. Values are
+#: immutable once compiled.
+_COMPILED_CACHE = _LRUCache("compiled_cache", DEFAULT_COMPILED_CACHE_LIMIT)
 
 
-def materialize_boundary_stream(spec: BoundaryStreamSpec, config, cache: bool = True):
-    """Compile (or fetch) the boundary stream ``spec`` describes.
+def materialize_compiled(spec: BoundaryStreamSpec, config, cache: bool = True):
+    """Compile (or fetch) the ``(stream, plan)`` pair ``spec`` describes
+    (see :func:`repro.sim.replay.compile_trace`).
 
     ``config`` must be the config ``spec`` was derived from (use
     :func:`boundary_stream_spec`); the key carries the data-side
     geometry for cache identity, the config carries the full object the
-    compiler needs. Streams are treated as immutable once compiled.
+    compilers need. The plan reads only geometry the key already holds,
+    so a metadata-cache-only config change shares the entry. Both halves
+    are treated as immutable once compiled.
     """
+    label = spec.trace.label()
     if cache:
-        stream = _STREAM_CACHE.get(spec, spec.trace.label())
-        if stream is not None:
-            return stream
-    from repro.sim.replay import compile_boundary_stream
+        compiled = _COMPILED_CACHE.get(spec, label)
+        if compiled is not None:
+            return compiled
+    from repro.sim.replay import compile_trace
 
-    stream = compile_boundary_stream(
+    compiled = compile_trace(
         materialize_trace(spec.trace, cache=cache),
         config,
         seed=spec.seed,
@@ -401,104 +409,27 @@ def materialize_boundary_stream(spec: BoundaryStreamSpec, config, cache: bool = 
         reclaim_interval=spec.reclaim_interval,
     )
     if cache:
-        _STREAM_CACHE.put(spec, stream, spec.trace.label())
-    return stream
+        _COMPILED_CACHE.put(spec, compiled, label)
+    return compiled
 
 
-def boundary_stream_cache_clear() -> None:
-    """Drop every compiled stream (tests, long-lived servers)."""
-    _STREAM_CACHE.clear()
+def compiled_cache_clear() -> None:
+    """Drop every compiled pair (tests, long-lived servers)."""
+    _COMPILED_CACHE.clear()
 
 
-def boundary_stream_cache_size() -> int:
-    return len(_STREAM_CACHE)
+def compiled_cache_size() -> int:
+    return len(_COMPILED_CACHE)
 
 
-def set_stream_cache_limit(limit: int) -> None:
-    """Cap the stream cache at ``limit`` entries (evicts LRU overflow)."""
-    _STREAM_CACHE.set_limit(limit)
-
-
-def stream_cache_limit() -> int:
-    return _STREAM_CACHE.limit
+def set_compiled_cache_limit(limit: int) -> None:
+    """Cap the compiled-artifact cache at ``limit`` entries (evicts LRU
+    overflow)."""
+    _COMPILED_CACHE.set_limit(limit)
 
 
 # ----------------------------------------------------------------------
-# metadata-plan cache (resolve metadata addresses once, share per geometry)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class MetadataPlanSpec:
-    """Cache identity of one compiled metadata plan.
-
-    A plan is a pure function of the boundary stream it walks and the
-    metadata geometry — and every geometry field the plan reads
-    (block/page split, device capacity, tree arity) is already part of
-    the stream's identity, so the plan key *is* the stream key. That
-    encodes the sharing contract directly: any geometry change produces
-    a different stream spec and forces a plan recompile, while a
-    metadata-cache-only config change (capacity/ways/latency) maps to
-    the same spec and shares the cached plan.
-    """
-
-    stream: BoundaryStreamSpec
-
-
-def metadata_plan_spec(stream_spec: BoundaryStreamSpec) -> MetadataPlanSpec:
-    """The plan-cache key for a compiled stream's metadata plan."""
-    return MetadataPlanSpec(stream=stream_spec)
-
-
-#: Process-wide compiled-plan cache, disciplined like _STREAM_CACHE:
-#: workers forked from a warm parent inherit it (runtime records
-#: included — plans are warmed at compile time); spawned workers fill
-#: their own on first use. Values are immutable once compiled.
-_PLAN_CACHE = _LRUCache("plan_cache", DEFAULT_PLAN_CACHE_LIMIT)
-
-
-def materialize_metadata_plan(spec: MetadataPlanSpec, config, cache: bool = True):
-    """Compile (or fetch) the metadata plan ``spec`` describes.
-
-    ``config`` must be the config the stream spec was derived from,
-    exactly as for :func:`materialize_boundary_stream` (which this goes
-    through for the stream itself — one cache discipline end to end).
-    Plans are treated as immutable once compiled.
-    """
-    label = spec.stream.trace.label()
-    if cache:
-        plan = _PLAN_CACHE.get(spec, label)
-        if plan is not None:
-            return plan
-    from repro.sim.plan import compile_metadata_plan
-
-    stream = materialize_boundary_stream(spec.stream, config, cache=cache)
-    plan = compile_metadata_plan(stream, config)
-    if cache:
-        _PLAN_CACHE.put(spec, plan, label)
-    return plan
-
-
-def metadata_plan_cache_clear() -> None:
-    """Drop every compiled plan (tests, long-lived servers)."""
-    _PLAN_CACHE.clear()
-
-
-def metadata_plan_cache_size() -> int:
-    return len(_PLAN_CACHE)
-
-
-def set_plan_cache_limit(limit: int) -> None:
-    """Cap the plan cache at ``limit`` entries (evicts LRU overflow)."""
-    _PLAN_CACHE.set_limit(limit)
-
-
-def plan_cache_limit() -> int:
-    return _PLAN_CACHE.limit
-
-
-# ----------------------------------------------------------------------
-# one knob for all three caches (CLI flag / environment variable)
+# one knob for both caches (CLI flag / environment variable)
 # ----------------------------------------------------------------------
 
 #: Environment override for every materialization-cache limit. Set
@@ -510,23 +441,18 @@ CACHE_LIMIT_ENV = "REPRO_CACHE_LIMIT"
 
 
 def apply_cache_limit(limit: int) -> None:
-    """Cap all three materialization caches (trace/stream/plan) at
+    """Cap both materialization caches (trace and compiled) at
     ``limit`` entries. One knob: the caches exist for the same reason
     (bounded memoization of deterministic compiles), and memory-bound
     hosts want to shrink them together."""
     set_trace_cache_limit(limit)
-    set_stream_cache_limit(limit)
-    set_plan_cache_limit(limit)
+    set_compiled_cache_limit(limit)
 
 
 def effective_cache_limits() -> Dict[str, int]:
     """The live limits, as recorded in profile/bench environment
     stanzas — so an artifact produced under a shrunken cache says so."""
-    return {
-        "trace": trace_cache_limit(),
-        "stream": stream_cache_limit(),
-        "plan": plan_cache_limit(),
-    }
+    return {"trace": trace_cache_limit(), "compiled": _COMPILED_CACHE.limit}
 
 
 def _apply_env_cache_limit() -> None:

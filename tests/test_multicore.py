@@ -113,3 +113,21 @@ class TestSimulateMulticore:
             machine = build_machine(config, name, seed=3)
             cycles[name] = simulate_multicore(machine, trace, seed=3).cycles
         assert cycles["leaf"] < cycles["strict"]
+
+    def test_churn_follows_the_access_count(self, config):
+        """Churn fires every churn_interval-th reference, as in
+        simulate(), even when that reference hits in a private cache
+        (blackscholes, seed 7: reference 1,900 hits privately)."""
+        from repro.sim.engine import simulate
+        from repro.workloads.registry import materialize_trace, profile_spec
+
+        trace = materialize_trace(profile_spec("parsec", "blackscholes", 2000, 7))
+        churns = {}
+        for driver in (simulate, simulate_multicore):
+            machine = build_machine(config, "leaf", seed=7)
+            calls = []
+            churn = machine.mm.churn
+            machine.mm.churn = lambda *a, **k: calls.append(1) or churn(*a, **k)
+            driver(machine, trace, seed=7, churn_interval=100)
+            churns[driver.__name__] = len(calls)
+        assert churns == {"simulate": 20, "simulate_multicore": 20}

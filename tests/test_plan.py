@@ -1,14 +1,14 @@
 """Metadata-plan compilation: planned replay == direct simulation.
 
-The plan compiler (repro.sim.plan) resolves every metadata address a
-boundary stream will touch — counter line, HMAC line, BMT ancestor
+The plan compiler (repro.sim.plan) resolves the runtime record of every
+event a boundary stream holds — counter line, HMAC line, BMT ancestor
 path, premixed cache-set indices — once per (trace, geometry). Its
 correctness claim is the same as the replay layer's one level up:
 *bit identity* with the direct path. These tests check that claim
 three ways: full-result equality across the protocol lineup, a
-randomized-geometry property test that recomputes every plan column
-from first principles, and cache-contract tests (geometry change
-recompiles; a metadata-cache-only change shares the plan).
+randomized-geometry property test that recomputes every record from
+first principles, and cache-contract tests (geometry change
+recompiles; a metadata-cache-only change shares the compiled pair).
 """
 
 import random
@@ -37,24 +37,19 @@ from repro.sim.replay import compile_boundary_stream
 from repro.sim.runner import run_protocol_sweep
 from repro.util.units import MB
 from repro.workloads.registry import (
-    boundary_stream_cache_clear,
-    materialize_boundary_stream,
-    materialize_metadata_plan,
+    compiled_cache_clear,
+    compiled_cache_size,
+    materialize_compiled,
     materialize_trace,
-    metadata_plan_cache_clear,
-    metadata_plan_cache_size,
-    metadata_plan_spec,
     profile_spec,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_caches():
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
     yield
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
 
 
 def machine_tree_state(machine):
@@ -143,7 +138,7 @@ def _random_geometry_config(rng):
 
 
 class TestPlanContentsProperty:
-    """The property test: every plan column must equal the value
+    """The property test: every plan record must equal the value
     recomputed on the fly from the stream's addresses and the tree
     geometry — across randomized line sizes, arities, counter ratios,
     and footprints."""
@@ -171,18 +166,12 @@ class TestPlanContentsProperty:
 
         assert len(plan) == len(stream.addr)
         records = plan.event_records()
+        pairs = set()
         for i, addr in enumerate(stream.addr):
             counter = addr >> page_shift
             hline = (addr >> block_shift) // MACS_PER_LINE
-            assert plan.counter_line[i] == counter
-            assert plan.hmac_line[i] == hline
-            assert plan.leaf_slot[i] == counter % arity
+            pairs.add((counter, hline))
             expected_path = geometry.ancestors_of_counter(counter)
-            pool = plan.node_pool
-            planned_path = [
-                pool[n] for n in plan.path_node_ids(plan.path_id[i])
-            ]
-            assert planned_path == expected_path
             ctr_key, ctr_mix, hkey, hmac_mix, triples, path, rec_counter = (
                 records[i]
             )
@@ -196,14 +185,15 @@ class TestPlanContentsProperty:
             for node, key, mix in triples:
                 assert key == node_key(*node)
                 assert mix == mix_of(key)
+        assert plan.num_records() == len(pairs)
+        assert plan.num_paths() == len({counter // arity for counter, _ in pairs})
 
     def test_sibling_counters_share_one_path_object(self, small_config):
         trace = materialize_trace(profile_spec("parsec", "canneal", 2000, 7))
         stream = compile_boundary_stream(trace, small_config, seed=7)
         plan = compile_metadata_plan(stream, small_config)
-        records = plan.records()
         by_head = {}
-        for rec in records:
+        for rec in plan.event_records():
             path = rec[5]
             head = path[0]
             if head in by_head:
@@ -242,22 +232,20 @@ class TestPremixedAccess:
 
 class TestPlanCache:
     def test_same_spec_returns_same_object(self, small_config):
-        spec = metadata_plan_spec(
-            stream_spec_for(
-                SweepCell(
-                    protocol="strict",
-                    trace=profile_spec("parsec", "blackscholes", 400, 7),
-                    seed=7,
-                    replay=True,
-                ),
-                small_config,
-            )
+        spec = stream_spec_for(
+            SweepCell(
+                protocol="strict",
+                trace=profile_spec("parsec", "blackscholes", 400, 7),
+                seed=7,
+                replay=True,
+            ),
+            small_config,
         )
-        first = materialize_metadata_plan(spec, small_config)
-        second = materialize_metadata_plan(spec, small_config)
-        assert isinstance(first, MetadataPlan)
+        first = materialize_compiled(spec, small_config)
+        second = materialize_compiled(spec, small_config)
+        assert isinstance(first[1], MetadataPlan)
         assert first is second
-        assert metadata_plan_cache_size() == 1
+        assert compiled_cache_size() == 1
 
     def test_geometry_change_forces_recompile(self, small_config):
         cell = SweepCell(
@@ -269,17 +257,19 @@ class TestPlanCache:
         bigger = default_config(
             capacity_bytes=small_config.pcm.capacity_bytes * 4
         )
-        base_spec = metadata_plan_spec(stream_spec_for(cell, small_config))
-        resized_spec = metadata_plan_spec(stream_spec_for(cell, bigger))
+        base_spec = stream_spec_for(cell, small_config)
+        resized_spec = stream_spec_for(cell, bigger)
         assert base_spec != resized_spec
-        first = materialize_metadata_plan(base_spec, small_config)
-        second = materialize_metadata_plan(resized_spec, bigger)
-        assert first is not second
-        assert metadata_plan_cache_size() == 2
+        first = materialize_compiled(base_spec, small_config)
+        second = materialize_compiled(resized_spec, bigger)
+        assert first[0] is not second[0]
+        assert first[1] is not second[1]
+        assert compiled_cache_size() == 2
 
     def test_metadata_cache_change_shares_the_plan(self, small_config):
         """A config differing only in metadata-cache capacity maps to
-        the same plan spec — the plan never depends on cache shape."""
+        the same compiled entry — neither the stream nor the plan
+        depends on cache shape."""
         cell = SweepCell(
             protocol="strict",
             trace=profile_spec("parsec", "blackscholes", 400, 7),
@@ -293,13 +283,13 @@ class TestPlanCache:
                 capacity_bytes=small_config.metadata_cache.capacity_bytes * 2,
             ),
         )
-        base_spec = metadata_plan_spec(stream_spec_for(cell, small_config))
-        other_spec = metadata_plan_spec(stream_spec_for(cell, resized_cache))
+        base_spec = stream_spec_for(cell, small_config)
+        other_spec = stream_spec_for(cell, resized_cache)
         assert base_spec == other_spec
-        first = materialize_metadata_plan(base_spec, small_config)
-        second = materialize_metadata_plan(other_spec, resized_cache)
+        first = materialize_compiled(base_spec, small_config)
+        second = materialize_compiled(other_spec, resized_cache)
         assert first is second
-        assert metadata_plan_cache_size() == 1
+        assert compiled_cache_size() == 1
 
     def test_precompile_counts_distinct_plans(self, small_config):
         cells = [
@@ -313,7 +303,7 @@ class TestPlanCache:
         ]
         # Three stock-OS protocols share one plan; amnt++ gets its own.
         assert precompile_streams(cells, small_config) == 2
-        assert metadata_plan_cache_size() == 2
+        assert compiled_cache_size() == 2
 
 
 class TestSweepPaths:
@@ -328,9 +318,9 @@ class TestSweepPaths:
             for name in protocols
         }
         assert planned == direct
-        # Spec sweeps share the process-wide plan cache: one plan per
-        # OS variant.
-        assert metadata_plan_cache_size() == 2
+        # Spec sweeps share the process-wide compiled-artifact cache:
+        # one stream and plan per OS variant.
+        assert compiled_cache_size() == 2
 
     def test_parallel_plan_matches_serial_direct(self, small_config):
         cells = [

@@ -27,9 +27,7 @@ from repro.util.units import KB, MB
 from repro.workloads.registry import (
     boundary_stream_spec,
     literal_spec,
-    materialize_boundary_stream,
-    materialize_metadata_plan,
-    metadata_plan_spec,
+    materialize_compiled,
 )
 from repro.workloads.trace import MemoryAccess, Trace
 
@@ -204,10 +202,7 @@ def test_plan_replay_matches_reference(config, protocol, records):
         for page, write, flush in records
     ])
     stream_spec = boundary_stream_spec(literal_spec(trace), config, seed=5)
-    stream = materialize_boundary_stream(stream_spec, config, cache=False)
-    plan = materialize_metadata_plan(
-        metadata_plan_spec(stream_spec), config, cache=False
-    )
+    stream, plan = materialize_compiled(stream_spec, config, cache=False)
     machine = build_machine(config, protocol, seed=5)
     result = simulate_from_plan(stream, plan, machine)
     ref = ReferenceMEE(config, protocol)

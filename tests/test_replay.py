@@ -35,25 +35,20 @@ from repro.sim.replay import (
 from repro.sim.runner import reference_cells, run_protocol_sweep
 from repro.util.units import MB
 from repro.workloads.registry import (
-    boundary_stream_cache_clear,
-    boundary_stream_cache_size,
     boundary_stream_spec,
-    materialize_boundary_stream,
-    materialize_metadata_plan,
+    compiled_cache_clear,
+    compiled_cache_size,
+    materialize_compiled,
     materialize_trace,
-    metadata_plan_cache_clear,
-    metadata_plan_spec,
     profile_spec,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_stream_cache():
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
     yield
-    boundary_stream_cache_clear()
-    metadata_plan_cache_clear()
+    compiled_cache_clear()
 
 
 def machine_tree_state(machine):
@@ -73,8 +68,8 @@ def machine_tree_state(machine):
 class TestFunctionalEquivalence:
     """Every registered protocol, both BMT disciplines, real crypto:
     the replayed MEE must end in the same state the direct walk does.
-    These replays take the stream and plan from the process-wide caches
-    (as sweep cells do) and include the end-of-run flush tail."""
+    These replays take the stream and plan from the process-wide
+    compiled-artifact cache (as sweep cells do) and include the end-of-run flush tail."""
 
     @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     @pytest.mark.parametrize("protocol", protocol_names())
@@ -92,10 +87,7 @@ class TestFunctionalEquivalence:
             trace_spec, small_config, seed=7,
             modified_os=protocol_uses_modified_os(protocol),
         )
-        stream = materialize_boundary_stream(stream_spec, small_config)
-        plan = materialize_metadata_plan(
-            metadata_plan_spec(stream_spec), small_config
-        )
+        stream, plan = materialize_compiled(stream_spec, small_config)
         replay_machine = build_machine(
             small_config, protocol, functional=True,
             seed=7, integrity_mode=integrity_mode,
@@ -132,11 +124,10 @@ class TestStreamContents:
         assert isinstance(stream, BoundaryStream)
         assert stream.accesses == 600
         assert set(stream.kind) <= {EVENT_FILL, EVENT_WRITEBACK, EVENT_PERSIST}
-        # The end-of-run flush tail sits after main_events, marked with
-        # the sentinel pid, and is replayed only under flush_llc_at_end.
-        assert stream.main_events <= len(stream)
-        tail_pids = set(stream.pid[stream.main_events:])
-        assert tail_pids <= {-1}
+        # The end-of-run flush tail sits after main_events, holds only
+        # posted writes, and is replayed only under flush_llc_at_end.
+        assert stream.main_events < len(stream)
+        assert set(stream.kind[stream.main_events:]) == {EVENT_WRITEBACK}
 
     def test_modified_os_changes_placement(self, small_config):
         """amnt++'s allocator restructuring must show up in the compiled
@@ -156,10 +147,10 @@ class TestStreamCache:
         spec = boundary_stream_spec(
             profile_spec("parsec", "blackscholes", 400, 7), small_config, seed=7
         )
-        first = materialize_boundary_stream(spec, small_config)
-        second = materialize_boundary_stream(spec, small_config)
+        first = materialize_compiled(spec, small_config)
+        second = materialize_compiled(spec, small_config)
         assert first is second
-        assert boundary_stream_cache_size() == 1
+        assert compiled_cache_size() == 1
 
     def test_geometry_change_forces_recompile(self, small_config):
         trace_spec = profile_spec("parsec", "blackscholes", 400, 7)
@@ -173,10 +164,10 @@ class TestStreamCache:
         )
         resized = boundary_stream_spec(trace_spec, bigger_llc, seed=7)
         assert resized != base
-        first = materialize_boundary_stream(base, small_config)
-        second = materialize_boundary_stream(resized, bigger_llc)
-        assert first is not second
-        assert boundary_stream_cache_size() == 2
+        first = materialize_compiled(base, small_config)
+        second = materialize_compiled(resized, bigger_llc)
+        assert first[0] is not second[0]
+        assert compiled_cache_size() == 2
 
     def test_metadata_geometry_is_not_in_the_key(self, small_config):
         """Configs differing only on the MEE side share one stream —
@@ -193,6 +184,37 @@ class TestStreamCache:
             trace_spec, small_config, seed=7
         ) == boundary_stream_spec(trace_spec, other, seed=7)
 
+    def test_metadata_cache_change_hits_the_compiled_entry(self, small_config):
+        """A metadata-cache-only config change is a cache hit on the
+        compiled (stream, plan) pair, and replaying the shared pair on
+        the resized machine still equals that machine's direct run."""
+        trace_spec = profile_spec("parsec", "blackscholes", 400, 7)
+        resized = replace(
+            small_config,
+            metadata_cache=replace(
+                small_config.metadata_cache,
+                capacity_bytes=small_config.metadata_cache.capacity_bytes // 4,
+            ),
+        )
+        base = materialize_compiled(
+            boundary_stream_spec(trace_spec, small_config, seed=7), small_config
+        )
+        hit = materialize_compiled(
+            boundary_stream_spec(trace_spec, resized, seed=7), resized
+        )
+        assert hit is base
+        assert compiled_cache_size() == 1
+        stream, plan = hit
+        replayed = simulate_from_plan(
+            stream, plan, build_machine(resized, "strict", seed=7)
+        )
+        direct = simulate(
+            build_machine(resized, "strict", seed=7),
+            materialize_trace(trace_spec),
+            seed=7,
+        )
+        assert replayed == direct
+
     def test_precompile_counts_distinct_data_sides(self, small_config):
         cells = [
             SweepCell(
@@ -205,7 +227,7 @@ class TestStreamCache:
         ]
         # Three stock-OS protocols share one stream; amnt++ gets its own.
         assert precompile_streams(cells, small_config) == 2
-        assert boundary_stream_cache_size() == 2
+        assert compiled_cache_size() == 2
 
 
 class TestSweepPaths:
@@ -220,8 +242,8 @@ class TestSweepPaths:
             for name in protocols
         }
         assert replayed == direct
-        # Raw traces compile sweep-locally, not into the shared caches.
-        assert boundary_stream_cache_size() == 0
+        # Raw traces compile sweep-locally, not into the shared cache.
+        assert compiled_cache_size() == 0
 
     def test_stream_spec_keys_off_protocol_os_variant(self, small_config):
         trace_spec = profile_spec("parsec", "bodytrack", 800, 7)

@@ -46,15 +46,15 @@ class TestDerivedHitRatios:
         counters = {
             "trace_cache.hits": 3,
             "trace_cache.misses": 1,
-            "plan_cache.hits": 0,
-            "plan_cache.misses": 2,
-            "stream_cache.hits": 5,  # no .misses twin -> no ratio
+            "compiled_cache.hits": 0,
+            "compiled_cache.misses": 2,
+            "other_cache.hits": 5,  # no .misses twin -> no ratio
             "events.total": 9,
         }
         ratios = derive_hit_ratios(counters)
         assert ratios == {
             "trace_cache.hit_ratio": 0.75,
-            "plan_cache.hit_ratio": 0.0,
+            "compiled_cache.hit_ratio": 0.0,
         }
 
     def test_idle_pairs_are_omitted(self):
@@ -64,14 +64,14 @@ class TestDerivedHitRatios:
         document = {
             "metrics": {
                 "counters": {
-                    "plan_cache.hits": 9,
-                    "plan_cache.misses": 3,
+                    "compiled_cache.hits": 9,
+                    "compiled_cache.misses": 3,
                 }
             }
         }
         text = format_metrics(document, source="run")
         assert "derived hit ratios" in text
-        assert "plan_cache.hit_ratio" in text
+        assert "compiled_cache.hit_ratio" in text
         assert "0.750" in text
 
     def test_format_metrics_without_pairs_has_no_ratio_table(self):

@@ -557,8 +557,7 @@ class TestCacheLimitFlag:
     def test_cli_flag_applies(self, tmp_path, capsys):
         from repro.workloads.registry import (
             effective_cache_limits,
-            set_plan_cache_limit,
-            set_stream_cache_limit,
+            set_compiled_cache_limit,
             set_trace_cache_limit,
         )
 
@@ -574,13 +573,10 @@ class TestCacheLimitFlag:
                 )
                 == EXIT_OK
             )
-            assert effective_cache_limits() == {
-                "trace": 5, "stream": 5, "plan": 5,
-            }
+            assert effective_cache_limits() == {"trace": 5, "compiled": 5}
         finally:
             set_trace_cache_limit(before["trace"])
-            set_stream_cache_limit(before["stream"])
-            set_plan_cache_limit(before["plan"])
+            set_compiled_cache_limit(before["compiled"])
 
     def test_invalid_limit_rejected(self):
         with pytest.raises(SystemExit):
@@ -593,9 +589,9 @@ class TestCacheLimitFlag:
 
     @pytest.mark.parametrize(
         "value,expected",
-        [("7", {"trace": 7, "stream": 7, "plan": 7}),
-         ("bogus", {"trace": 64, "stream": 32, "plan": 32}),
-         ("0", {"trace": 64, "stream": 32, "plan": 32})],
+        [("7", {"trace": 7, "compiled": 7}),
+         ("bogus", {"trace": 64, "compiled": 32}),
+         ("0", {"trace": 64, "compiled": 32})],
     )
     def test_env_var_applies_at_import(self, value, expected):
         """$REPRO_CACHE_LIMIT is read at module import (so spawned

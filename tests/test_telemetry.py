@@ -289,17 +289,17 @@ class TestWorkloadCaches:
         with pytest.raises(ValueError):
             workloads.set_trace_cache_limit(0)
         with pytest.raises(ValueError):
-            workloads.set_stream_cache_limit(-1)
+            workloads.set_compiled_cache_limit(-1)
 
     def test_shrinking_limit_evicts_overflow(self):
-        prev = workloads.stream_cache_limit()
+        prev = workloads.effective_cache_limits()["compiled"]
         try:
-            workloads.set_stream_cache_limit(8)
-            assert workloads.stream_cache_limit() == 8
-            workloads.set_stream_cache_limit(1)
-            assert workloads.boundary_stream_cache_size() <= 1
+            workloads.set_compiled_cache_limit(8)
+            assert workloads.effective_cache_limits()["compiled"] == 8
+            workloads.set_compiled_cache_limit(1)
+            assert workloads.compiled_cache_size() <= 1
         finally:
-            workloads.set_stream_cache_limit(prev)
+            workloads.set_compiled_cache_limit(prev)
 
 
 # ----------------------------------------------------------------------
