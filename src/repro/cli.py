@@ -43,8 +43,8 @@ reuse cells already computed under identical inputs through the
 content-addressed result store, and ``--no-store`` to force it off;
 fault campaigns never consult the store (they mutate machine state
 mid-run). ``sweep`` accepts ``--cache-limit N`` (or
-``$REPRO_CACHE_LIMIT``) to cap the trace/stream/plan materialization
-caches — see docs/STORE.md.
+``$REPRO_CACHE_LIMIT``) to cap the trace and compiled-artifact
+materialization caches — see docs/STORE.md.
 
 Everything the CLI does is a thin wrapper over the public API, so the
 printed numbers are identical to what the pytest benchmark harness
@@ -389,8 +389,8 @@ def _add_cache_limit_arg(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="cap the trace/stream/plan materialization caches at N "
-        "entries each (default: $REPRO_CACHE_LIMIT if set, else 64/32/32)",
+        help="cap the trace and compiled-artifact materialization caches "
+        "at N entries each (default: $REPRO_CACHE_LIMIT if set, else 64/32)",
     )
 
 
