@@ -42,9 +42,11 @@ either way) — see docs/OBSERVABILITY.md.
 reuse cells already computed under identical inputs through the
 content-addressed result store, and ``--no-store`` to force it off;
 fault campaigns never consult the store (they mutate machine state
-mid-run). ``sweep`` accepts ``--cache-limit N`` (or
-``$REPRO_CACHE_LIMIT``) to cap the trace and compiled-artifact
-materialization caches — see docs/STORE.md.
+mid-run). Without a store, a process still simulates each distinct
+cell once: sweep grids read through an in-memory result tier keyed by
+the same fingerprints. ``sweep`` accepts ``--cache-limit N`` (or
+``$REPRO_CACHE_LIMIT``) to cap the process-wide trace,
+compiled-artifact and result caches — see docs/STORE.md.
 
 Everything the CLI does is a thin wrapper over the public API, so the
 printed numbers are identical to what the pytest benchmark harness
@@ -72,7 +74,12 @@ EXIT_RESUME_MISMATCH = 4
 EXIT_INTERRUPTED = 130
 from repro.sim.runner import FIGURE_PROTOCOLS, sweep_normalized
 from repro.workloads.parsec import PARSEC_PROFILES, parsec_profile
-from repro.workloads.registry import profile_spec
+from repro.workloads.registry import (
+    DEFAULT_COMPILED_CACHE_LIMIT,
+    DEFAULT_RESULT_CACHE_LIMIT,
+    DEFAULT_TRACE_CACHE_LIMIT,
+    profile_spec,
+)
 from repro.workloads.spec import SPEC_PROFILES, spec_profile
 
 
@@ -389,8 +396,10 @@ def _add_cache_limit_arg(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="cap the trace and compiled-artifact materialization caches "
-        "at N entries each (default: $REPRO_CACHE_LIMIT if set, else 64/32)",
+        help="cap the trace, compiled-artifact and result caches at N "
+        "entries each (default: $REPRO_CACHE_LIMIT if set, else "
+        f"{DEFAULT_TRACE_CACHE_LIMIT}/{DEFAULT_COMPILED_CACHE_LIMIT}/"
+        f"{DEFAULT_RESULT_CACHE_LIMIT})",
     )
 
 

@@ -90,13 +90,14 @@ def run_protocol_sweep(
     the process-wide compiled-artifact cache. A raw :class:`Trace` with
     one worker and no store compiles its stream and plan sweep-locally,
     so they are freed with the sweep; otherwise it is wrapped in a
-    literal spec (the whole trace is pickled once per worker, and
-    hashed into each cell's fingerprint).
+    literal spec (the whole trace is pickled once per worker, and, with
+    a store, hashed into each cell's fingerprint).
 
-    With a :class:`~repro.store.ResultStore` as ``store`` the sweep is
-    *incremental*: cells whose fingerprints are already in the store are
-    replayed from disk, only the rest are computed (then written back),
-    and the returned mapping is bit-identical to a store-less run.
+    A spec sweep is *incremental* against the runner's result tier:
+    cells already computed in this process (or, with a
+    :class:`~repro.store.ResultStore` as ``store``, already on disk) are
+    read back, only the rest are computed (then written back), and the
+    returned mapping is bit-identical to a cold run.
     """
     _validate_sweep(trace, protocols, churn_interval)
     label = trace.name if isinstance(trace, Trace) else trace.label()

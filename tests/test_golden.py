@@ -2,7 +2,7 @@
 
 ``tests/golden/results.json`` holds the full
 :meth:`~repro.sim.results.SimulationResult.to_json_dict` of every
-registered protocol on three traces (see ``tests/golden/regenerate.py``,
+registered protocol on four rows (see ``tests/golden/regenerate.py``,
 the file's only writer). Each cell is recomputed twice — through the
 plan-driven sweep and through a direct ``simulate()`` cell — so a drift
 that both engine paths share fails here instead of passing as
@@ -16,7 +16,6 @@ import json
 
 import pytest
 
-from repro.config import default_config
 from repro.core.protocol import protocol_names
 from repro.sim.parallel import SweepCell, run_cell
 from repro.sim.runner import run_protocol_sweep
@@ -54,12 +53,15 @@ def test_grid_covers_every_protocol(golden, traces):
         assert sorted(cells) == protocol_names()
 
 
-@pytest.mark.parametrize("name", ["canneal", "bodytrack+fluidanimate", "kvstore"])
+ROWS = ["canneal", "canneal-llc64k", "bodytrack+fluidanimate", "kvstore"]
+
+
+@pytest.mark.parametrize("name", ROWS)
 def test_plan_sweep_matches_golden(golden, traces, name):
-    trace, scatter = traces[name]
+    trace, scatter, config = traces[name]
     results = run_protocol_sweep(
         trace,
-        default_config(),
+        config,
         protocols=protocol_names(),
         seed=SEED,
         scatter_span_chunks=scatter,
@@ -68,10 +70,9 @@ def test_plan_sweep_matches_golden(golden, traces, name):
         assert result.to_json_dict() == golden["cells"][name][protocol], protocol
 
 
-@pytest.mark.parametrize("name", ["canneal", "bodytrack+fluidanimate", "kvstore"])
+@pytest.mark.parametrize("name", ROWS)
 def test_direct_cells_match_golden(golden, traces, name):
-    trace, scatter = traces[name]
-    config = default_config()
+    trace, scatter, config = traces[name]
     for protocol in protocol_names():
         cell = SweepCell(
             protocol=protocol,
@@ -92,8 +93,7 @@ def test_direct_cells_match_golden(golden, traces, name):
     ids=["eager-plan", "lazy-direct"],
 )
 def test_functional_canneal_matches_golden(golden, traces, integrity_mode, replay):
-    trace, scatter = traces["canneal"]
-    config = default_config()
+    trace, scatter, config = traces["canneal"]
     for protocol in protocol_names():
         cell = SweepCell(
             protocol=protocol,

@@ -113,22 +113,31 @@ class TestTraceSpec:
 
 
 class TestParallelEquivalence:
-    def test_parallel_matches_serial_cell_for_cell(self, config):
+    def test_parallel_matches_serial_cell_for_cell(self, config, cold_leg):
         """workers=4 must be bit-identical to workers=1, per cell."""
         cells = grid_cells()
-        serial = ParallelSweepRunner(workers=1).run(cells, config)
-        parallel = ParallelSweepRunner(workers=4).run(cells, config)
+        serial = cold_leg(
+            lambda: ParallelSweepRunner(workers=1).run(cells, config), len(cells)
+        )
+        parallel = cold_leg(
+            lambda: ParallelSweepRunner(workers=4).run(cells, config), len(cells)
+        )
         assert len(serial) == len(parallel) == len(cells)
         for cell, s, p in zip(cells, serial, parallel):
             assert s == p, f"cell {cell.protocol}/{cell.trace.label()} diverged"
             assert s.cycles == p.cycles
             assert s.llc_hit_rate == p.llc_hit_rate
 
-    def test_two_parallel_runs_agree(self, config):
+    def test_two_parallel_runs_agree(self, config, cold_leg):
         """Same seed, same grid: scheduling must not leak into results."""
         cells = grid_cells()
-        first = ParallelSweepRunner(workers=4).run(cells, config)
-        second = ParallelSweepRunner(workers=4).run(cells, config)
+        first, second = (
+            cold_leg(
+                lambda: ParallelSweepRunner(workers=4).run(cells, config),
+                len(cells),
+            )
+            for _ in range(2)
+        )
         assert first == second
 
     def test_results_arrive_in_cell_order(self, config):
@@ -136,13 +145,16 @@ class TestParallelEquivalence:
         results = ParallelSweepRunner(workers=4).run(cells, config)
         assert [r.protocol for r in results] == [c.protocol for c in cells]
 
-    def test_run_protocol_sweep_workers_match(self, config):
+    def test_run_protocol_sweep_workers_match(self, config, cold_leg):
         spec = profile_spec("parsec", "blackscholes", GRID_ACCESSES, GRID_SEED)
-        serial = run_protocol_sweep(
-            spec, config, GRID_PROTOCOLS, seed=GRID_SEED, workers=1
-        )
-        parallel = run_protocol_sweep(
-            spec, config, GRID_PROTOCOLS, seed=GRID_SEED, workers=4
+        serial, parallel = (
+            cold_leg(
+                lambda: run_protocol_sweep(
+                    spec, config, GRID_PROTOCOLS, seed=GRID_SEED, workers=workers
+                ),
+                len(GRID_PROTOCOLS),
+            )
+            for workers in (1, 4)
         )
         assert serial == parallel
 
@@ -183,7 +195,9 @@ class TestFallback:
         results = ParallelSweepRunner(workers=1).run(cells, config)
         assert len(results) == 2
 
-    def test_broken_pool_falls_back_in_process(self, config, monkeypatch):
+    def test_broken_pool_falls_back_in_process(
+        self, config, monkeypatch, cold_leg
+    ):
         runner = ParallelSweepRunner(workers=4)
         monkeypatch.setattr(
             ParallelSweepRunner,
@@ -191,8 +205,10 @@ class TestFallback:
             lambda self: (_ for _ in ()).throw(OSError("no fork for you")),
         )
         cells = grid_cells()[:2]
-        fallback = runner.run(cells, config)
-        serial = ParallelSweepRunner(workers=1).run(cells, config)
+        fallback = cold_leg(lambda: runner.run(cells, config), 2)
+        serial = cold_leg(
+            lambda: ParallelSweepRunner(workers=1).run(cells, config), 2
+        )
         assert fallback == serial
 
     def test_default_workers_positive(self):
@@ -261,7 +277,7 @@ class TestEdgeCases:
         results = ParallelSweepRunner(workers=8).run(cells, config)
         assert len(results) == 1
 
-    def test_pool_never_larger_than_grid(self, config):
+    def test_pool_never_larger_than_grid(self, config, cold_leg):
         import multiprocessing
 
         built = []
@@ -278,7 +294,7 @@ class TestEdgeCases:
         runner = ParallelSweepRunner(workers=64)
         runner._context = lambda: Recorder(real_get_context("fork"))
         cells = grid_cells()[:2]
-        results = runner.run(cells, config)
+        results = cold_leg(lambda: runner.run(cells, config), 2)
         assert len(results) == 2
         assert built == [2]
 

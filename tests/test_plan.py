@@ -322,7 +322,7 @@ class TestSweepPaths:
         # one stream and plan per OS variant.
         assert compiled_cache_size() == 2
 
-    def test_parallel_plan_matches_serial_direct(self, small_config):
+    def test_parallel_plan_matches_serial_direct(self, small_config, cold_leg):
         cells = [
             SweepCell(
                 protocol=name,
@@ -332,7 +332,12 @@ class TestSweepPaths:
             )
             for name in ("volatile", "strict", "amnt")
         ]
-        parallel = ParallelSweepRunner(workers=2).run(cells, small_config)
+        # Direct and plan cells share fingerprints, so a warm tier would
+        # hand back a direct result here: the leg must replay.
+        parallel = cold_leg(
+            lambda: ParallelSweepRunner(workers=2).run(cells, small_config),
+            len(cells),
+        )
         serial = [
             run_cell(replace(cell, replay=False), small_config)
             for cell in cells

@@ -301,6 +301,32 @@ class TestWorkloadCaches:
         finally:
             workloads.set_compiled_cache_limit(prev)
 
+    def test_shrinking_limit_emits_eviction_events(self, tmp_path):
+        """A shrunken limit reports its evictions on the event stream
+        exactly as an overflowing put does."""
+        prev = workloads.trace_cache_limit()
+        workloads.trace_cache_clear()
+        path = tmp_path / "events.jsonl"
+        install_sink(path)
+        try:
+            for accesses in (100, 110, 120):
+                workloads.materialize_trace(
+                    profile_spec("parsec", "blackscholes", accesses, SEED)
+                )
+            workloads.set_trace_cache_limit(1)
+            telemetry.get_sink().flush()
+            evictions = [
+                event
+                for event in load_events(path)
+                if event["kind"] == "trace_cache_eviction"
+            ]
+            assert [event["size"] for event in evictions] == [2, 1]
+            counters = telemetry.get_registry().snapshot()["counters"]
+            assert counters["trace_cache.evictions"] == 2
+        finally:
+            workloads.set_trace_cache_limit(prev)
+            workloads.trace_cache_clear()
+
 
 # ----------------------------------------------------------------------
 # the contract: telemetry never changes simulation results
@@ -349,9 +375,26 @@ class TestBitIdentity:
         results = ParallelSweepRunner(workers=2).run(cells, small_config)
         assert len(results) == 2
         snap = telemetry.get_registry().snapshot()
+        assert snap["counters"]["result_cache.misses"] == 2
         assert snap["counters"]["sim.runs"] == 2
         assert snap["counters"]["sweep.cells"] == 2
         assert snap["gauges"]["sweep.workers"] == 2
+
+    def test_sweep_cells_counts_computed_cells_only(self, small_config):
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        cells = [
+            SweepCell(protocol=protocol, trace=TRACE, seed=SEED)
+            for protocol in ("volatile", "leaf")
+        ]
+        runner = ParallelSweepRunner(workers=1)
+        cold = runner.run(cells, small_config)
+        warm = runner.run(cells, small_config)
+        assert warm == cold
+        counters = telemetry.get_registry().snapshot()["counters"]
+        assert counters["sweep.cells"] == counters["sim.runs"] == 2
+        assert counters["result_cache.misses"] == 2
+        assert counters["result_cache.hits"] == 2
 
 
 # ----------------------------------------------------------------------
