@@ -27,22 +27,6 @@ from repro.errors import ConfigValidationError
 from repro.util.bitops import ilog2, is_power_of_two
 from repro.util.units import GB, KB, cycles_from_ns
 
-#: BMT update disciplines (see repro.integrity.bmt). ``eager`` hashes
-#: every ancestor on each counter write (hardware-faithful; forced by
-#: every fault-injection entry point); ``lazy`` defers digests until a
-#: value is observed, with bit-identical materialized results.
-INTEGRITY_MODES = ("eager", "lazy")
-
-
-def validate_integrity_mode(mode: str) -> None:
-    """Reject an unknown integrity mode with a field-named error."""
-    if mode not in INTEGRITY_MODES:
-        raise ConfigValidationError(
-            "integrity_mode",
-            f"unknown mode {mode!r}; known: {INTEGRITY_MODES}",
-        )
-
-
 #: Persistence-ordering models for the functional NVM image (see
 #: repro.mem.nvm). ``writethrough`` applies every store to the
 #: persistent image immediately (the pre-WPQ behaviour; the default, so

@@ -166,12 +166,7 @@ class MemoryEncryptionEngine:
         nvm: Optional[NVMDevice] = None,
         functional: bool = False,
         engine: Optional[CryptoEngine] = None,
-        integrity_mode: str = "eager",
     ) -> None:
-        from repro.config import validate_integrity_mode
-
-        validate_integrity_mode(integrity_mode)
-        self.integrity_mode = integrity_mode
         self.config = config
         self.geometry = TreeGeometry.from_config(config)
         self.address_space = AddressSpace(
@@ -257,8 +252,7 @@ class MemoryEncryptionEngine:
         if functional:
             self.engine = engine if engine is not None else RealCryptoEngine()
             self.tree = BonsaiMerkleTree(
-                self.geometry, self.engine, self.nvm.backend,
-                mode=integrity_mode,
+                self.geometry, self.engine, self.nvm.backend
             )
         # The global BMT root register exists in every protocol.
         root = self.registers.allocate("bmt_root", 64)

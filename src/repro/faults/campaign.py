@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.config import MetadataCacheConfig, SystemConfig, default_config
-from repro.errors import ConfigValidationError, FaultInjectionError
+from repro.errors import ConfigValidationError
 from repro.faults.crashstates import (
     DEFAULT_MAX_CRASH_STATES,
     explore_crash_states,
@@ -187,26 +187,15 @@ def run_fault_cell(
     """Build, replay, crash, (tamper,) recover, audit — one cell."""
     cell_config = spec.config if spec.config is not None else config
     trace = materialize_trace(spec.trace)
-    # Fault campaigns force eager/functional mode unconditionally — no
-    # flag reaches here. Crash bit-exactness is the whole point of the
-    # oracle, so the hardware-faithful update discipline is not
-    # negotiable even though lazy materialization is equivalence-tested.
-    # Boundary-stream replay (repro.sim.replay) is likewise bypassed:
-    # a crash ordinal counts *accesses*, not boundary events, and the
-    # injector must observe the live LLC/OS state at the crash point,
-    # so every fault cell keeps the full direct simulate() path.
+    # Fault campaigns force functional mode unconditionally — no flag
+    # reaches here. Boundary-stream replay (repro.sim.replay) is
+    # bypassed: a crash ordinal counts *accesses*, not boundary events,
+    # and the injector must observe the live LLC/OS state at the crash
+    # point, so every fault cell keeps the full direct simulate() path.
     machine = build_machine(
-        cell_config,
-        spec.protocol,
-        functional=True,
-        seed=spec.seed,
-        integrity_mode="eager",
+        cell_config, spec.protocol, functional=True, seed=spec.seed
     )
     mee = machine.mee
-    if not mee.functional or mee.tree is None or mee.tree.lazy:
-        raise FaultInjectionError(
-            "fault campaigns require eager functional-mode machines"
-        )
     scheduler = CrashScheduler(spec.trigger)
     mee.fault_probe = scheduler
     restructurer = machine.mm.restructurer

@@ -341,7 +341,6 @@ def _install_state(
     mee._volatile_hmacs.clear()
     mee.tree._volatile_counters.clear()
     mee.tree._volatile_nodes.clear()
-    mee.tree._lazy_slots.clear()
     for name, (value, tag) in registers.items():
         register = mee.registers._registers[name]
         register.value = value

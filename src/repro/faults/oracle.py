@@ -62,10 +62,6 @@ class OracleReport:
 
 def run_oracle(mee, record: ReplayRecord) -> OracleReport:
     """Recover the crashed engine and audit it against the shadow."""
-    # Campaigns force eager machines, but the oracle is also invoked
-    # directly by tests against lazy trees: make every deferred digest
-    # real before recovery compares anything against the root register.
-    mee.tree.materialize_all()
     try:
         outcome = mee.protocol.recover(mee.tree)
         recovery_ok = bool(outcome.ok)

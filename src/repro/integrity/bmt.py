@@ -20,28 +20,15 @@ a freshly zeroed memory implies — memoized per (level, child-count), so
 an 8 GB (or 128 TB) tree is consistent from the first access without
 materializing millions of nodes.
 
-Two update modes share this class (``mode`` constructor argument):
-
-* ``"eager"`` — every counter write recomputes the keyed hash of each
-  ancestor immediately (the hardware-faithful default, and what every
-  fault-injection entry point forces);
-* ``"lazy"`` — counter writes only record *which child slot* of each
-  ancestor is stale (:attr:`_lazy_slots`) and defer the digests. Real
-  bytes are materialized on demand — any read of a dirty node's
-  current value, the root register, ``crash()``, persists, recovery —
-  and are bit-identical to the eager values by construction: a
-  materialized node splices ``hash8(child's current value)`` into each
-  recorded slot over the same base bytes the eager path started from
-  (the base cannot change while slots are pending, because every
-  backend writer of a TREE line clears the pending state first).
-  Repeated writes to one path collapse to a single hash per node at
-  materialization time, which is where functional sweeps win.
+Every counter write recomputes the keyed hash of each ancestor
+immediately, so the current view and the root register are always
+up to date — the hardware-faithful discipline the paper assumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.counters import ENCODED_BYTES, CounterBlock
 from repro.crypto.engine import CryptoEngine
@@ -73,45 +60,18 @@ class BonsaiMerkleTree:
         geometry: TreeGeometry,
         engine: CryptoEngine,
         backend: SparseMemory,
-        mode: str = "eager",
     ) -> None:
-        from repro.config import validate_integrity_mode
-
-        validate_integrity_mode(mode)
         self.geometry = geometry
         self.engine = engine
         self.backend = backend
-        self.mode = mode
-        self.lazy = mode == "lazy"
         self._volatile_nodes: Dict[NodeId, bytes] = {}
         self._volatile_counters: Dict[int, CounterBlock] = {}
-        #: Lazy mode: node -> child indices whose slot hash is deferred.
-        #: A node is dirty iff it appears here or in ``_volatile_nodes``.
-        self._lazy_slots: Dict[NodeId, Set[int]] = {}
         #: genesis node bytes memoized by (level, child_count).
         self._genesis_cache: Dict[Tuple[int, int], bytes] = {}
-        #: Lazily-deferred nodes made real so far (telemetry only).
-        self.materializations = 0
-        #: Non-volatile on-chip root register (8 B), kept current in
-        #: eager mode and recomputed on read when lazily stale.
-        self._root_stale = False
-        self._root_register: bytes = self._hash_node(
+        #: Non-volatile on-chip root register (8 B).
+        self.root_register: bytes = self._hash_node(
             self.current_node_bytes((1, 0))
         )
-
-    @property
-    def root_register(self) -> bytes:
-        if self._root_stale:
-            self._root_stale = False
-            self._root_register = self._hash_node(
-                self.current_node_bytes((1, 0))
-            )
-        return self._root_register
-
-    @root_register.setter
-    def root_register(self, value: bytes) -> None:
-        self._root_register = value
-        self._root_stale = False
 
     # ------------------------------------------------------------------
     # genesis values
@@ -184,56 +144,10 @@ class BonsaiMerkleTree:
         return self._genesis_node_bytes(node)
 
     def current_node_bytes(self, node: NodeId) -> bytes:
-        if self._lazy_slots and node in self._lazy_slots:
-            return self._materialize_node(node)
         value = self._volatile_nodes.get(node)
         if value is not None:
             return value
         return self.persisted_node_bytes(node)
-
-    def _materialize_node(self, node: NodeId) -> bytes:
-        """Turn a lazily-dirty node into its real (eager) bytes.
-
-        Splices ``hash8`` of each pending child's *current* value into
-        the node's base bytes, recursing into child nodes that are
-        themselves lazily dirty. Repeated counter writes to one path
-        collapse into a single hash per node here.
-        """
-        pending = self._lazy_slots.pop(node, None)
-        self.materializations += 1
-        base = self._volatile_nodes.get(node)
-        if base is None:
-            base = self.persisted_node_bytes(node)
-        if not pending:
-            return base
-        parent = bytearray(base)
-        counter_level = self.geometry.counter_level
-        arity = self.geometry.arity
-        child_level = node[0] + 1
-        children_are_counters = child_level == counter_level
-        for child_index in pending:
-            if children_are_counters:
-                child_bytes = self.current_counter_bytes(child_index)
-            else:
-                child_bytes = self._materialize_node((child_level, child_index))
-            slot = child_index % arity
-            parent[slot * SLOT_BYTES : (slot + 1) * SLOT_BYTES] = (
-                self._hash_node(child_bytes)
-            )
-        value = bytes(parent)
-        self._volatile_nodes[node] = value
-        return value
-
-    def materialize_all(self) -> None:
-        """Force every deferred digest real (no-op in eager mode).
-
-        The root register read materializes the full dirty chain —
-        every lazily-dirty node lies on some counter's ancestor path,
-        all of which terminate in the root's pending slots.
-        """
-        _ = self.root_register
-        for node in list(self._lazy_slots):
-            self._materialize_node(node)
 
     def _hash_node(self, node_bytes: bytes) -> bytes:
         return self.engine.hash8(node_bytes)
@@ -293,24 +207,9 @@ class BonsaiMerkleTree:
         so a sibling corrupted in NVM can never be laundered into a
         freshly written parent (the audit in ``repro.core.audit`` and
         the splice tests rely on this).
-
-        Lazy mode records the stale slot along the same path and defers
-        every digest (and the root-register refresh) to materialization.
         """
         if path is None:
             path = self.geometry.ancestors_of_counter(counter_index)
-        if self.lazy:
-            lazy = self._lazy_slots
-            child_index = counter_index
-            for node in path:
-                slots = lazy.get(node)
-                if slots is None:
-                    lazy[node] = {child_index}
-                else:
-                    slots.add(child_index)
-                child_index = node[1]
-            self._root_stale = True
-            return
         child_bytes = self.current_counter_bytes(counter_index)
         child_index = counter_index
         for node in path:
@@ -327,8 +226,6 @@ class BonsaiMerkleTree:
 
     def persist_node(self, node: NodeId) -> None:
         """Write the current node value through to NVM."""
-        if self._lazy_slots and node in self._lazy_slots:
-            self._materialize_node(node)
         value = self._volatile_nodes.pop(node, None)
         if value is None:
             return  # clean already
@@ -345,17 +242,13 @@ class BonsaiMerkleTree:
             self.persist_counter(counter_index)
             written += 1
         for node in self.geometry.ancestors_of_counter(counter_index):
-            if node in self._volatile_nodes or node in self._lazy_slots:
+            if node in self._volatile_nodes:
                 self.persist_node(node)
                 written += 1
         return written
 
     def dirty_nodes(self) -> List[NodeId]:
-        nodes = list(self._volatile_nodes.keys())
-        if self._lazy_slots:
-            seen = self._volatile_nodes
-            nodes.extend(n for n in self._lazy_slots if n not in seen)
-        return nodes
+        return list(self._volatile_nodes.keys())
 
     def dirty_counters(self) -> List[int]:
         return list(self._volatile_counters.keys())
@@ -368,12 +261,8 @@ class BonsaiMerkleTree:
         """Power loss: the volatile overlay vanishes.
 
         Returns (lost_counter_lines, lost_node_lines) for reporting.
-        The non-volatile root register survives by construction — in
-        lazy mode it is materialized *before* the overlay is discarded,
-        exactly the value the eager path would have maintained.
+        The non-volatile root register survives by construction.
         """
-        if self._lazy_slots or self._root_stale:
-            self.materialize_all()
         lost = (len(self._volatile_counters), len(self._volatile_nodes))
         self._volatile_counters.clear()
         self._volatile_nodes.clear()
@@ -453,7 +342,6 @@ class BonsaiMerkleTree:
                 node_id: NodeId = (current_level, first_index + offset // arity)
                 write(MetadataRegion.TREE, node_id, node_value)
                 self._volatile_nodes.pop(node_id, None)
-                self._lazy_slots.pop(node_id, None)
                 parent_digests.append(hash_node(node_value))
             nodes_recomputed += len(parent_digests)
             digests = parent_digests
@@ -468,7 +356,6 @@ class BonsaiMerkleTree:
         value = self._recompute_node(node)
         self.backend.write(MetadataRegion.TREE, node, value)
         self._volatile_nodes.pop(node, None)
-        self._lazy_slots.pop(node, None)
         return value
 
     def rebuild_all_from_persisted(self) -> int:

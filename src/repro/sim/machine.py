@@ -118,7 +118,6 @@ def build_machine(
     scatter_span_chunks: int = 0,
     max_order: int = 10,
     reclaim_interval: int = 64,
-    integrity_mode: str = "eager",
 ) -> Machine:
     """Build a machine running ``protocol_name``.
 
@@ -127,16 +126,9 @@ def build_machine(
     imply the modified OS. ``scatter_span_chunks > 0`` pre-ages the
     buddy allocator over that many max-order chunks (multiprogram
     methodology; see :meth:`BuddyAllocator.scatter`).
-
-    ``integrity_mode`` selects the functional BMT's update discipline
-    (``"eager"``/``"lazy"``; only meaningful with ``functional=True``).
-    Timing results and functional digests are identical in both modes;
-    fault-injection entry points force ``"eager"`` regardless.
     """
     protocol = make_protocol(protocol_name, config)
-    mee = MemoryEncryptionEngine(
-        config, protocol, functional=functional, integrity_mode=integrity_mode
-    )
+    mee = MemoryEncryptionEngine(config, protocol, functional=functional)
     llc, mm = build_data_side(
         config,
         modified_os=protocol_uses_modified_os(protocol_name),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.config import INTEGRITY_MODES, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigValidationError
 from repro.sim.engine import simulate, simulate_from_plan
 from repro.sim.machine import build_machine
@@ -64,9 +64,6 @@ class SweepCell:
     #: Build the machine with functional (real-crypto) state. Timing
     #: sweeps leave this off; functional equivalence checks turn it on.
     functional: bool = False
-    #: BMT update discipline for functional cells ("eager"/"lazy");
-    #: results are bit-identical either way (see repro.integrity.bmt).
-    integrity_mode: str = "eager"
     #: Drive the MEE from the compiled boundary stream and metadata
     #: plan (see repro.sim.replay and repro.sim.plan) instead of
     #: re-walking the data side. Bit-identical to the direct path;
@@ -105,12 +102,6 @@ def validate_cells(cells: Sequence[SweepCell]) -> None:
             raise ConfigValidationError(
                 "cell.scatter_span_chunks",
                 f"cannot be negative, got {cell.scatter_span_chunks}",
-            )
-        if cell.integrity_mode not in INTEGRITY_MODES:
-            raise ConfigValidationError(
-                "cell.integrity_mode",
-                f"unknown mode {cell.integrity_mode!r}; "
-                f"known: {INTEGRITY_MODES}",
             )
 
 
@@ -165,7 +156,6 @@ def _run_cell_impl(cell: SweepCell, config: SystemConfig) -> SimulationResult:
         functional=cell.functional,
         seed=cell.seed,
         scatter_span_chunks=cell.scatter_span_chunks,
-        integrity_mode=cell.integrity_mode,
     )
     if cell.replay:
         stream, plan = materialize_compiled(
@@ -270,6 +260,17 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
+def pool_context(start_method: Optional[str] = None):
+    """The multiprocessing context a runner's pool starts from:
+    ``start_method`` when given, else ``fork`` where available (workers
+    then inherit the parent's warm caches), else the platform default."""
+    if start_method is not None:
+        return multiprocessing.get_context(start_method)
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
 class ParallelSweepRunner:
     """Run sweep cells across ``workers`` processes, in cell order.
 
@@ -286,14 +287,6 @@ class ParallelSweepRunner:
     ) -> None:
         self.workers = default_workers() if workers is None else max(1, workers)
         self.start_method = start_method
-
-    def _context(self):
-        methods = multiprocessing.get_all_start_methods()
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
 
     def map(self, func, payloads: Sequence) -> List:
         """Fan ``func`` over ``payloads``; results arrive in order.
@@ -317,7 +310,9 @@ class ParallelSweepRunner:
         # Never spawn more processes than there are cells to run.
         processes = min(self.workers, len(payloads))
         try:
-            with self._context().Pool(processes=processes) as pool:
+            with pool_context(self.start_method).Pool(
+                processes=processes
+            ) as pool:
                 # chunksize=1 keeps the grid balanced: cells differ
                 # wildly in cost (strict vs volatile), so batching
                 # them would serialize the expensive tail.

@@ -20,7 +20,7 @@ Every runtime record comes from :func:`repro.core.mee.resolve_record`,
 the same process-wide resolver the MEE's single-block entry points use,
 so a planned replay runs the engine's one event loop on exactly the
 records a direct run would build — verified across the full protocol
-lineup and both integrity modes by ``tests/test_plan.py``.
+lineup, timing and functional, by ``tests/test_plan.py``.
 
 What is *not* planned: fault campaigns drive single blocks through
 :func:`repro.sim.engine.drive_memory_boundary` (their crash oracles need

@@ -23,8 +23,8 @@ its own: it drains the generator ``simulate()`` feeds the MEE
 MEE/protocol layer straight from that pair. The events come from the
 walk ``simulate()`` runs and both paths reach the MEE's one event loop,
 so the replayed result is bit-identical to the direct one by
-construction — verified across the full protocol lineup and both
-integrity modes by ``tests/test_replay.py``, ``tests/test_plan.py`` and
+construction — verified across the full protocol lineup, timing and
+functional, by ``tests/test_replay.py``, ``tests/test_plan.py`` and
 the golden results (``tests/test_golden.py``).
 
 What is *not* compiled away: fault campaigns keep the full direct path

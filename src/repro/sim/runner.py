@@ -315,9 +315,6 @@ def run_resilient_sweep(
         for cell in reference_cells(benchmarks, protocols, accesses, seed)
     ]
     validate_cells(cells)
-    # Compile each distinct data side and its metadata plan once up
-    # front so fork-started supervised workers inherit warm caches.
-    precompile_streams(cells, config)
     keys = [sweep_cell_key(i, cell) for i, cell in enumerate(cells)]
     parameters = {
         "benchmarks": list(benchmarks),
@@ -349,6 +346,15 @@ def run_resilient_sweep(
         if seeded:
             journal.flush()
     runner = SupervisedRunner(workers=workers, policy=policy, journal=journal)
+    # Journaled and store-seeded cells never run. When the supervisor
+    # will fork a pool, compile the data side and metadata plan of each
+    # cell left to run here, once per trace, so the workers inherit
+    # warm caches.
+    pending = [
+        cell for key, cell in zip(keys, cells) if journal.entry(key) is None
+    ]
+    if runner.workers > 1 and len(pending) > 1:
+        precompile_streams(pending, config)
     outcomes = runner.map(
         _pool_entry,
         [(cell, config) for cell in cells],

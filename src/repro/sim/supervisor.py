@@ -56,7 +56,7 @@ from repro.errors import (
     OrchestrationError,
     ResumeManifestMismatch,
 )
-from repro.sim.parallel import default_workers
+from repro.sim.parallel import default_workers, pool_context
 from repro.util.atomicio import atomic_write_text, jsonable
 from repro.util.fingerprint import config_digest, grid_digest
 
@@ -476,8 +476,7 @@ class SupervisedRunner:
             if retried:
                 time.sleep(self.policy.backoff_seconds(max(retried)))
             try:
-                context = self._context()
-                pool = context.Pool(
+                pool = pool_context(self.start_method).Pool(
                     processes=min(self.workers, len(queue)),
                     initializer=_worker_signal_reset,
                 )
@@ -679,14 +678,6 @@ class SupervisedRunner:
             self.journal.flush()
             self._records_since_flush = 0
         telemetry.get_sink().flush()
-
-    def _context(self):
-        methods = multiprocessing.get_all_start_methods()
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
 
     def _install_sigterm_handler(self) -> Callable[[], None]:
         """Route SIGTERM into the interrupt path (main thread only)."""

@@ -1,8 +1,8 @@
 """Content-addressed result store with incremental sweeps.
 
 Every sweep cell in this repository is a *pure function* of its inputs:
-``(protocol, trace recipe, seeds, geometry, integrity mode, persist
-model) -> SimulationResult``, bit-identically, on any machine. The
+``(protocol, trace recipe, seeds, geometry, persist model) ->
+SimulationResult``, bit-identically, on any machine. The
 replay and plan compilers (:mod:`repro.sim.replay`,
 :mod:`repro.sim.plan`) made each cell cheap *within* a process; this
 package makes results free *across* processes: a persistent,

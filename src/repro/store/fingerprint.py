@@ -19,9 +19,9 @@ The closure hashed here is therefore: the full effective
 protocol knobs, ``persist_model`` — everything, via its dataclass
 fields), the resolved :class:`~repro.workloads.registry.TraceSpec`
 recipe including its seed, the engine seed and churn schedule, the
-allocator aging knob, ``functional`` and ``integrity_mode``, the
-protocol name, and a schema + code-epoch version so entries written by
-an older simulator can never alias a newer one's.
+allocator aging knob, ``functional``, the protocol name, and a
+schema + code-epoch version so entries written by an older simulator
+can never alias a newer one's.
 
 The digest itself is :func:`repro.util.fingerprint.digest_payload` —
 the same canonical-JSON sha256 the run journals' manifests are built
@@ -80,7 +80,6 @@ def fingerprint_payload(cell: Any, config: Any) -> Dict[str, Any]:
         "churn_interval": cell.churn_interval,
         "scatter_span_chunks": cell.scatter_span_chunks,
         "functional": cell.functional,
-        "integrity_mode": cell.integrity_mode,
         # The *entire* effective config: data/metadata geometry, PCM
         # timing, every protocol's knobs, and persist_model. Hashing
         # the whole dataclass means a future config field is in the

@@ -303,8 +303,9 @@ class ResultStore:
             horizon = now - max_age_seconds
             doomed.extend(fp for mtime, fp in ages if mtime < horizon)
         if max_objects is not None and max_objects >= 0:
+            aged_out = set(doomed)
             survivors = sorted(
-                (pair for pair in ages if pair[1] not in set(doomed)),
+                (pair for pair in ages if pair[1] not in aged_out),
                 reverse=True,
             )
             doomed.extend(fp for _, fp in survivors[max_objects:])

@@ -102,11 +102,6 @@ def record_simulation(result, mee, llc_hits: int, llc_misses: int) -> None:
     )
     counters(f"sim.persists.{result.protocol}").value += nvm_persists
     counters(f"sim.runs.{result.protocol}").value += 1
-    tree = getattr(mee, "tree", None)
-    if tree is not None:
-        counters("bmt.materializations").value += getattr(
-            tree, "materializations", 0
-        )
 
 
 def record_fault_outcomes(outcomes) -> None:

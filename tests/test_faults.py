@@ -349,3 +349,19 @@ class TestCampaignReport:
         )
         assert PHASE_AMNT_MOVEMENT in report.phase_occurrences()
         assert PHASE_AMNT_MOVEMENT in report.by_phase()
+
+    def test_mini_campaign_no_silent_divergence(self):
+        # Access crashes, phase samples and a tamper on two protocols at
+        # the default fault geometry: recovery never diverges silently.
+        report = run_campaign(
+            ["leaf", "amnt"],
+            [profile_spec("faults", "hotshift", 600, 7)],
+            crash_every=200,
+            phase_samples=1,
+            tamper_crashes=1,
+            seed=7,
+        )
+        summary = report.summary()
+        assert summary["silent_divergence"] == 0
+        assert not report.anomalies()
+        assert summary["cells"] > 0

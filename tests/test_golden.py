@@ -7,7 +7,7 @@ the file's only writer). Each cell is recomputed twice — through the
 plan-driven sweep and through a direct ``simulate()`` cell — so a drift
 that both engine paths share fails here instead of passing as
 "bit-identical to each other". On canneal the functional (real-crypto)
-machine is checked too, under both BMT update disciplines.
+machine is checked too, through both paths.
 """
 
 from __future__ import annotations
@@ -85,14 +85,8 @@ def test_direct_cells_match_golden(golden, traces, name):
         assert run_cell(cell, config).to_json_dict() == expected, protocol
 
 
-# One path per discipline keeps the file inside its tier-1 budget; the
-# two paths' agreement in each discipline is test_replay.py's business.
-@pytest.mark.parametrize(
-    "integrity_mode, replay",
-    [("eager", True), ("lazy", False)],
-    ids=["eager-plan", "lazy-direct"],
-)
-def test_functional_canneal_matches_golden(golden, traces, integrity_mode, replay):
+@pytest.mark.parametrize("replay", [True, False], ids=["plan", "direct"])
+def test_functional_canneal_matches_golden(golden, traces, replay):
     trace, scatter, config = traces["canneal"]
     for protocol in protocol_names():
         cell = SweepCell(
@@ -101,7 +95,6 @@ def test_functional_canneal_matches_golden(golden, traces, integrity_mode, repla
             seed=SEED,
             scatter_span_chunks=scatter,
             functional=True,
-            integrity_mode=integrity_mode,
             replay=replay,
         )
         expected = golden["cells"]["canneal"][protocol]

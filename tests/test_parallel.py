@@ -8,6 +8,7 @@ import pytest
 from dataclasses import replace
 
 from repro.config import DataCacheConfig, default_config
+from repro.sim import parallel
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
@@ -200,9 +201,11 @@ class TestFallback:
     ):
         runner = ParallelSweepRunner(workers=4)
         monkeypatch.setattr(
-            ParallelSweepRunner,
-            "_context",
-            lambda self: (_ for _ in ()).throw(OSError("no fork for you")),
+            parallel,
+            "pool_context",
+            lambda start_method: (_ for _ in ()).throw(
+                OSError("no fork for you")
+            ),
         )
         cells = grid_cells()[:2]
         fallback = cold_leg(lambda: runner.run(cells, config), 2)
@@ -277,7 +280,7 @@ class TestEdgeCases:
         results = ParallelSweepRunner(workers=8).run(cells, config)
         assert len(results) == 1
 
-    def test_pool_never_larger_than_grid(self, config, cold_leg):
+    def test_pool_never_larger_than_grid(self, config, cold_leg, monkeypatch):
         import multiprocessing
 
         built = []
@@ -292,7 +295,11 @@ class TestEdgeCases:
                 return self._context.Pool(processes, **kwargs)
 
         runner = ParallelSweepRunner(workers=64)
-        runner._context = lambda: Recorder(real_get_context("fork"))
+        monkeypatch.setattr(
+            parallel,
+            "pool_context",
+            lambda start_method: Recorder(real_get_context("fork")),
+        )
         cells = grid_cells()[:2]
         results = cold_leg(lambda: runner.run(cells, config), 2)
         assert len(results) == 2

@@ -115,10 +115,7 @@ class TestPersistModelConfig:
         config = default_fault_config(
             capacity_bytes=16 * MB, persist_model="wpq"
         )
-        functional = build_machine(
-            config, "amnt", functional=True, seed=SEED,
-            integrity_mode="eager",
-        )
+        functional = build_machine(config, "amnt", functional=True, seed=SEED)
         assert functional.mee.nvm.wpq is not None
         assert isinstance(functional.mee.nvm.backend, PendingSparseMemory)
         timing = build_machine(config, "amnt", functional=False, seed=SEED)
@@ -205,9 +202,7 @@ def _functional_run(persist_model, protocol, auto_drain=False):
     config = default_fault_config(
         capacity_bytes=16 * MB, persist_model=persist_model
     )
-    machine = build_machine(
-        config, protocol, functional=True, seed=SEED, integrity_mode="eager"
-    )
+    machine = build_machine(config, protocol, functional=True, seed=SEED)
     if auto_drain and machine.mee.nvm.wpq is not None:
         machine.mee.nvm.wpq.auto_drain = True
     record = drive_memory_boundary(

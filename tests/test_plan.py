@@ -56,7 +56,6 @@ def machine_tree_state(machine):
     tree = machine.mee.tree
     if tree is None:
         return None
-    tree.materialize_all()
     region = MetadataRegion.TREE
     return (
         tree.root_register,
@@ -65,19 +64,17 @@ def machine_tree_state(machine):
 
 
 class TestPlanBitIdentity:
-    """Every registered protocol, both BMT disciplines, real crypto:
-    the plan-driven replay must end in exactly the direct path's state
-    — timing result and persisted tree bytes alike."""
+    """Every registered protocol, real crypto: the plan-driven replay
+    must end in exactly the direct path's state — timing result and
+    persisted tree bytes alike."""
 
-    @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     @pytest.mark.parametrize("protocol", protocol_names())
-    def test_plan_matches_direct(self, small_config, protocol, integrity_mode):
+    def test_plan_matches_direct(self, small_config, protocol):
         trace = materialize_trace(profile_spec("parsec", "blackscholes", 600, 7))
         modified = protocol_uses_modified_os(protocol)
 
         direct_machine = build_machine(
-            small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+            small_config, protocol, functional=True, seed=7
         )
         direct = simulate(direct_machine, trace, seed=7)
 
@@ -86,8 +83,7 @@ class TestPlanBitIdentity:
         )
         plan = compile_metadata_plan(stream, small_config)
         plan_machine = build_machine(
-            small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+            small_config, protocol, functional=True, seed=7
         )
         planned = simulate_from_plan(stream, plan, plan_machine)
 

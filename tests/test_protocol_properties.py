@@ -21,12 +21,22 @@ shows:
   OS instructions);
 * ``volatile`` persists no metadata;
 * no stock-OS protocol but BMF takes fewer cycles than ``volatile``.
+
+On drawn traces whose writes reach the MEE (PARSEC behind a 64 KB LLC,
+or a fenced storage trace) it checks two relations from the paper's
+design:
+
+* ``amnt-multi`` with one subtree is ``amnt``, in cycles and NVM
+  traffic;
+* metadata persists are ordered volatile ≤ leaf ≤ amnt ≤ strict.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import default_config
+from repro.config import DataCacheConfig, default_config
 from repro.core.mee import MemoryEncryptionEngine
 from repro.core.protocol import (
     make_protocol,
@@ -35,9 +45,14 @@ from repro.core.protocol import (
 )
 from repro.core.recovery import CrashInjector
 from repro.sim.runner import run_protocol_sweep
-from repro.util.units import MB
+from repro.util.units import KB, MB
 from repro.workloads.parsec import PARSEC_PROFILES
 from repro.workloads.registry import profile_spec
+from repro.workloads.storage import (
+    STORAGE_PROFILES,
+    generate_storage_trace,
+    storage_profile,
+)
 
 CONFIG = default_config(capacity_bytes=64 * MB)
 
@@ -186,3 +201,69 @@ def test_no_protocol_but_bmf_beats_volatile(run):
     for name, result in results.items():
         if name not in BELOW_VOLATILE_ALLOWED:
             assert result.cycles >= floor, (name, result.cycles, floor)
+
+
+# ----------------------------------------------------------------------
+# relations between protocols on one drawn trace that writes
+# ----------------------------------------------------------------------
+
+#: The golden ``canneal-llc64k`` row's LLC: at 1,000 accesses or more
+#: every PARSEC profile evicts dirty lines into the MEE.
+SMALL_LLC_CONFIG = replace(
+    default_config(),
+    llc=DataCacheConfig(capacity_bytes=64 * KB, associativity=16),
+)
+
+write_runs = st.one_of(
+    st.tuples(
+        st.just("parsec"),
+        st.sampled_from(sorted(PARSEC_PROFILES)),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=1_000, max_value=2_000),
+    ),
+    st.tuples(
+        st.just("storage"),
+        st.sampled_from(sorted(STORAGE_PROFILES)),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=200, max_value=3_000),
+    ),
+)
+
+
+def _write_sweep(run, protocols):
+    """Sweep ``protocols`` over one drawn trace, with ``amnt-multi``
+    tracking a single subtree (no other protocol reads that knob)."""
+    suite, name, seed, accesses = run
+    if suite == "parsec":
+        trace = profile_spec("parsec", name, accesses, seed)
+        config = SMALL_LLC_CONFIG
+    else:
+        trace = generate_storage_trace(
+            storage_profile(name), seed=seed, accesses=accesses
+        )
+        config = default_config()
+    config = replace(config, amnt=replace(config.amnt, multi_subtrees=1))
+    return run_protocol_sweep(trace, config, protocols, seed=seed)
+
+
+def _metadata_persists(result):
+    nvm = result.nvm_stats
+    return nvm.get("nvm.persists.total", 0) - nvm.get("nvm.persists.data", 0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(run=write_runs)
+def test_amnt_multi_with_one_subtree_is_amnt(run):
+    results = _write_sweep(run, ("amnt", "amnt-multi"))
+    single, multi = results["amnt"], results["amnt-multi"]
+    assert multi.cycles == single.cycles
+    assert multi.nvm_stats == single.nvm_stats
+
+
+@settings(max_examples=10, deadline=None)
+@given(run=write_runs)
+def test_metadata_persists_ordered_volatile_leaf_amnt_strict(run):
+    order = ("volatile", "leaf", "amnt", "strict")
+    results = _write_sweep(run, order)
+    persists = [_metadata_persists(results[name]) for name in order]
+    assert persists == sorted(persists), dict(zip(order, persists))

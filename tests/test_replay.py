@@ -57,7 +57,6 @@ def machine_tree_state(machine):
     tree = machine.mee.tree
     if tree is None:
         return None
-    tree.materialize_all()
     region = MetadataRegion.TREE
     return (
         tree.root_register,
@@ -66,20 +65,18 @@ def machine_tree_state(machine):
 
 
 class TestFunctionalEquivalence:
-    """Every registered protocol, both BMT disciplines, real crypto:
-    the replayed MEE must end in the same state the direct walk does.
-    These replays take the stream and plan from the process-wide
-    compiled-artifact cache (as sweep cells do) and include the end-of-run flush tail."""
+    """Every registered protocol, real crypto: the replayed MEE must
+    end in the same state the direct walk does. These replays take the
+    stream and plan from the process-wide compiled-artifact cache (as
+    sweep cells do) and include the end-of-run flush tail."""
 
-    @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
     @pytest.mark.parametrize("protocol", protocol_names())
-    def test_replay_matches_direct(self, small_config, protocol, integrity_mode):
+    def test_replay_matches_direct(self, small_config, protocol):
         trace_spec = profile_spec("parsec", "blackscholes", 600, 7)
         trace = materialize_trace(trace_spec)
 
         direct_machine = build_machine(
-            small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+            small_config, protocol, functional=True, seed=7
         )
         direct = simulate(direct_machine, trace, seed=7, flush_llc_at_end=True)
 
@@ -89,8 +86,7 @@ class TestFunctionalEquivalence:
         )
         stream, plan = materialize_compiled(stream_spec, small_config)
         replay_machine = build_machine(
-            small_config, protocol, functional=True,
-            seed=7, integrity_mode=integrity_mode,
+            small_config, protocol, functional=True, seed=7
         )
         replayed = simulate_from_plan(
             stream, plan, replay_machine, flush_llc_at_end=True
@@ -264,15 +260,11 @@ class TestSweepPaths:
 class TestReferenceGridProperty:
     """The acceptance property: every cell of the full reference grid
     (3 benchmarks x 6 figure protocols, 20k accesses) is bit-identical
-    through the compiled-replay path, in both integrity modes."""
+    through the compiled-replay path."""
 
-    @pytest.mark.parametrize("integrity_mode", ["eager", "lazy"])
-    def test_full_grid_bit_identical(self, integrity_mode):
+    def test_full_grid_bit_identical(self):
         config = default_config()
-        cells = [
-            replace(cell, integrity_mode=integrity_mode)
-            for cell in reference_cells()
-        ]
+        cells = reference_cells()
         assert len(cells) == 18
         for cell in cells:
             direct = run_cell(cell, config)
