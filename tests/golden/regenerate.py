@@ -1,17 +1,18 @@
-"""Regenerate ``tests/golden/results.json``, the committed golden results.
+"""Regenerate the committed golden results in ``tests/golden/``.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-This script is the only writer of the file. ``tests/test_golden.py``
-recomputes every cell through both engine paths and compares it with
-the committed value, so any change to a simulated number fails tier-1
-until the file is regenerated. A regenerated file that differs must
-come with a ``RESULT_EPOCH`` bump (``repro/store/fingerprint.py``) and a
-line in CHANGES.md saying why the results moved.
+This script is the only writer of ``results.json`` and
+``campaign.json``. ``tests/test_golden.py`` recomputes every cell and
+compares it with the committed value, so any change to a simulated
+number or a recovery outcome fails tier-1 until the files are
+regenerated. A regenerated ``results.json`` that differs must come with
+a ``RESULT_EPOCH`` bump (``repro/store/fingerprint.py``); either file
+changing needs a line in CHANGES.md saying why the results moved.
 
-The grid is every registered protocol on four rows:
+``results.json``'s grid is every registered protocol on four rows:
 
 * ``canneal``: one PARSEC program, 2,000 accesses;
 * ``canneal-llc64k``: the same trace behind a 64 KB LLC. At the
@@ -22,6 +23,13 @@ The grid is every registered protocol on four rows:
   accesses each over an allocator aged by ``scatter_span_chunks=40``
   (the AMNT++ OS places its pages differently);
 * ``kvstore``: the fenced storage trace, 2,000 accesses.
+
+``campaign.json`` is a reduced crash campaign under the write-pending
+queue model (``persist_model="wpq"``): leaf, anubis and amnt on
+``faults/hotshift``, 600 accesses, a crash every 200 accesses, one
+sample per crash window and one data-tamper crash. Each cell keeps its
+verdict, crash-state coverage and recovery counts, so a change to a
+recovery procedure or to the crash-state explorer shows up here.
 """
 
 from __future__ import annotations
@@ -29,9 +37,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Dict
+from typing import Dict, List
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results.json")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(_HERE, "results.json")
+CAMPAIGN_PATH = os.path.join(_HERE, "campaign.json")
 
 SEED = 2024
 CANNEAL_ACCESSES = 2_000
@@ -41,6 +51,22 @@ PAIR_SCATTER_SPAN_CHUNKS = 40
 STORAGE_APP = "kvstore"
 STORAGE_ACCESSES = 2_000
 SMALL_LLC_BYTES = 64 * 1024
+CAMPAIGN_PROTOCOLS = ("leaf", "anubis", "amnt")
+CAMPAIGN_ACCESSES = 600
+CAMPAIGN_CRASH_EVERY = 200
+#: The per-cell fields the campaign slice records.
+CAMPAIGN_FIELDS = (
+    "protocol",
+    "trigger",
+    "tamper",
+    "verdict",
+    "crash_states_total",
+    "crash_states_explored",
+    "torn_states",
+    "nodes_recomputed",
+    "pages_verified",
+    "blocks_checked",
+)
 
 
 def golden_traces():
@@ -102,14 +128,41 @@ def compute_cells() -> Dict[str, Dict[str, dict]]:
     return cells
 
 
+def compute_campaign_slice() -> List[dict]:
+    """Every crash cell of the reduced WPQ campaign, in campaign order."""
+    from repro.faults.campaign import default_fault_config, run_campaign
+    from repro.workloads.registry import profile_spec
+
+    report = run_campaign(
+        CAMPAIGN_PROTOCOLS,
+        [profile_spec("faults", "hotshift", CAMPAIGN_ACCESSES, SEED)],
+        config=default_fault_config(persist_model="wpq"),
+        crash_every=CAMPAIGN_CRASH_EVERY,
+        phase_samples=1,
+        tamper_crashes=1,
+        seed=SEED,
+    )
+    return [
+        {name: getattr(cell, name) for name in CAMPAIGN_FIELDS}
+        for cell in report.cells
+    ]
+
+
+def _write(path: str, document: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
+
+
 def main() -> int:
     from repro.store.fingerprint import RESULT_EPOCH
 
-    document = {"epoch": RESULT_EPOCH, "seed": SEED, "cells": compute_cells()}
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {GOLDEN_PATH}", file=sys.stderr)
+    _write(
+        GOLDEN_PATH,
+        {"epoch": RESULT_EPOCH, "seed": SEED, "cells": compute_cells()},
+    )
+    _write(CAMPAIGN_PATH, {"seed": SEED, "cells": compute_campaign_slice()})
     return 0
 
 

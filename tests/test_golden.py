@@ -8,6 +8,11 @@ plan-driven sweep and through a direct ``simulate()`` cell — so a drift
 that both engine paths share fails here instead of passing as
 "bit-identical to each other". On canneal the functional (real-crypto)
 machine is checked too, through both paths.
+
+``tests/golden/campaign.json`` holds a reduced crash campaign under the
+write-pending queue model; it is recomputed and compared cell by cell,
+so a recovery procedure that changes a verdict, a crash-state count or
+``nodes_recomputed`` fails here.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from repro.sim.parallel import SweepCell, run_cell
 from repro.sim.runner import run_protocol_sweep
 from repro.store.fingerprint import RESULT_EPOCH
 from repro.workloads.registry import TraceSpec, literal_spec
-from tests.golden.regenerate import GOLDEN_PATH, SEED, golden_traces
+from tests.golden.regenerate import (
+    CAMPAIGN_PATH,
+    GOLDEN_PATH,
+    SEED,
+    compute_campaign_slice,
+    golden_traces,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +110,10 @@ def test_functional_canneal_matches_golden(golden, traces, replay):
         )
         expected = golden["cells"]["canneal"][protocol]
         assert run_cell(cell, config).to_json_dict() == expected, protocol
+
+
+def test_campaign_slice_matches_golden():
+    with open(CAMPAIGN_PATH, encoding="utf-8") as handle:
+        committed = json.load(handle)
+    assert committed["seed"] == SEED
+    assert compute_campaign_slice() == committed["cells"]
