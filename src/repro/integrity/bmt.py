@@ -16,9 +16,10 @@ every counter update, exactly the root-of-trust discipline every
 protocol in the paper shares.
 
 Never-written lines read as their *genesis* values — the node contents
-a freshly zeroed memory implies — memoized per (level, child-count), so
-an 8 GB (or 128 TB) tree is consistent from the first access without
-materializing millions of nodes.
+a freshly zeroed memory implies — memoized per level for complete
+subtrees (and per node on the ragged right edge), so an 8 GB (or
+128 TB) tree is consistent from the first access without materializing
+millions of nodes.
 
 Every counter write recomputes the keyed hash of each ancestor
 immediately, so the current view and the root register are always
@@ -28,6 +29,7 @@ up to date — the hardware-faithful discipline the paper assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.counters import ENCODED_BYTES, CounterBlock
@@ -35,6 +37,7 @@ from repro.crypto.engine import CryptoEngine
 from repro.errors import CrashConsistencyError, IntegrityError
 from repro.integrity.geometry import NodeId, TreeGeometry
 from repro.mem.backend import MetadataRegion, SparseMemory
+from repro.util.bitops import ceil_div
 
 NODE_BYTES = 64
 SLOT_BYTES = 8
@@ -66,8 +69,17 @@ class BonsaiMerkleTree:
         self.backend = backend
         self._volatile_nodes: Dict[NodeId, bytes] = {}
         self._volatile_counters: Dict[int, CounterBlock] = {}
-        #: genesis node bytes memoized by (level, child_count).
-        self._genesis_cache: Dict[Tuple[int, int], bytes] = {}
+        #: Genesis node bytes and digests, keyed by ``_genesis_key``.
+        #: Both are constants of the geometry, never of live content.
+        self._genesis_nodes: Dict[NodeId, bytes] = {}
+        self._genesis_digests: Dict[NodeId, bytes] = {}
+        #: Per level, how many leading nodes cover a complete subtree
+        #: (every counter line is complete); any node after them sits on
+        #: the tree's ragged right edge. Index 0 is unused.
+        self._complete_nodes: List[int] = [0] + [
+            geometry.num_counter_blocks // geometry.counters_covered_by(level)
+            for level in range(1, geometry.counter_level)
+        ] + [geometry.num_counter_blocks]
         #: Non-volatile on-chip root register (8 B).
         self.root_register: bytes = self._hash_node(
             self.current_node_bytes((1, 0))
@@ -77,34 +89,44 @@ class BonsaiMerkleTree:
     # genesis values
     # ------------------------------------------------------------------
 
-    def _child_count(self, node: NodeId) -> int:
-        return sum(1 for _ in self.geometry.children(node))
+    def _genesis_key(self, node: NodeId) -> NodeId:
+        """Memo key for ``node``'s genesis value.
+
+        A complete subtree's genesis value depends on its level alone,
+        so it shares the entry of its level's leftmost node. A partial
+        one (on the tree's right edge) can differ from every other node
+        at its level, even one with the same child count, because a
+        descendant may be partial too; it is keyed by itself.
+        """
+        level, index = node
+        if index < self._complete_nodes[level]:
+            return (level, 0)
+        return node
 
     def _genesis_node_bytes(self, node: NodeId) -> bytes:
         """Node contents implied by an all-zero counter space."""
-        level, _ = node
-        child_count = self._child_count(node)
-        cached = self._genesis_cache.get((level, child_count))
-        if cached is not None:
-            return cached
-        slots = []
-        for child in self.geometry.children(node):
-            child_level, _ = child
-            if child_level == self.geometry.counter_level:
-                child_bytes = _ZERO_COUNTER_LINE
-            else:
-                child_bytes = self._genesis_node_bytes(child)
-            slots.append(self.engine.hash8(child_bytes))
-        value = b"".join(slots)
-        value += bytes(NODE_BYTES - len(value))  # zero-fill edge slots
-        # Genesis values depend only on (level, child_count) when every
-        # descendant is also full or shares the same edge shape; edge
-        # nodes at the same level with the same child count can still
-        # differ if a *descendant* is partial, so only memoize the
-        # common full-shape case.
-        if child_count == self.geometry.arity:
-            self._genesis_cache[(level, child_count)] = value
+        key = self._genesis_key(node)
+        value = self._genesis_nodes.get(key)
+        if value is None:
+            value = b"".join(
+                self._genesis_digest(child)
+                for child in self.geometry.children(node)
+            )
+            value += bytes(NODE_BYTES - len(value))  # zero-fill edge slots
+            self._genesis_nodes[key] = value
         return value
+
+    def _genesis_digest(self, node: NodeId) -> bytes:
+        """Keyed hash of the genesis value of a node or counter line."""
+        key = self._genesis_key(node)
+        digest = self._genesis_digests.get(key)
+        if digest is None:
+            if key[0] == self.geometry.counter_level:
+                digest = self._hash_node(_ZERO_COUNTER_LINE)
+            else:
+                digest = self._hash_node(self._genesis_node_bytes(node))
+            self._genesis_digests[key] = digest
+        return digest
 
     # ------------------------------------------------------------------
     # state views
@@ -320,30 +342,63 @@ class BonsaiMerkleTree:
         recovery procedure's core: after a crash the in-subtree nodes
         are assumed stale and must be rebuilt from the (persisted)
         leaves before comparing against the trusted register.
+
+        ``nodes_recomputed`` is the modeled hardware work: every node
+        of the subtree. The host work follows the written footprint
+        instead. Only the counter lines the backend stores are hashed,
+        and only their ancestors plus the tree nodes the backend or the
+        volatile overlay holds are recomputed and written back. Every
+        other node has only unwritten counters below it and is neither
+        stored nor dirty, so it already reads back as its genesis value,
+        which is exactly what a full rebuild would write; its parent
+        takes its genesis digest.
         """
-        level, _ = subtree
-        arity = self.geometry.arity
-        first, last = self.geometry.counter_range_of(subtree)
+        geometry = self.geometry
+        level, index = subtree
+        arity = geometry.arity
+        counter_level = geometry.counter_level
+        first, last = geometry.counter_range_of(subtree)
         hash_node = self._hash_node
         line_of = self.persisted_counter_bytes
-        # Hashes of the current level's entries in index order, starting
-        # at ``first_index`` (aligned to ``arity``, so every chunk of
-        # ``arity`` digests is one parent's slots, left to right).
-        digests = [hash_node(line_of(i)) for i in range(first, last)]
-        first_index = first
-        nodes_recomputed = 0
+        # Digests of the recomputed entries at the current level, by
+        # index; counter lines first.
+        digests = {
+            i: hash_node(line_of(i))
+            for i in self.backend.keys(MetadataRegion.COUNTERS)
+            if first <= i < last
+        }
+        # Stored or dirty nodes inside the subtree, by level. A WPQ
+        # rollback can leave a stored node above counters that are back
+        # to unwritten; it is stale like any other and is rewritten.
+        held: Dict[int, List[int]] = {}
+        for node_level, node_index in chain(
+            self.backend.keys(MetadataRegion.TREE), self._volatile_nodes
+        ):
+            if (
+                level <= node_level < counter_level
+                and node_index // arity ** (node_level - level) == index
+            ):
+                held.setdefault(node_level, []).append(node_index)
+        genesis_digest = self._genesis_digest
         write = self.backend.write
-        for current_level in range(self.geometry.counter_level - 1, level - 1, -1):
-            first_index //= arity
-            parent_digests = []
-            for offset in range(0, len(digests), arity):
-                node_value = b"".join(digests[offset : offset + arity])
+        width = last - first
+        nodes_recomputed = 0
+        for current_level in range(counter_level - 1, level - 1, -1):
+            width = ceil_div(width, arity)
+            nodes_recomputed += width
+            touched = {i // arity for i in digests}
+            touched.update(held.get(current_level, ()))
+            parent_digests = {}
+            for node_index in sorted(touched):
+                node_id: NodeId = (current_level, node_index)
+                node_value = b"".join(
+                    digests.get(child[1]) or genesis_digest(child)
+                    for child in geometry.children(node_id)
+                )
                 node_value += bytes(NODE_BYTES - len(node_value))
-                node_id: NodeId = (current_level, first_index + offset // arity)
                 write(MetadataRegion.TREE, node_id, node_value)
                 self._volatile_nodes.pop(node_id, None)
-                parent_digests.append(hash_node(node_value))
-            nodes_recomputed += len(parent_digests)
+                parent_digests[node_index] = hash_node(node_value)
             digests = parent_digests
         subtree_bytes = self.persisted_node_bytes(subtree)
         return subtree_bytes, nodes_recomputed
