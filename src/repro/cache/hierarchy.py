@@ -9,8 +9,10 @@ with the intentionally small caches the paper configures, LLC behaviour
 dominates the interesting effects.
 
 :class:`DataCache` converts each CPU read/write into a
-:class:`MemoryTraffic` record telling the engine which block fills and
-which dirty victims write back this access.
+:class:`MemoryTraffic` record telling the caller which block fills and
+which dirty victims write back this access. The simulator's per-trace
+walk (``repro.sim.engine._boundary_events``) runs the same probe
+inline over the cache's sets and counters.
 """
 
 from __future__ import annotations
@@ -90,8 +92,11 @@ class DataCache:
 
         This is the fused equivalent of ``lookup`` + ``mark_dirty`` /
         ``insert`` on the underlying cache — identical counters, LRU
-        transitions, and victim selection — inlined because it runs once
-        per trace record.
+        transitions, and victim selection. The simulator's data-side
+        walk (``repro.sim.engine._boundary_events``) runs a transcription
+        of this body inline, once per trace record; a change here must
+        be mirrored there (``tests/test_boundary_walk.py`` compares the
+        two).
         """
         if 0 <= addr < self._capacity:
             block = addr >> self._block_shift

@@ -62,6 +62,9 @@ class AMNTProtocol(MetadataPersistencePolicy):
         self._movement_interval = self.config.amnt.movement_interval_writes
         self._writes_since_selection = 0
         self._current_region: Optional[int] = None
+        #: ``(subtree_level, current region)``, or None before the first
+        #: adoption; :meth:`_move_to` retargets it with the region.
+        self._subtree_node: Optional[NodeId] = None
         self._register = self.mee.registers.allocate("amnt_subtree_root", 64)
         # Per-memory-write counters, pre-resolved off the hot path.
         self._ctr_subtree_hits = self.stats.counter("subtree_hits")
@@ -87,9 +90,7 @@ class AMNTProtocol(MetadataPersistencePolicy):
         return self._current_region
 
     def subtree_node(self) -> Optional[NodeId]:
-        if self._current_region is None:
-            return None
-        return (self.subtree_level, self._current_region)
+        return self._subtree_node
 
     def in_subtree(self, counter_index: int) -> bool:
         return (
@@ -100,17 +101,22 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
+    #
+    # The per-write hooks read a counter's region off the ancestor path
+    # the engine hands them: ``path`` runs from the deepest level up to
+    # the root, so ``path[-subtree_level]`` is the level-L ancestor —
+    # the value :meth:`region_of_counter` derives, without re-deriving.
 
     def path_update_extent(
         self, counter_index: int, path: List[NodeId]
     ) -> List[NodeId]:
-        if not self.in_subtree(counter_index):
+        if path[-self.subtree_level][1] != self._current_region:
             return path
         # Strictly below the subtree root: the register holds the
         # subtree root itself, and levels above are reconciled only on
         # movement.
-        subtree = self.subtree_node()
-        return [node for node in path if node[0] > subtree[0]]
+        level = self.subtree_level
+        return [node for node in path if node[0] > level]
 
     def on_data_write(
         self,
@@ -120,15 +126,15 @@ class AMNTProtocol(MetadataPersistencePolicy):
         fenced: bool = False,
     ) -> int:
         mee = self.mee
-        region = self.region_of_counter(counter_index)
-        if self.in_subtree(counter_index):
+        region = path[-self.subtree_level][1]
+        if region == self._current_region:
             # Leaf persistence inside the fast subtree: counter + HMAC
             # issue concurrently (unordered pair).
             cycles = mee.persist_counter_line(counter_index)
             mee.persist_hmac_line(block_index // 8)
             cycles += mee.posted_write_cycles
             if mee.functional:
-                subtree = self.subtree_node()
+                subtree = self._subtree_node
                 self._register.write(
                     mee.engine.hash8(mee.tree.current_node_bytes(subtree)),
                     tag=subtree,
@@ -164,7 +170,7 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # ------------------------------------------------------------------
 
     def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
-        return node == self.subtree_node()
+        return node == self._subtree_node
 
     # ------------------------------------------------------------------
     # subtree selection and movement
@@ -211,7 +217,7 @@ class AMNTProtocol(MetadataPersistencePolicy):
         # register still anchors the old region.
         self.fire_phase("amnt_movement")
         self._current_region = new_region
-        new_node = self.subtree_node()
+        self._subtree_node = new_node = (self.subtree_level, new_region)
         if mee.functional:
             self._register.write(
                 mee.engine.hash8(mee.tree.current_node_bytes(new_node)),

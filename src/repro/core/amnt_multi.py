@@ -66,9 +66,10 @@ class AMNTMultiProtocol(AMNTProtocol):
     def path_update_extent(
         self, counter_index: int, path: List[NodeId]
     ) -> List[NodeId]:
-        if not self.in_subtree(counter_index):
+        level = self.subtree_level
+        if path[-level][1] not in self._active_regions:
             return path
-        return [node for node in path if node[0] > self.subtree_level]
+        return [node for node in path if node[0] > level]
 
     def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
         level, index = node
@@ -86,7 +87,7 @@ class AMNTMultiProtocol(AMNTProtocol):
         fenced: bool = False,
     ) -> int:
         mee = self.mee
-        region = self.region_of_counter(counter_index)
+        region = path[-self.subtree_level][1]
         if region in self._active_regions:
             cycles = mee.persist_counter_line(counter_index)
             mee.persist_hmac_line(block_index // 8)

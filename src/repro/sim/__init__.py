@@ -2,7 +2,6 @@
 
 from repro.sim.engine import simulate
 from repro.sim.machine import Machine, build_machine
-from repro.sim.multicore import PrivateCacheLayer, simulate_multicore
 from repro.sim.parallel import ParallelSweepRunner, SweepCell, run_cell
 from repro.sim.results import SimulationResult, normalized_cycles
 from repro.sim.runner import run_protocol_sweep, sweep_normalized
@@ -11,8 +10,6 @@ __all__ = [
     "Machine",
     "build_machine",
     "simulate",
-    "simulate_multicore",
-    "PrivateCacheLayer",
     "ParallelSweepRunner",
     "SweepCell",
     "run_cell",

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Optional, Tuple
 
+from repro.cache.cache import CacheLine
+from repro.core.mee import MACS_PER_LINE
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
 from repro.sim.results import SimulationResult
@@ -63,11 +65,10 @@ def _boundary_events(
     churn_pages_per_burst: int,
 ):
     """The data-side walk of a trace's (vaddr, pid, flags) columns:
-    yields its memory-boundary events as ``(kind, addr,
-    record_of(addr))``.
+    yields its memory-boundary events as ``(kind, addr, record)``.
 
     For each reference: translate (demand paging) through ``mm``, probe
-    ``llc``, yield the fill and the dirty writebacks it caused, then a
+    ``llc``, yield the fill and the dirty writeback it caused, then a
     CLWB + fence's flushed block, and churn pages every
     ``churn_interval`` references. Kinds are the MEE event loop's (0
     fill, 1 posted write, 2 fenced write). ``simulate()`` hands the
@@ -75,15 +76,63 @@ def _boundary_events(
     walk resumes, so the data side and the MEE interleave exactly as
     per-block calls would; the stream compiler
     (:func:`repro.sim.replay.compile_boundary_stream`) drains the same
-    walk into columns.
+    walk into columns and passes ``record_of=None``, which yields
+    ``None`` records and resolves none.
+
+    The loop runs once per trace record, so each reference is one
+    stretch of straight-line code rather than three calls:
+
+    * **Translate.** A mapped page is read from the memory manager's
+      per-pid page -> base mirror; :meth:`MemoryManager.translate` runs
+      only on a page fault or a pid's first reference (and for every
+      reference under a page size that is not a power of two).
+    * **LLC probe.** The body of :meth:`DataCache.access`, transcribed
+      over its hoisted set array and counters: same counters, same LRU
+      transitions, same victim order, but no :class:`MemoryTraffic`
+      record. Out-of-range addresses raise through
+      :meth:`AddressSpace.block_index`, as ``access`` does. A CLWB
+      follows a write, which has just left its line resident and
+      dirty, so :meth:`DataCache.flush_block`'s effect is clearing that
+      line's dirty bit.
+    * **Records.** An event's record depends only on its counter index
+      and HMAC line, which all blocks of one HMAC line share when a
+      page holds a whole number of lines (as 64 B blocks in 4 KB pages
+      do). So ``record_of(addr)`` runs once per distinct HMAC line of
+      the walk, and a dict keyed by ``block >> 3``, local to this walk,
+      serves the rest; under any other geometry the key is the block
+      index.
     """
-    # The loop below runs once per trace record — hoist every bound
-    # method it touches so the interpreter does the lookups once
-    # instead of hundreds of thousands of times.
+    # Translation: the memory manager's per-pid page -> base mirror
+    # (left empty when the page size is not a power of two, so every
+    # reference goes through translate()).
     translate = mm.translate
-    llc_access = llc.access
-    llc_flush_block = llc.flush_block
+    bases_of = mm._bases if mm._page_shift is not None else {}
+    page_shift = mm._page_shift or 0
+    page_mask = mm._page_mask
+    unmapped = {}
     churn = mm.churn
+    # The LLC's set array, geometry and counters (DataCache.access).
+    sets = llc._sets
+    set_mask = llc._set_mask
+    assoc = llc._assoc
+    capacity = llc._capacity
+    block_shift = llc._block_shift
+    block_index = llc._block_index
+    hits = llc._hits
+    misses = llc._misses
+    fills = llc._fills
+    evictions = llc._evictions
+    dirty_evictions = llc._dirty_evictions
+    line_cls = CacheLine
+    # HMAC line (or block) index -> event record, for this walk only.
+    line_shift = (
+        MACS_PER_LINE.bit_length() - 1
+        if (mm.page_bytes // block_bytes) % MACS_PER_LINE == 0
+        else 0
+    )
+    records = None if record_of is None else {}
+    record_at = None if records is None else records.get
+    rec = None
 
     # The loop iterates the trace's raw columns: machine integers per
     # record via zip, no per-record object or attribute lookups. Flags
@@ -92,22 +141,58 @@ def _boundary_events(
     for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
         position += 1
         is_write = flags & 1
-        paddr = translate(pid, vaddr)
-        traffic = llc_access(paddr, is_write)
-        if traffic.fill_block is not None:
-            addr = traffic.fill_block * block_bytes
-            yield 0, addr, record_of(addr)
-        for victim_block in traffic.writeback_blocks:
-            addr = victim_block * block_bytes
-            yield 1, addr, record_of(addr)
+        base = bases_of.get(pid, unmapped).get(vaddr >> page_shift)
+        if base is None:
+            paddr = translate(pid, vaddr)
+        else:
+            paddr = base + (vaddr & page_mask)
+        if 0 <= paddr < capacity:
+            block = paddr >> block_shift
+        else:
+            block = block_index(paddr)  # raises AddressError
+        bucket = sets[block & set_mask]
+        line = bucket.get(block)
+        if line is not None:
+            if is_write:
+                line.dirty = True
+            bucket.move_to_end(block)
+            hits.value += 1
+        else:
+            misses.value += 1
+            victim = None
+            if len(bucket) >= assoc:
+                victim, victim_line = bucket.popitem(last=False)
+                evictions.value += 1
+                if victim_line.dirty:
+                    dirty_evictions.value += 1
+                else:
+                    victim = None
+            bucket[block] = line = line_cls(block, is_write)
+            fills.value += 1
+            addr = block * block_bytes
+            if records is not None:
+                rec = record_at(block >> line_shift)
+                if rec is None:
+                    rec = records[block >> line_shift] = record_of(addr)
+            yield 0, addr, rec
+            if victim is not None:
+                addr = victim * block_bytes
+                if records is not None:
+                    rec = record_at(victim >> line_shift)
+                    if rec is None:
+                        rec = records[victim >> line_shift] = record_of(addr)
+                yield 1, addr, rec
         if is_write and flags & 2:
             # CLWB + fence: the store is pushed to memory now, and the
             # core waits for the (protocol-dependent) persist to finish
             # — the path in-memory storage applications live on.
-            flushed_block = llc_flush_block(paddr)
-            if flushed_block is not None:
-                addr = flushed_block * block_bytes
-                yield 2, addr, record_of(addr)
+            line.dirty = False
+            addr = block * block_bytes
+            if records is not None:
+                rec = record_at(block >> line_shift)
+                if rec is None:
+                    rec = records[block >> line_shift] = record_of(addr)
+            yield 2, addr, rec
         if churn_interval and position % churn_interval == 0:
             churn(
                 rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
@@ -116,11 +201,12 @@ def _boundary_events(
 
 def _flush_events(llc, block_bytes: int, record_of):
     """The end-of-run LLC flush as posted writes, ``(1, addr,
-    record_of(addr))``. The flush runs when the first event is drawn,
-    so chained after :func:`_boundary_events` it sees the final LLC."""
+    record_of(addr))`` (``None`` records under ``record_of=None``). The
+    flush runs when the first event is drawn, so chained after
+    :func:`_boundary_events` it sees the final LLC."""
     for victim_block in llc.flush():
         addr = victim_block * block_bytes
-        yield 1, addr, record_of(addr)
+        yield 1, addr, None if record_of is None else record_of(addr)
 
 
 def simulate(

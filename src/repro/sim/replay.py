@@ -117,11 +117,6 @@ class BoundaryStream:
         )
 
 
-#: The stream compiler's ``record_of``: a C-level callable that returns
-#: ``None`` for any address (the plan resolves records separately).
-_NO_RECORD = {}.get
-
-
 def compile_boundary_stream(
     trace: Trace,
     config: SystemConfig,
@@ -166,7 +161,7 @@ def compile_boundary_stream(
         llc,
         mm,
         block_bytes,
-        _NO_RECORD,
+        None,  # no records: the plan resolves them separately
         vaddrs,
         pids,
         flag_col,
@@ -180,7 +175,7 @@ def compile_boundary_stream(
     stream.main_events = len(stream.kind)
     # The flush is a pure function of the final LLC state and mutates
     # nothing the main walk reads, so compiling it costs no fidelity.
-    for kind, addr, _ in _flush_events(llc, block_bytes, _NO_RECORD):
+    for kind, addr, _ in _flush_events(llc, block_bytes, None):
         kind_append(kind)
         addr_append(addr)
 
