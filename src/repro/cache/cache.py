@@ -87,12 +87,11 @@ _MIX_MEMO: dict = {}
 def mix_of(key: Key) -> int:
     """The memoized deterministic mix of ``key``.
 
-    The value callers may pass to
-    :meth:`SetAssociativeCache.access_line_premixed` — exactly what the
-    default (``set_of=None``) placement derives per access, resolved
-    once. The MEE's event-record resolver
+    Under the default (``set_of=None``) placement a key's set is
+    ``mix_of(key) & (num_sets - 1)``. The MEE's event-record resolver
     (:func:`repro.core.mee.resolve_record`) uses this to bake set
-    indices into its records.
+    indices into its records, and its persist path to find a line's
+    set.
     """
     mixed = _MIX_MEMO.get(key)
     if mixed is None:
@@ -140,32 +139,20 @@ class SetAssociativeCache:
         self._sets: List["OrderedDict[Key, CacheLine]"] = [
             OrderedDict() for _ in range(num_sets)
         ]
-        # Hot-loop counters and a per-key set-index memo (the mixing
-        # hash is pure, so memoizing it is sound; the memo is bounded
-        # by the workload's metadata footprint).
+        # Hot-loop counters.
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._fills = self.stats.counter("fills")
         self._evictions = self.stats.counter("evictions")
         self._dirty_evictions = self.stats.counter("dirty_evictions")
-        self._index_memo: dict = {}
         self._set_mask = num_sets - 1
 
     # -- placement -------------------------------------------------------
 
     def _index(self, key: Key) -> int:
-        index = self._index_memo.get(key)
-        if index is None:
-            if self._set_of is not None:
-                index = self._set_of(key) & (self.num_sets - 1)
-            else:
-                mixed = _MIX_MEMO.get(key)
-                if mixed is None:
-                    mixed = _mix_key(key)
-                    _MIX_MEMO[key] = mixed
-                index = mixed & (self.num_sets - 1)
-            self._index_memo[key] = index
-        return index
+        if self._set_of is not None:
+            return self._set_of(key) & self._set_mask
+        return mix_of(key) & self._set_mask
 
     @property
     def capacity_lines(self) -> int:
@@ -200,70 +187,6 @@ class SetAssociativeCache:
             line.dirty = line.dirty or dirty
             bucket.move_to_end(key)
             return None
-        victim: Optional[EvictedLine] = None
-        if len(bucket) >= self.associativity:
-            victim_key, victim_line = bucket.popitem(last=False)
-            victim = EvictedLine(victim_key, victim_line.dirty)
-            self._evictions.value += 1
-            if victim_line.dirty:
-                self._dirty_evictions.value += 1
-        bucket[key] = CacheLine(key, dirty)
-        self._fills.value += 1
-        return victim
-
-    def access_line(self, key: Key, dirty: bool = False):
-        """One full reference — probe, and on a miss fill — in a single
-        set walk. Equivalent to ``lookup`` followed by ``mark_dirty`` /
-        ``insert`` (same counters, same LRU transitions), fused because
-        the pair sits on the simulator's innermost loop.
-
-        Returns ``True`` on a hit (recency refreshed, dirty bit OR-ed
-        in), ``None`` on a miss that evicted nothing, or the
-        :class:`EvictedLine` victim displaced by the fill.
-        """
-        index = self._index_memo.get(key)
-        if index is None:
-            index = self._index(key)
-        bucket = self._sets[index]
-        line = bucket.get(key)
-        if line is not None:
-            if dirty:
-                line.dirty = True
-            bucket.move_to_end(key)
-            self._hits.value += 1
-            return True
-        self._misses.value += 1
-        victim: Optional[EvictedLine] = None
-        if len(bucket) >= self.associativity:
-            victim_key, victim_line = bucket.popitem(last=False)
-            victim = EvictedLine(victim_key, victim_line.dirty)
-            self._evictions.value += 1
-            if victim_line.dirty:
-                self._dirty_evictions.value += 1
-        bucket[key] = CacheLine(key, dirty)
-        self._fills.value += 1
-        return victim
-
-    def access_line_premixed(self, key: Key, mixed: int, dirty: bool = False):
-        """:meth:`access_line` with the key's deterministic mix supplied
-        by the caller (see :func:`mix_of`).
-
-        Only valid on a cache using default placement (``set_of=None``),
-        where the set index is exactly ``mixed & (num_sets - 1)`` —
-        identical to what :meth:`_index` derives, so hits, fills, LRU
-        transitions, and victims match :meth:`access_line` bit for bit.
-        The MEE's event loop inlines this body over records whose mixes
-        were resolved once per metadata key.
-        """
-        bucket = self._sets[mixed & self._set_mask]
-        line = bucket.get(key)
-        if line is not None:
-            if dirty:
-                line.dirty = True
-            bucket.move_to_end(key)
-            self._hits.value += 1
-            return True
-        self._misses.value += 1
         victim: Optional[EvictedLine] = None
         if len(bucket) >= self.associativity:
             victim_key, victim_line = bucket.popitem(last=False)

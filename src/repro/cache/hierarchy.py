@@ -68,9 +68,8 @@ class DataCache:
         # Hot path: per-access bound-method resolution hoisted out, plus
         # the pieces :meth:`access` needs to run the whole reference as
         # straight-line code — address decode (shift + bounds check) and
-        # the set array of the underlying cache. Because the LLC's set
-        # function is the identity over block indices, the generic
-        # per-key index memo is pure overhead here.
+        # the set array of the underlying cache, indexed directly because
+        # the LLC's set function is the identity over block indices.
         self._block_index = address_space.block_index
         self._block_shift = address_space._block_shift
         self._capacity = address_space.capacity_bytes

@@ -58,10 +58,10 @@ class MetadataCache:
         self.lookup = inner.lookup
         self.contains = inner.contains
         self.insert = inner.insert
-        # The MEE's event loop probes the inner cache's sets directly
-        # with premixed set indices (a transcription of
-        # SetAssociativeCache.access_line_premixed), valid because
-        # build_cache above uses default placement (set_of=None).
+        # The MEE's event loop and persist path index the inner cache's
+        # sets directly with premixed set indices (mix_of(key) & mask),
+        # valid because build_cache above uses default placement
+        # (set_of=None).
         self.mark_dirty = inner.mark_dirty
         self.clean = inner.clean
         self.is_dirty = inner.is_dirty

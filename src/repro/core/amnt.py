@@ -127,12 +127,10 @@ class AMNTProtocol(MetadataPersistencePolicy):
     ) -> int:
         mee = self.mee
         region = path[-self.subtree_level][1]
+        # Every write persists its leaf pair (counter + HMAC)...
+        cycles = mee.persist_leaf(counter_index, block_index)
         if region == self._current_region:
-            # Leaf persistence inside the fast subtree: counter + HMAC
-            # issue concurrently (unordered pair).
-            cycles = mee.persist_counter_line(counter_index)
-            mee.persist_hmac_line(block_index // 8)
-            cycles += mee.posted_write_cycles
+            # ...which inside the fast subtree is all it persists.
             if mee.functional:
                 subtree = self._subtree_node
                 self._register.write(
@@ -142,9 +140,6 @@ class AMNTProtocol(MetadataPersistencePolicy):
             self._ctr_subtree_hits.value += 1
         else:
             # Strict persistence outside it (ordered tree walk).
-            cycles = mee.persist_counter_line(counter_index)
-            mee.persist_hmac_line(block_index // 8)
-            cycles += mee.posted_write_cycles
             for node in path:
                 cycles += mee.persist_tree_node(node)
             self._ctr_subtree_misses.value += 1

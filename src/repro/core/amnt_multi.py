@@ -88,10 +88,8 @@ class AMNTMultiProtocol(AMNTProtocol):
     ) -> int:
         mee = self.mee
         region = path[-self.subtree_level][1]
+        cycles = mee.persist_leaf(counter_index, block_index)
         if region in self._active_regions:
-            cycles = mee.persist_counter_line(counter_index)
-            mee.persist_hmac_line(block_index // 8)
-            cycles += mee.posted_write_cycles
             if mee.functional:
                 node = (self.subtree_level, region)
                 self._register_for(region).write(
@@ -100,9 +98,6 @@ class AMNTMultiProtocol(AMNTProtocol):
                 )
             self._ctr_subtree_hits.value += 1
         else:
-            cycles = mee.persist_counter_line(counter_index)
-            mee.persist_hmac_line(block_index // 8)
-            cycles += mee.posted_write_cycles
             for node in path:
                 cycles += mee.persist_tree_node(node)
             self._ctr_subtree_misses.value += 1

@@ -84,9 +84,7 @@ class StrictPersistenceProtocol(MetadataPersistencePolicy):
     ) -> int:
         mee = self.mee
         # Counter and HMAC issue concurrently (unordered pair)...
-        cycles = mee.persist_counter_line(counter_index)
-        mee.persist_hmac_line(block_index // 8)
-        cycles += mee.posted_write_cycles
+        cycles = mee.persist_leaf(counter_index, block_index)
         # ...but the tree walk is ordered: each level's write-through
         # must be durable before its parent's (persist barriers), which
         # is what puts strict persistence on the critical path.
@@ -128,13 +126,8 @@ class LeafPersistenceProtocol(MetadataPersistencePolicy):
         path: List[NodeId],
         fenced: bool = False,
     ) -> int:
-        mee = self.mee
-        # Counter and HMAC persist atomically with the data write and
-        # target independent lines, so the pair overlaps: one full
-        # latency plus queue occupancy for the second.
-        cycles = mee.persist_counter_line(counter_index)
-        mee.persist_hmac_line(block_index // 8)
-        cycles += mee.posted_write_cycles
+        # Counter and HMAC persist atomically with the data write.
+        cycles = self.mee.persist_leaf(counter_index, block_index)
         self._ctr_leaf_persists.value += 1
         return cycles
 

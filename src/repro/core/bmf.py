@@ -103,9 +103,7 @@ class BMFProtocol(MetadataPersistencePolicy):
     ) -> int:
         mee = self.mee
         root = self.nearest_persistent_root(path)
-        cycles = mee.persist_counter_line(counter_index)
-        mee.persist_hmac_line(block_index // 8)
-        cycles += mee.posted_write_cycles
+        cycles = mee.persist_leaf(counter_index, block_index)
         for node in path:
             if node == root:
                 break

@@ -209,7 +209,11 @@ class MemoryEncryptionEngine:
         self._block_shift = self.address_space._block_shift
         self._page_shift = self.address_space._page_shift
         self._md_latency = self.mdcache.access_latency_cycles
-        self._md_clean = self.mdcache.clean
+        # The metadata cache's set array: the event loop and the persist
+        # path index it with a key's premixed set (build_cache gives the
+        # metadata cache default placement, so a set is mix & mask).
+        self._md_sets = self.mdcache._cache._sets
+        self._md_set_mask = self.mdcache._cache._set_mask
         # Per-region NVM access closures (see NVMDevice.reader/writer):
         # each call site names its region statically.
         self._read_data = self.nvm.reader(_DATA)
@@ -298,18 +302,6 @@ class MemoryEncryptionEngine:
     # metadata cache plumbing
     # ------------------------------------------------------------------
 
-    def _fill_miss(self, key: tuple, nvm_read, victim) -> int:
-        """Miss tail after the event loop's probe has filled ``key``:
-        NVM fetch latency, the protocol's fill hook, and the lazy
-        writeback of a displaced dirty victim."""
-        cycles = nvm_read()
-        hook = self._fill_hook
-        if hook is not None:
-            cycles += hook(key)
-        if victim is not None and victim.dirty:
-            cycles += self._writeback_metadata(victim.key)
-        return cycles
-
     def _writeback_metadata(self, key: tuple) -> int:
         """Lazy writeback of a dirty metadata line on eviction (posted:
         it drains from the write queue off the critical path)."""
@@ -331,7 +323,8 @@ class MemoryEncryptionEngine:
         return cycles
 
     def _sync_line_to_backend(self, key: tuple) -> None:
-        """Functional mode: make NVM reflect the evicted line's value."""
+        """Functional mode: make NVM reflect the line's current value
+        (on an eviction's writeback or a persist)."""
         kind = key[0]
         assert self.tree is not None
         if kind == "ctr":
@@ -352,54 +345,59 @@ class MemoryEncryptionEngine:
     @property
     def posted_write_cycles(self) -> int:
         """Critical-path cost of a write that overlaps another in-flight
-        write (different NVM banks). Protocols charge this for the
-        second and later persists of an *unordered* group — e.g. leaf
-        persistence's HMAC line, which issues concurrently with its
-        counter line. Ordered (tree-walk) persists pay full latency."""
+        write (different NVM banks): the charge for the second and later
+        persists of an *unordered* group, as :meth:`persist_leaf`
+        charges the HMAC line issued with its counter line. Ordered
+        (tree-walk) persists pay full latency."""
         return self._posted_write_cycles
 
-    def persist_counter_line(self, counter_index: int) -> int:
-        """Write-through the counter line (crash-consistency persist)."""
+    def _persist_line(self, key: tuple, writer) -> int:
+        """The one crash-consistency persist: write ``key``'s line
+        through with ``writer`` (full latency, returned), leave it clean
+        if it is cached (a line that is not resident stays absent), and
+        fence the write-pending queue."""
         probe = self.fault_probe
         if probe is not None:
             # The persist window: this line is not yet durable, and
             # neither is anything enqueued since the last fence.
             probe.on_persist()
-        cycles = self._persist_ctr_write()
-        self._md_clean(counter_key(counter_index))
+        cycles = writer()
+        line = self._md_sets[mix_of(key) & self._md_set_mask].get(key)
+        if line is not None:
+            line.dirty = False
         if self.functional:
-            self.tree.persist_counter(counter_index)
+            self._sync_line_to_backend(key)
         if self._wpq is not None:
             self._wpq.fence()
         return cycles
+
+    def persist_counter_line(self, counter_index: int) -> int:
+        """Write the counter line through (crash-consistency persist)."""
+        return self._persist_line(
+            counter_key(counter_index), self._persist_ctr_write
+        )
 
     def persist_hmac_line(self, hmac_line: int) -> int:
-        probe = self.fault_probe
-        if probe is not None:
-            probe.on_persist()
-        cycles = self._persist_hmac_write()
-        self._md_clean(hmac_key(hmac_line))
-        if self.functional:
-            first = hmac_line * MACS_PER_LINE
-            for block in range(first, first + MACS_PER_LINE):
-                mac = self._volatile_hmacs.pop(block, None)
-                if mac is not None:
-                    self.nvm.backend.write(MetadataRegion.HMACS, block, mac)
-        if self._wpq is not None:
-            self._wpq.fence()
-        return cycles
+        """Write the HMAC line through (crash-consistency persist)."""
+        return self._persist_line(hmac_key(hmac_line), self._persist_hmac_write)
 
     def persist_tree_node(self, node: NodeId) -> int:
-        probe = self.fault_probe
-        if probe is not None:
-            probe.on_persist()
-        cycles = self._persist_tree_write()
-        self._md_clean(node_key(node[0], node[1]))
-        if self.functional:
-            self.tree.persist_node(node)
-        if self._wpq is not None:
-            self._wpq.fence()
-        return cycles
+        """Write a BMT node's line through (crash-consistency persist)."""
+        return self._persist_line(
+            node_key(node[0], node[1]), self._persist_tree_write
+        )
+
+    def persist_leaf(self, counter_index: int, block_index: int) -> int:
+        """Leaf persistence of one data write: its counter line and its
+        HMAC line, written through with the data.
+
+        The two lines are independent, so they issue as an unordered
+        pair: the critical path pays one full write plus
+        :attr:`posted_write_cycles` for the overlapped second.
+        """
+        cycles = self.persist_counter_line(counter_index)
+        self.persist_hmac_line(block_index // MACS_PER_LINE)
+        return cycles + self._posted_write_cycles
 
     # ------------------------------------------------------------------
     # fault-injection instrumentation
@@ -568,19 +566,15 @@ class MemoryEncryptionEngine:
 
         Everything the loop touches is resolved here, once per engine —
         except ``fault_probe`` and ``wear_tracker``, which are attached
-        after construction and read once per call. The metadata-cache
-        probe is inlined rather than calling
-        :meth:`SetAssociativeCache.access_line_premixed`: it runs several
-        times per event, and the call frame would dominate what remains.
-        The inline body is a transcription of ``access_line_premixed``
-        (same counters, same LRU transitions, same victim semantics),
-        valid because ``build_cache`` gives the metadata cache default
-        placement. A popped :class:`CacheLine` doubles as the victim
-        record — ``_fill_miss`` reads only ``.key`` and ``.dirty``.
+        after construction and read once per call. Each metadata-cache
+        reference probes the line's set inline (the record carries its
+        premixed set): a hit refreshes recency, and a write's reference
+        sets the dirty bit. Every miss goes through one closure,
+        ``miss``, which holds the only copy of the miss rule.
         """
         inner = self.mdcache._cache
-        sets = inner._sets
-        set_mask = inner._set_mask
+        sets = self._md_sets
+        set_mask = self._md_set_mask
         assoc = inner.associativity
         md_hits = inner._hits
         md_misses = inner._misses
@@ -589,7 +583,7 @@ class MemoryEncryptionEngine:
         md_dirty_evictions = inner._dirty_evictions
         line_cls = CacheLine
         md_latency = self._md_latency
-        fill_miss = self._fill_miss
+        fill_hook = self._fill_hook
         read_ctr = self._read_ctr
         read_tree = self._read_tree
         read_hmac = self._read_hmac
@@ -613,6 +607,29 @@ class MemoryEncryptionEngine:
         posted_cycles = self._posted_write_cycles
         fenced_cycles = self.nvm.write_latency_cycles
 
+        def miss(bucket, key, dirty, nvm_read) -> int:
+            """One metadata-cache miss on ``key``, whose set is
+            ``bucket``: evict the set's LRU line if it is full, fill
+            ``key`` (``dirty`` for a write's reference), fetch it from
+            NVM, run the protocol's fill hook, and write a dirty victim
+            back. Returns its cycles beyond the probe latency."""
+            md_misses.value += 1
+            victim = None
+            if len(bucket) >= assoc:
+                victim = bucket.popitem(last=False)[1]
+                md_evictions.value += 1
+                if victim.dirty:
+                    md_dirty_evictions.value += 1
+            bucket[key] = line_cls(key, dirty)
+            md_fills.value += 1
+            cycles = nvm_read()
+            if fill_hook is not None:
+                cycles += fill_hook(key)
+            if victim is not None and victim.dirty:
+                # Looked up per call: attach_wear_tracking wraps it.
+                cycles += self._writeback_metadata(victim.key)
+            return cycles
+
         def run(events, data=None, plaintexts=None) -> int:
             probe = self.fault_probe
             tracker = self.wear_tracker
@@ -624,63 +641,33 @@ class MemoryEncryptionEngine:
                     data_reads.value += 1
                     # Counter line (clean reference).
                     bucket = sets[ctr_mix & set_mask]
-                    line = bucket.get(ctr_key)
                     cycles += md_latency
-                    if line is not None:
+                    if ctr_key in bucket:
                         bucket.move_to_end(ctr_key)
                         md_hits.value += 1
                     else:
-                        md_misses.value += 1
-                        victim = None
-                        if len(bucket) >= assoc:
-                            victim = bucket.popitem(last=False)[1]
-                            md_evictions.value += 1
-                            if victim.dirty:
-                                md_dirty_evictions.value += 1
-                        bucket[ctr_key] = line_cls(ctr_key)
-                        md_fills.value += 1
-                        cycles += fill_miss(ctr_key, read_ctr, victim)
+                        cycles += miss(bucket, ctr_key, False, read_ctr)
                     # BMT walk: climb until the first cached / trusted node.
                     for node, key, mix in triples:
                         if trusted is not None and trusted(node, counter_index):
                             walk_register.value += 1
                             break
                         bucket = sets[mix & set_mask]
-                        line = bucket.get(key)
-                        if line is not None:
+                        cycles += md_latency
+                        if key in bucket:
                             bucket.move_to_end(key)
                             md_hits.value += 1
-                            cycles += md_latency
                             walk_cache.value += 1
                             break
-                        md_misses.value += 1
-                        victim = None
-                        if len(bucket) >= assoc:
-                            victim = bucket.popitem(last=False)[1]
-                            md_evictions.value += 1
-                            if victim.dirty:
-                                md_dirty_evictions.value += 1
-                        bucket[key] = line_cls(key)
-                        md_fills.value += 1
-                        cycles += md_latency + fill_miss(key, read_tree, victim)
+                        cycles += miss(bucket, key, False, read_tree)
                     # HMAC line (clean reference).
                     bucket = sets[hmac_mix & set_mask]
-                    line = bucket.get(hkey)
                     cycles += md_latency
-                    if line is not None:
+                    if hkey in bucket:
                         bucket.move_to_end(hkey)
                         md_hits.value += 1
                     else:
-                        md_misses.value += 1
-                        victim = None
-                        if len(bucket) >= assoc:
-                            victim = bucket.popitem(last=False)[1]
-                            md_evictions.value += 1
-                            if victim.dirty:
-                                md_dirty_evictions.value += 1
-                        bucket[hkey] = line_cls(hkey)
-                        md_fills.value += 1
-                        cycles += fill_miss(hkey, read_hmac, victim)
+                        cycles += miss(bucket, hkey, False, read_hmac)
                     if read_auth_hook is not None:
                         cycles += read_auth_hook(counter_index)
                     if functional:
@@ -712,16 +699,7 @@ class MemoryEncryptionEngine:
                     bucket.move_to_end(ctr_key)
                     md_hits.value += 1
                 else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[ctr_key] = line_cls(ctr_key, True)
-                    md_fills.value += 1
-                    cycles += fill_miss(ctr_key, read_ctr, victim)
+                    cycles += miss(bucket, ctr_key, True, read_ctr)
                 block_index = addr >> block_shift
                 if functional:
                     bump_and_store(addr, block_index, counter_index, data, path)
@@ -734,16 +712,7 @@ class MemoryEncryptionEngine:
                     bucket.move_to_end(hkey)
                     md_hits.value += 1
                 else:
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[hkey] = line_cls(hkey, True)
-                    md_fills.value += 1
-                    cycles += fill_miss(hkey, read_hmac, victim)
+                    cycles += miss(bucket, hkey, True, read_hmac)
                 # 3. update the ancestor path (protocols with an NV trust
                 #    anchor stop the update below it).
                 if not default_extent:
@@ -759,17 +728,8 @@ class MemoryEncryptionEngine:
                         line.dirty = True
                         bucket.move_to_end(key)
                         md_hits.value += 1
-                        continue
-                    md_misses.value += 1
-                    victim = None
-                    if len(bucket) >= assoc:
-                        victim = bucket.popitem(last=False)[1]
-                        md_evictions.value += 1
-                        if victim.dirty:
-                            md_dirty_evictions.value += 1
-                    bucket[key] = line_cls(key, True)
-                    md_fills.value += 1
-                    cycles += fill_miss(key, read_tree, victim)
+                    else:
+                        cycles += miss(bucket, key, True, read_tree)
                 # 4. the data write itself (posted, unless under a fence).
                 write_data()
                 fenced = kind == 2

@@ -52,9 +52,7 @@ class TriadNVMProtocol(MetadataPersistencePolicy):
         fenced: bool = False,
     ) -> int:
         mee = self.mee
-        cycles = mee.persist_counter_line(counter_index)
-        mee.persist_hmac_line(block_index // 8)
-        cycles += mee.posted_write_cycles
+        cycles = mee.persist_leaf(counter_index, block_index)
         # Ordered write-through of the deepest persist_levels levels.
         for node in path:
             if not self._is_strict_level(node[0]):

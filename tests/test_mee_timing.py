@@ -101,6 +101,35 @@ class TestPersistHelpers:
         mee.persist_tree_node(node)
         assert not mee.mdcache.is_dirty(node_key(node[0], node[1]))
 
+    def test_persisting_absent_line_leaves_cache_untouched(self, config):
+        mee = engine_for(config)
+        mee.read_block(0)
+        stats = mee.mdcache.stats
+        before = {
+            name: stats.get(name)
+            for name in ("hits", "misses", "fills", "evictions")
+        }
+        occupancy = mee.mdcache.occupancy()
+        far = mee.geometry.num_counter_blocks - 1
+        mee.persist_counter_line(far)
+        assert not mee.mdcache.contains(counter_key(far))
+        assert mee.mdcache.occupancy() == occupancy
+        assert {name: stats.get(name) for name in before} == before
+        assert mee.nvm.persists(MetadataRegion.COUNTERS) == 1
+
+    def test_persist_leaf_charges_overlapped_pair(self, config):
+        mee = engine_for(config)
+        mee.write_block(4096 + 3 * 64)
+        block = (4096 + 3 * 64) // 64
+        assert mee.mdcache.is_dirty(counter_key(1))
+        assert mee.mdcache.is_dirty(hmac_key(block // 8))
+        cycles = mee.persist_leaf(1, block)
+        assert cycles == mee.nvm.write_latency_cycles + mee.posted_write_cycles
+        assert mee.nvm.persists(MetadataRegion.COUNTERS) == 1
+        assert mee.nvm.persists(MetadataRegion.HMACS) == 1
+        assert not mee.mdcache.is_dirty(counter_key(1))
+        assert not mee.mdcache.is_dirty(hmac_key(block // 8))
+
     def test_posted_write_cheaper_than_persist(self, config):
         mee = engine_for(config)
         assert 0 < mee.posted_write_cycles < mee.nvm.write_latency_cycles

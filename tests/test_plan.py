@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cache.cache import build_cache, mix_of
+from repro.cache.cache import mix_of
 from repro.cache.metadata_cache import counter_key, hmac_key, node_key
 from repro.config import default_config
 from repro.core.mee import MACS_PER_LINE, MetadataRegion
@@ -196,34 +196,6 @@ class TestPlanContentsProperty:
                 assert by_head[head] is path
             else:
                 by_head[head] = path
-
-
-class TestPremixedAccess:
-    """access_line_premixed(key, mix_of(key)) must be a bit-identical
-    drop-in for access_line on a default-placement cache."""
-
-    def test_premixed_matches_access_line(self):
-        rng = random.Random(11)
-        keys = [counter_key(i) for i in range(64)] + [
-            node_key(level, i) for level in (1, 2, 3) for i in range(16)
-        ]
-        sequence = [
-            (rng.choice(keys), rng.random() < 0.3) for _ in range(4000)
-        ]
-        plain = build_cache(4096, 64, 4, name="plain")
-        premixed = build_cache(4096, 64, 4, name="premixed")
-        for key, dirty in sequence:
-            expected = plain.access_line(key, dirty)
-            actual = premixed.access_line_premixed(key, mix_of(key), dirty)
-            if expected is True or expected is None:
-                assert actual == expected
-            else:
-                assert (actual.key, actual.dirty) == (
-                    expected.key,
-                    expected.dirty,
-                )
-        for stat in ("hits", "misses", "fills", "evictions", "dirty_evictions"):
-            assert plain.stats.get(stat) == premixed.stats.get(stat)
 
 
 class TestPlanCache:

@@ -10,6 +10,13 @@ must agree with the engine on cycles and on every operation count.
 Only the set placement (``mix_of``) and the tree's ancestor arithmetic
 (``TreeGeometry``) are borrowed, so both sides put a line in the same
 set and walk the same path.
+
+Anubis is written from its module's description of the shadow table:
+every metadata fill persists a shadow entry on the critical path, every
+dirty writeback retires one off it, and every data write updates one,
+waiting for it only under a fence. It is the one protocol whose fill
+and writeback hooks both run, so it exercises the engine's miss path
+end to end.
 """
 
 from collections import OrderedDict
@@ -32,12 +39,12 @@ from repro.workloads.registry import (
 from repro.workloads.trace import MemoryAccess, Trace
 
 READ, POSTED, FENCED = 0, 1, 2
-REGIONS = ("data", "counters", "tree", "hmacs")
+REGIONS = ("data", "counters", "tree", "hmacs", "shadow_table")
 COUNTS = ("hits", "misses", "dirty_evictions", "walk_stopped_at_cache")
 
 
 class ReferenceMEE:
-    """Volatile, leaf, and strict timing semantics, written out."""
+    """Volatile, leaf, strict and Anubis timing semantics, written out."""
 
     def __init__(self, config, protocol):
         self.protocol = protocol
@@ -83,9 +90,18 @@ class ReferenceMEE:
                 self.counts["dirty_evictions"] += 1
                 self.writes[self.region(victim)] += 1
                 self.cycles += self.posted_cycles
+                if self.protocol == "anubis":
+                    # Its shadow entry retires; the update coalesces
+                    # with the fill's, which pays for it.
+                    self.shadow_write()
         lines[key] = dirty
         self.reads[self.region(key)] += 1
         self.cycles += self.read_cycles
+        if self.protocol == "anubis":
+            # The fill changes what the shadow table mirrors: a persist
+            # on the critical path.
+            self.shadow_write()
+            self.cycles += self.write_cycles
         return False
 
     def persist(self, key):
@@ -95,6 +111,11 @@ class ReferenceMEE:
         lines = self.lines(key)
         if key in lines:
             lines[key] = False
+
+    def shadow_write(self):
+        """One persisted write of an Anubis shadow-table entry."""
+        self.writes["shadow_table"] += 1
+        self.persists["shadow_table"] += 1
 
     def event(self, kind, addr):
         counter = addr // self.page
@@ -117,6 +138,13 @@ class ReferenceMEE:
         self.writes["data"] += 1
         self.cycles += self.write_cycles if kind == FENCED else self.posted_cycles
         if self.protocol == "volatile":
+            return
+        if self.protocol == "anubis":
+            # The counter update reaches its shadow entry; only a fence
+            # makes the write wait for it.
+            self.shadow_write()
+            if kind == FENCED:
+                self.cycles += self.write_cycles
             return
         # Counter and HMAC persist as an overlapped pair.
         self.persist(ctr)
@@ -162,7 +190,7 @@ configs = st.builds(
     st.sampled_from([2, 4, 8]),
     st.sampled_from([(1, 2), (2, 4), (1, 16)]),
 )
-protocols = st.sampled_from(["volatile", "leaf", "strict"])
+protocols = st.sampled_from(["volatile", "leaf", "strict", "anubis"])
 
 
 @settings(max_examples=100, deadline=None)
