@@ -8,8 +8,7 @@ Bonsai Merkle Forest), AMNT itself, the crash/recovery engine, and the
 hardware-area accounting behind Table 3.
 """
 
-from repro.core.amnt import AMNTProtocol
-from repro.core.amnt_multi import AMNTMultiProtocol
+from repro.core.amnt import AMNTMultiProtocol, AMNTProtocol
 from repro.core.anubis import AnubisProtocol
 from repro.core.area import AreaOverhead, protocol_area_table
 from repro.core.baselines import (

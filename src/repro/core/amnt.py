@@ -24,11 +24,21 @@ the metadata cache's dirty bits identify exactly the in-subtree nodes
 to flush (nothing else can be dirty under AMNT), and the path from the
 old subtree root to the global root is recomputed and persisted.
 
-After a crash only the current subtree region is stale; recovery
-rebuilds it from the (always persisted) counters, checks the rebuilt
-value against the NV subtree register, then repairs the levels above
-and checks the global root — time bounded by the region size, i.e. by
-the configured level (Table 4's AMNT rows).
+The register is a *slot*: it holds one region from adoption to
+retirement. :class:`AMNTProtocol` is written for ``S`` slots — a
+selection (:meth:`~AMNTProtocol._select`) names the next fast set,
+:meth:`~AMNTProtocol._retire` makes each leaving region strict and
+frees its slot, :meth:`~AMNTProtocol._adopt` puts each joining region
+in a free slot — and AMNT itself has ``S = 1``.
+:class:`AMNTMultiProtocol` is the "per-core subtrees" alternative the
+paper rejects in §5, with ``S`` slots and a top-``S`` selection; it is
+here so the rejection can be measured rather than asserted.
+
+After a crash only the regions in the slots are stale; recovery
+rebuilds each from the (always persisted) counters, checks the rebuilt
+value against its NV register, then repairs the levels above and checks
+the global root — time bounded by the region size, i.e. by the
+configured level (Table 4's AMNT rows), times ``S``.
 
 Fidelity note: the functional tree overlay keeps *all* ancestors
 current, so a strict write that persists a node above the live subtree
@@ -51,21 +61,31 @@ class AMNTProtocol(MetadataPersistencePolicy):
     """Dynamic hybrid metadata persistence with hot-region tracking."""
 
     name = "amnt"
-    benefits_from_modified_os = True
-    has_trusted_registers = True
+    #: The counters an adoption and a retirement bump: AMNT's one
+    #: register moves on each adoption, and the multi-subtree variant
+    #: counts adoptions and retirements apart.
+    adopt_stat = "movements"
+    retire_stat: Optional[str] = None
+
+    def subtree_count(self) -> int:
+        """``S``: the fast subtrees, one NV register each."""
+        return 1
 
     def _on_bind(self) -> None:
-        geometry = self.mee.geometry
         self.subtree_level = self.config.amnt.subtree_level
-        self.num_regions = geometry.nodes_at_level(self.subtree_level)
         self.history = HistoryBuffer(self.config.amnt.history_buffer_entries)
         self._movement_interval = self.config.amnt.movement_interval_writes
         self._writes_since_selection = 0
-        self._current_region: Optional[int] = None
-        #: ``(subtree_level, current region)``, or None before the first
-        #: adoption; :meth:`_move_to` retargets it with the region.
-        self._subtree_node: Optional[NodeId] = None
-        self._register = self.mee.registers.allocate("amnt_subtree_root", 64)
+        count = self.subtree_count()
+        #: Slot ``s`` holds the subtree root ``(subtree_level, region)``
+        #: register ``s`` anchors, from adoption to retirement, else
+        #: None. The per-event membership tests read this list.
+        self._slots: List[Optional[NodeId]] = [None] * count
+        allocate = self.mee.registers.allocate
+        self._registers = [allocate("amnt_subtree_root", 64)] + [
+            allocate(f"amnt_subtree_root_{slot}", 64)
+            for slot in range(1, count)
+        ]
         # Per-memory-write counters, pre-resolved off the hot path.
         self._ctr_subtree_hits = self.stats.counter("subtree_hits")
         self._ctr_subtree_misses = self.stats.counter("subtree_misses")
@@ -86,35 +106,40 @@ class AMNTProtocol(MetadataPersistencePolicy):
         return (frame * page_bytes) // region_bytes
 
     @property
+    def active_regions(self) -> List[int]:
+        """The fast regions, in slot order."""
+        return [node[1] for node in self._slots if node is not None]
+
+    @property
     def current_region(self) -> Optional[int]:
-        return self._current_region
+        """The first slot's region: AMNT's one subtree."""
+        node = self._slots[0]
+        return None if node is None else node[1]
 
     def subtree_node(self) -> Optional[NodeId]:
-        return self._subtree_node
+        return self._slots[0]
 
     def in_subtree(self, counter_index: int) -> bool:
-        return (
-            self._current_region is not None
-            and self.region_of_counter(counter_index) == self._current_region
-        )
+        node = (self.subtree_level, self.region_of_counter(counter_index))
+        return node in self._slots
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
     #
-    # The per-write hooks read a counter's region off the ancestor path
-    # the engine hands them: ``path`` runs from the deepest level up to
-    # the root, so ``path[-subtree_level]`` is the level-L ancestor —
-    # the value :meth:`region_of_counter` derives, without re-deriving.
+    # The per-write hooks read a counter's subtree root off the ancestor
+    # path the engine hands them: ``path`` runs from the deepest level up
+    # to the root, so ``path[-subtree_level]`` is the level-L ancestor,
+    # ``(subtree_level, region_of_counter(...))`` without re-deriving.
 
     def path_update_extent(
         self, counter_index: int, path: List[NodeId]
     ) -> List[NodeId]:
-        if path[-self.subtree_level][1] != self._current_region:
+        if path[-self.subtree_level] not in self._slots:
             return path
         # Strictly below the subtree root: the register holds the
         # subtree root itself, and levels above are reconciled only on
-        # movement.
+        # retirement.
         level = self.subtree_level
         return [node for node in path if node[0] > level]
 
@@ -126,14 +151,13 @@ class AMNTProtocol(MetadataPersistencePolicy):
         fenced: bool = False,
     ) -> int:
         mee = self.mee
-        region = path[-self.subtree_level][1]
+        subtree = path[-self.subtree_level]
         # Every write persists its leaf pair (counter + HMAC)...
         cycles = mee.persist_leaf(counter_index, block_index)
-        if region == self._current_region:
-            # ...which inside the fast subtree is all it persists.
+        if subtree in self._slots:
+            # ...which inside a fast subtree is all it persists.
             if mee.functional:
-                subtree = self._subtree_node
-                self._register.write(
+                self._registers[self._slots.index(subtree)].write(
                     mee.engine.hash8(mee.tree.current_node_bytes(subtree)),
                     tag=subtree,
                 )
@@ -153,11 +177,11 @@ class AMNTProtocol(MetadataPersistencePolicy):
         # Hot-region tracking runs off the critical path (§4.2); its
         # buffer update costs no cycles here, only the rare movement
         # traffic does.
-        self.history.record(region)
+        self.history.record(subtree[1])
         self._writes_since_selection += 1
         if self._writes_since_selection >= self._movement_interval:
             self._writes_since_selection = 0
-            cycles += self._select_subtree()
+            cycles += self._reselect()
         return cycles
 
     # ------------------------------------------------------------------
@@ -165,63 +189,89 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # ------------------------------------------------------------------
 
     def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
-        return node == self._subtree_node
+        return node in self._slots
 
     # ------------------------------------------------------------------
     # subtree selection and movement
     # ------------------------------------------------------------------
 
-    def _select_subtree(self) -> int:
-        candidate = self.history.head_region()
-        self.history.reset_interval(keep_region=candidate)
-        self.stats.add("selection_intervals")
-        if candidate is None or candidate == self._current_region:
-            return 0
-        return self._move_to(candidate)
+    def _select(self) -> List[int]:
+        """The next interval's fast regions: the history buffer's head
+        (§4.2)."""
+        return [self.history.head_region()]
 
-    def _move_to(self, new_region: int) -> int:
-        """Transition T -> T': persist T's interior and upper path,
-        then retarget the register (§4.2)."""
+    def _reselect(self) -> int:
+        """End of a selection interval: retire the fast regions the
+        selection drops, then adopt the ones it adds (§4.2)."""
+        target = self._select()
+        self.history.reset_interval(keep_region=self.history.head_region())
+        self.stats.add("selection_intervals")
+        active = self.active_regions
+        leaving = [region for region in active if region not in target]
+        joining = [region for region in target if region not in active]
+        if not leaving and not joining:
+            return 0
+        self.fire_phase("amnt_movement")  # relocation begins
+        cycles = 0
+        for region in leaving:
+            cycles += self._retire(region)
+        for region in joining:
+            self._adopt(region)
+        # A slot no region took stops anchoring its retired one, whose
+        # later strict writes would otherwise contradict the register.
+        for slot, node in enumerate(self._slots):
+            if node is None:
+                self._registers[slot].tag = None
+        return cycles
+
+    def _retire(self, region: int) -> int:
+        """Make ``region`` strict-consistent and free its slot: persist
+        its dirty interior, then its root and the path from it to the
+        global root. Its register keeps anchoring it until another
+        region takes the slot."""
         mee = self.mee
         cycles = 0
-        old = self.subtree_node()
-        self.fire_phase("amnt_movement")  # relocation begins
-        if old is not None:
-            # 1. Dirty-bit scan: under AMNT only in-subtree nodes can be
-            #    dirty, so the scan yields exactly the lines to flush.
-            dirty = mee.mdcache.dirty_nodes_matching(
-                lambda level, index: self._node_in_subtree(level, index, old)
-            )
-            for level, index in dirty:
-                self.fire_phase("amnt_movement")  # mid-flush window
-                cycles += mee.persist_tree_node((level, index))
-                self.stats.add("movement_flushes")
-            # 2. Persist the old subtree root's value and the path from
-            #    it to the global root.
-            node = old
+        old = (self.subtree_level, region)
+        # 1. Dirty-bit scan: under AMNT only fast-subtree nodes can be
+        #    dirty, so the scan yields exactly the lines to flush.
+        dirty = mee.mdcache.dirty_nodes_matching(
+            lambda level, index: self._node_in_subtree(level, index, old)
+        )
+        for level, index in dirty:
+            self.fire_phase("amnt_movement")  # mid-flush window
+            cycles += mee.persist_tree_node((level, index))
+            self.stats.add("movement_flushes")
+        # 2. Persist the old subtree root's value and the path from it
+        #    to the global root.
+        node = old
+        cycles += mee.persist_tree_node(node)
+        while node[0] > 1:
+            node = mee.geometry.parent(node)
+            # In functional mode the volatile overlay already holds the
+            # up-to-date upper-path values (the tree propagates every
+            # counter update), so persisting the line is the whole
+            # reconciliation.
             cycles += mee.persist_tree_node(node)
-            while node[0] > 1:
-                node = mee.geometry.parent(node)
-                # In functional mode the volatile overlay already holds
-                # the up-to-date upper-path values (the tree propagates
-                # every counter update), so persisting the line is the
-                # whole reconciliation.
-                cycles += mee.persist_tree_node(node)
-        # Last crash window before the (atomic) register retarget: the
-        # old subtree and its upper path are fully persisted, but the NV
-        # register still anchors the old region.
-        self.fire_phase("amnt_movement")
-        self._current_region = new_region
-        self._subtree_node = new_node = (self.subtree_level, new_region)
-        if mee.functional:
-            self._register.write(
-                mee.engine.hash8(mee.tree.current_node_bytes(new_node)),
-                tag=new_node,
-            )
-        else:
-            self._register.write(b"", tag=new_node)
-        self.stats.add("movements")
+        self._slots[self._slots.index(old)] = None
+        if self.retire_stat is not None:
+            self.stats.add(self.retire_stat)
         return cycles
+
+    def _adopt(self, region: int) -> None:
+        """Put ``region`` in a free slot and point its register at it."""
+        mee = self.mee
+        # Last crash window before the (atomic) register retarget: a
+        # region retired into this slot is fully persisted, but the NV
+        # register still anchors it.
+        self.fire_phase("amnt_movement")
+        slot = self._slots.index(None)
+        self._slots[slot] = node = (self.subtree_level, region)
+        if mee.functional:
+            value = mee.engine.hash8(mee.tree.current_node_bytes(node))
+        else:
+            value = b""
+        self._registers[slot].write(value, tag=node)
+        self.stats.add(self.adopt_stat)
 
     def _node_in_subtree(self, level: int, index: int, subtree: NodeId) -> bool:
         subtree_level, subtree_index = subtree
@@ -238,38 +288,41 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # ------------------------------------------------------------------
 
     def stale_data_bytes(self, memory_bytes: int) -> float:
-        """One subtree region: memory / arity**(level-1).
+        """``S`` subtree regions of memory / arity**(level-1) each.
 
         Reads the level from the configuration (not the bound engine)
         so the analytic Table 4 model can query unbound protocols.
         """
         level = self.config.amnt.subtree_level
         regions = self.config.security.tree_arity ** (level - 1)
-        return memory_bytes / regions
+        return memory_bytes * min(self.subtree_count(), regions) / regions
 
     def recover(self, tree):
         from repro.core.recovery import RecoveryOutcome
 
-        subtree = self._register.tag
-        if subtree is None:
+        anchored = [r for r in self._registers if r.tag is not None]
+        if not anchored:
             return RecoveryOutcome(
                 protocol=self.name, ok=True, nodes_recomputed=0,
                 detail="no subtree selected; nothing stale",
             )
-        subtree = tuple(subtree)
-        rebuilt_bytes, nodes = tree.subtree_value_from_persisted(subtree)
-        if tree.engine.hash8(rebuilt_bytes) != self._register.read():
-            return RecoveryOutcome(
-                protocol=self.name,
-                ok=False,
-                nodes_recomputed=nodes,
-                detail="rebuilt subtree contradicts the NV subtree register",
-            )
-        node = subtree
-        while node[0] > 1:
-            node = tree.geometry.parent(node)
-            tree.recompute_and_persist(node)
-            nodes += 1
+        nodes = 0
+        for register in anchored:
+            subtree = tuple(register.tag)
+            rebuilt_bytes, count = tree.subtree_value_from_persisted(subtree)
+            nodes += count
+            if tree.engine.hash8(rebuilt_bytes) != register.read():
+                return RecoveryOutcome(
+                    protocol=self.name,
+                    ok=False,
+                    nodes_recomputed=nodes,
+                    detail="rebuilt subtree contradicts the NV subtree register",
+                )
+            node = subtree
+            while node[0] > 1:
+                node = tree.geometry.parent(node)
+                tree.recompute_and_persist(node)
+                nodes += 1
         root_bytes = tree.persisted_node_bytes((1, 0))
         ok = tree.engine.hash8(root_bytes) == tree.root_register
         return RecoveryOutcome(
@@ -288,11 +341,37 @@ class AMNTProtocol(MetadataPersistencePolicy):
 
         return AreaOverhead(
             protocol=self.name,
-            nonvolatile_on_chip_bytes=64,  # the subtree root register
+            # One 64 B subtree root register per slot: linear in S, the
+            # hardware-cost objection to the multi-subtree design.
+            nonvolatile_on_chip_bytes=64 * self.subtree_count(),
             volatile_on_chip_bytes=self.history.area_bits // 8,
             in_memory_bytes=0,
         )
 
 
+class AMNTMultiProtocol(AMNTProtocol):
+    """AMNT with ``S = config.amnt.multi_subtrees`` fast subtrees (the
+    hardware-heavy per-core alternative of §5; it needs no OS change)."""
+
+    name = "amnt-multi"
+    adopt_stat = "adoptions"
+    retire_stat = "movements"
+
+    def subtree_count(self) -> int:
+        return self.config.amnt.multi_subtrees
+
+    def _select(self) -> List[int]:
+        """The top ``S`` regions by count; incumbents win ties, so a
+        stable fast set never churns on noise."""
+        counts = dict(self.history.contents())
+        active = self.active_regions
+        ranked = sorted(
+            counts,
+            key=lambda region: (-counts[region], region not in active, region),
+        )
+        return ranked[: self.subtree_count()]
+
+
 register_protocol(AMNTProtocol)
 register_protocol(AMNTProtocol, alias="amnt++", modified_os=True)
+register_protocol(AMNTMultiProtocol)

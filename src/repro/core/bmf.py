@@ -32,7 +32,6 @@ class BMFProtocol(MetadataPersistencePolicy):
     """Persistent-root-set persistence with prune/merge adaptation."""
 
     name = "bmf"
-    has_trusted_registers = True
 
     def _on_bind(self) -> None:
         geometry = self.mee.geometry

@@ -243,10 +243,9 @@ class MemoryEncryptionEngine:
         self.tree: Optional[BonsaiMerkleTree] = None
         self._volatile_hmacs: Dict[int, bytes] = {}
         #: Optional wear instrumentation (repro.mem.wear). When set, the
-        #: event loop records every data write here and protocols their
-        #: private-region writes (e.g. Anubis's shadow table); the
-        #: metadata persist and writeback paths are wrapped by
-        #: attach_wear_tracking.
+        #: event loop records every data write here, the persist and
+        #: writeback paths every metadata line write, and protocols their
+        #: private-region writes (e.g. Anubis's shadow table).
         self.wear_tracker = None
         #: Optional crash scheduler (repro.faults.triggers). When set,
         #: the engine announces phase boundaries to it and brackets each
@@ -290,7 +289,9 @@ class MemoryEncryptionEngine:
         self._default_extent = (
             proto_cls.path_update_extent is base.path_update_extent
         )
-        self._check_trusted = proto_cls.has_trusted_registers
+        self._check_trusted = (
+            proto_cls.trusted_register_node is not base.trusted_register_node
+        )
         protocol.bind(self)
         #: The engine's one read/write datapath:
         #: ``run_events(events, data=None, plaintexts=None)`` runs
@@ -305,6 +306,8 @@ class MemoryEncryptionEngine:
     def _writeback_metadata(self, key: tuple) -> int:
         """Lazy writeback of a dirty metadata line on eviction (posted:
         it drains from the write queue off the critical path)."""
+        if self.wear_tracker is not None:
+            self.wear_tracker.record_line(key)
         probe = self.fault_probe
         if probe is not None:
             # Posted writebacks can be lost to a power cut: outside a
@@ -356,6 +359,8 @@ class MemoryEncryptionEngine:
         through with ``writer`` (full latency, returned), leave it clean
         if it is cached (a line that is not resident stays absent), and
         fence the write-pending queue."""
+        if self.wear_tracker is not None:
+            self.wear_tracker.record_line(key)
         probe = self.fault_probe
         if probe is not None:
             # The persist window: this line is not yet durable, and
@@ -584,6 +589,7 @@ class MemoryEncryptionEngine:
         line_cls = CacheLine
         md_latency = self._md_latency
         fill_hook = self._fill_hook
+        writeback = self._writeback_metadata
         read_ctr = self._read_ctr
         read_tree = self._read_tree
         read_hmac = self._read_hmac
@@ -626,8 +632,7 @@ class MemoryEncryptionEngine:
             if fill_hook is not None:
                 cycles += fill_hook(key)
             if victim is not None and victim.dirty:
-                # Looked up per call: attach_wear_tracking wraps it.
-                cycles += self._writeback_metadata(victim.key)
+                cycles += writeback(victim.key)
             return cycles
 
         def run(events, data=None, plaintexts=None) -> int:

@@ -41,16 +41,6 @@ class MetadataPersistencePolicy(ABC):
     #: False only for the volatile baseline, which sacrifices crash
     #: consistency entirely (it is the normalization reference).
     is_crash_consistent: bool = True
-    #: True when the protocol benefits from the AMNT++ modified OS
-    #: (the harness pairs ``amnt`` with the modified allocator to form
-    #: the paper's ``amnt++`` configuration).
-    benefits_from_modified_os: bool = False
-    #: True when :meth:`trusted_register_node` can ever return True
-    #: (AMNT's subtree root register, BMF's persistent root set). The
-    #: engine's verification walk skips the per-node callback entirely
-    #: for the protocols without NV anchors — most of the lineup — so
-    #: the class flag must be set by any subclass overriding the hook.
-    has_trusted_registers: bool = False
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
@@ -243,7 +233,6 @@ def _ensure_registry_populated() -> None:
     # Imports are for their registration side effects.
     from repro.core import (  # noqa: F401
         amnt,
-        amnt_multi,
         anubis,
         baselines,
         bmf,

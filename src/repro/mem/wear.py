@@ -11,19 +11,17 @@ them into the two numbers an SCM architect asks for:
 * **hottest-line pressure** — the maximum per-line write count relative
   to the mean, which (absent wear-leveling) bounds device lifetime.
 
-:class:`WearTracker` wraps a :class:`~repro.mem.nvm.NVMDevice` by
-interposing on its access methods — build one around the device before
-simulation and read the report after. Interposition keeps the device's
-hot path free of wear bookkeeping unless a study asks for it.
+:func:`attach_wear_tracking` gives an engine a :class:`WearTracker`
+before simulation; read the report after. Without one the engine's hot
+path pays an attribute test per line write and no bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.backend import MetadataRegion
-from repro.mem.nvm import NVMDevice
 
 #: Conventional PCM cell endurance (writes) used for lifetime math.
 DEFAULT_CELL_ENDURANCE = 10**8
@@ -72,13 +70,13 @@ class WearReport:
 
 
 class WearTracker:
-    """Interposes on an NVM device to record per-line write counts.
+    """Records per-line write counts.
 
     Only *writes* wear PCM; reads are free. The tracker needs line
     identity, which the timing-side ``write_access`` does not carry, so
-    it hooks the MEE at the point where line identity exists: wrap the
-    engine with :func:`attach_wear_tracking` and the persist/writeback
-    helpers report their keys here.
+    the MEE reports at the points where line identity exists: attach one
+    with :func:`attach_wear_tracking` and the engine's data writes,
+    metadata persists and writebacks land here.
     """
 
     def __init__(self) -> None:
@@ -87,6 +85,18 @@ class WearTracker:
     def record(self, region: MetadataRegion, key: object) -> None:
         identity = (region.value, key)
         self._line_writes[identity] = self._line_writes.get(identity, 0) + 1
+
+    def record_line(self, key: tuple) -> None:
+        """Account one write of a metadata-cache line: ``("ctr", i)``
+        is counter line ``i``, ``("node", level, index)`` BMT node
+        ``(level, index)``, ``("hmac", line)`` HMAC line ``line``."""
+        kind = key[0]
+        if kind == "ctr":
+            self.record(MetadataRegion.COUNTERS, key[1])
+        elif kind == "node":
+            self.record(MetadataRegion.TREE, (key[1], key[2]))
+        else:
+            self.record(MetadataRegion.HMACS, key[1])
 
     def report(self) -> WearReport:
         by_region: Dict[str, int] = {}
@@ -111,48 +121,14 @@ class WearTracker:
 
 
 def attach_wear_tracking(mee) -> WearTracker:
-    """Instrument a MemoryEncryptionEngine's write paths with a tracker.
+    """Track a MemoryEncryptionEngine's NVM line writes.
 
-    Wraps the engine's persist helpers and lazy writeback, and sets
-    ``mee.wear_tracker``, through which the engine's event loop records
-    every data write — on every driver, direct or plan replay — so
-    every NVM line write is attributed. Returns the tracker; call
-    ``tracker.report()`` after simulation.
+    Sets ``mee.wear_tracker``, through which the engine records every
+    data write, metadata persist and dirty writeback — on every driver,
+    direct or plan replay — and protocols with private NVM regions
+    (Anubis's shadow table) theirs, so every NVM line write is
+    attributed. Returns the tracker; call ``tracker.report()`` after
+    simulation.
     """
-    tracker = WearTracker()
-
-    original_persist_counter = mee.persist_counter_line
-    original_persist_hmac = mee.persist_hmac_line
-    original_persist_node = mee.persist_tree_node
-    original_writeback = mee._writeback_metadata
-
-    def persist_counter(counter_index):
-        tracker.record(MetadataRegion.COUNTERS, counter_index)
-        return original_persist_counter(counter_index)
-
-    def persist_hmac(hmac_line):
-        tracker.record(MetadataRegion.HMACS, hmac_line)
-        return original_persist_hmac(hmac_line)
-
-    def persist_node(node):
-        tracker.record(MetadataRegion.TREE, node)
-        return original_persist_node(node)
-
-    def writeback(key):
-        kind = key[0]
-        if kind == "ctr":
-            tracker.record(MetadataRegion.COUNTERS, key[1])
-        elif kind == "node":
-            tracker.record(MetadataRegion.TREE, (key[1], key[2]))
-        else:
-            tracker.record(MetadataRegion.HMACS, key[1])
-        return original_writeback(key)
-
-    mee.persist_counter_line = persist_counter
-    mee.persist_hmac_line = persist_hmac
-    mee.persist_tree_node = persist_node
-    mee._writeback_metadata = writeback
-    # The event loop reports data writes, and protocols with private
-    # NVM regions (Anubis's shadow table) theirs, through this attribute.
-    mee.wear_tracker = tracker
+    mee.wear_tracker = tracker = WearTracker()
     return tracker

@@ -103,6 +103,56 @@ class TestRecoveryScaling:
         assert mee.read_block_data(region_page(mee, 2) * 4096) == payload_b
 
 
+def write_intervals(mee, *intervals, count=None):
+    """One selection interval of distinct-block writes per list of
+    regions (``count`` writes instead when given); returns
+    ``{addr: payload}``."""
+    written = {}
+    for regions in intervals:
+        for i in range(count or mee.config.amnt.movement_interval_writes):
+            region = regions[i % len(regions)]
+            addr = (region_page(mee, region) + len(written)) * 4096
+            written[addr] = bytes([len(written) % 251 + 1]) * 64
+            mee.write_block(addr, data=written[addr])
+    return written
+
+
+def assert_recovers(mee, written):
+    outcome = CrashInjector(mee).crash_and_recover()
+    assert outcome.ok, outcome.detail
+    for addr, payload in written.items():
+        assert mee.read_block_data(addr) == payload
+
+
+class TestRegisterSlots:
+    def test_retiring_a_region_keeps_every_other_region_on_its_register(
+        self, config
+    ):
+        """A region holds one register from adoption to retirement.
+
+        Regions 0-3 fill the four slots; the next interval is hot on 1,
+        2, 3 and 5, so its last write retires region 0 and adopts 5.
+        Region 3 must still be anchored by its own register when the
+        crash lands right after that write.
+        """
+        assert config.amnt.multi_subtrees == 4
+        mee = engine_for(config, functional=True)
+        written = write_intervals(mee, [0, 1, 2, 3], [1, 2, 3, 5])
+        assert sorted(mee.protocol.active_regions) == [1, 2, 3, 5]
+        assert_recovers(mee, written)
+
+    def test_a_slot_left_empty_stops_anchoring_its_retired_region(
+        self, config
+    ):
+        """Region 3 retires with no region to take its slot, then takes
+        strict writes: its old register value must not be checked."""
+        mee = engine_for(config, functional=True)
+        written = write_intervals(mee, [0, 1, 2, 3], [1, 2])
+        assert sorted(mee.protocol.active_regions) == [0, 1, 2]
+        written.update(write_intervals(mee, [3], count=3))
+        assert_recovers(mee, written)
+
+
 class TestHardwareCostObjection:
     def test_nv_area_scales_with_subtrees(self, config):
         """The paper's reason for rejecting this design, quantified."""

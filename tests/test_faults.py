@@ -291,6 +291,12 @@ class TestEveryPhaseBoundary:
                 )
                 assert outcome.anomaly == "", label
 
+    def test_amnt_multi_movement_window_exists(self):
+        # Retiring and adopting regions is crashable like AMNT's
+        # movement; the parametrized test above crashes inside it.
+        probe = run_fault_cell(tiny_cell("amnt-multi"), CONFIG)
+        assert dict(probe.phase_counts).get("amnt_movement", 0) > 0
+
     def test_amntpp_restructure_window_exists(self):
         # The modified-OS migration pass must actually be crashable:
         # a longer trace reaches the churn interval several times.

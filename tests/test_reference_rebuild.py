@@ -148,7 +148,7 @@ def test_amnt_level3_subtree_rebuild_matches_reference():
     mee = written_machine(config, "amnt", [3, 4, 70, 300], random.Random(6))
     mee.crash()
     tree = mee.tree
-    subtree = tuple(mee.protocol._register.tag)
+    subtree = tuple(mee.protocol._registers[0].tag)
     assert subtree[0] == 3
     expected, root_hash = reference_tree(
         tree.backend, num_counters, config.security.tree_arity
