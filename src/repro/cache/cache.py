@@ -11,13 +11,23 @@ The cache stores presence and state only, never payload bytes: content
 lives in the NVM backend or the protocol's authoritative structures.
 This mirrors how the timing simulator treats caches — as hit/miss
 filters with eviction side effects.
+
+A line's whole state is its dirty bit: each set is an ``OrderedDict``
+of key -> dirty ``bool`` in LRU -> MRU order. A write hit is
+``bucket[key] = True`` plus ``move_to_end``, a fill ``bucket[key] =
+dirty``, a victim ``key, dirty = bucket.popitem(last=False)``, and a
+persist's clean ``bucket[key] = False`` on a resident key: one dict
+operation each, with no object allocated. ``DataCache.access``, the
+direct path's data-side walk and the MEE's event loop run these steps
+inline over ``_sets``; methods that hand lines out return
+:class:`EvictedLine` snapshots.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterator, List, Optional
 
 from repro.errors import CacheError
 from repro.util.bitops import is_power_of_two
@@ -100,17 +110,10 @@ def mix_of(key: Key) -> int:
     return mixed
 
 
-@dataclass(slots=True)
-class CacheLine:
-    """State of one resident line."""
-
-    key: Key
-    dirty: bool = False
-
-
 @dataclass(frozen=True, slots=True)
 class EvictedLine:
-    """An eviction event handed back to the caller."""
+    """A snapshot of one line's state: an eviction, or a resident line
+    handed to the caller."""
 
     key: Key
     dirty: bool
@@ -135,8 +138,8 @@ class SetAssociativeCache:
         self.name = name
         self._set_of = set_of
         self.stats = StatRegistry(name)
-        # Each set is an OrderedDict: iteration order == LRU -> MRU.
-        self._sets: List["OrderedDict[Key, CacheLine]"] = [
+        # Each set maps key -> dirty bit; iteration order == LRU -> MRU.
+        self._sets: List["OrderedDict[Key, bool]"] = [
             OrderedDict() for _ in range(num_sets)
         ]
         # Hot-loop counters.
@@ -163,8 +166,7 @@ class SetAssociativeCache:
     def lookup(self, key: Key) -> bool:
         """Probe for ``key``; a hit refreshes its recency."""
         bucket = self._sets[self._index(key)]
-        line = bucket.get(key)
-        if line is None:
+        if key not in bucket:
             self._misses.value += 1
             return False
         bucket.move_to_end(key)
@@ -182,65 +184,62 @@ class SetAssociativeCache:
         ORs in the dirty bit (it never cleans an already-dirty line).
         """
         bucket = self._sets[self._index(key)]
-        line = bucket.get(key)
-        if line is not None:
-            line.dirty = line.dirty or dirty
+        if key in bucket:
+            if dirty:
+                bucket[key] = True
             bucket.move_to_end(key)
             return None
         victim: Optional[EvictedLine] = None
         if len(bucket) >= self.associativity:
-            victim_key, victim_line = bucket.popitem(last=False)
-            victim = EvictedLine(victim_key, victim_line.dirty)
+            victim = EvictedLine(*bucket.popitem(last=False))
             self._evictions.value += 1
-            if victim_line.dirty:
+            if victim.dirty:
                 self._dirty_evictions.value += 1
-        bucket[key] = CacheLine(key, dirty)
+        bucket[key] = dirty
         self._fills.value += 1
         return victim
 
     def mark_dirty(self, key: Key) -> None:
         """Set the dirty bit on a resident line."""
-        line = self._sets[self._index(key)].get(key)
-        if line is None:
+        bucket = self._sets[self._index(key)]
+        if key not in bucket:
             raise CacheError(f"{self.name}: mark_dirty on non-resident key {key!r}")
-        line.dirty = True
+        bucket[key] = True
 
     def clean(self, key: Key) -> None:
         """Clear the dirty bit (after a writeback) if resident."""
-        line = self._sets[self._index(key)].get(key)
-        if line is not None:
-            line.dirty = False
+        bucket = self._sets[self._index(key)]
+        if key in bucket:
+            bucket[key] = False
 
     def is_dirty(self, key: Key) -> bool:
-        line = self._sets[self._index(key)].get(key)
-        return bool(line and line.dirty)
+        return self._sets[self._index(key)].get(key, False)
 
     def invalidate(self, key: Key) -> Optional[EvictedLine]:
         """Remove ``key`` if present; returns its final state."""
-        bucket = self._sets[self._index(key)]
-        line = bucket.pop(key, None)
-        if line is None:
-            return None
-        return EvictedLine(line.key, line.dirty)
+        dirty = self._sets[self._index(key)].pop(key, None)
+        return None if dirty is None else EvictedLine(key, dirty)
 
     # -- bulk operations ---------------------------------------------------
 
-    def lines(self) -> Iterator[CacheLine]:
-        """All resident lines (LRU to MRU within each set)."""
+    def lines(self) -> Iterator[EvictedLine]:
+        """Snapshots of all resident lines (LRU to MRU within each set)."""
         for bucket in self._sets:
-            yield from bucket.values()
+            for key, dirty in bucket.items():
+                yield EvictedLine(key, dirty)
 
-    def dirty_lines(self) -> Iterator[CacheLine]:
-        for line in self.lines():
-            if line.dirty:
-                yield line
+    def dirty_lines(self) -> Iterator[EvictedLine]:
+        for bucket in self._sets:
+            for key, dirty in bucket.items():
+                if dirty:
+                    yield EvictedLine(key, True)
 
     def drop_all(self) -> List[EvictedLine]:
         """Volatile loss: discard every line (crash modeling).
 
         Dirty contents are *not* written back — that is the point.
         """
-        dropped = [EvictedLine(line.key, line.dirty) for line in self.lines()]
+        dropped = list(self.lines())
         for bucket in self._sets:
             bucket.clear()
         return dropped

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.cache.cache import CacheLine, SetAssociativeCache, build_cache
+from repro.cache.cache import build_cache
 from repro.config import DataCacheConfig
 from repro.mem.address import AddressSpace
 
@@ -102,22 +102,21 @@ class DataCache:
         else:
             block = self._block_index(addr)  # raises AddressError
         bucket = self._sets[block & self._set_mask]
-        line = bucket.get(block)
-        if line is not None:
+        if block in bucket:
             if is_write:
-                line.dirty = True
+                bucket[block] = True
             bucket.move_to_end(block)
             self._hits.value += 1
             return _HIT
         self._misses.value += 1
         writebacks = ()
         if len(bucket) >= self._assoc:
-            victim_key, victim_line = bucket.popitem(last=False)
+            victim, dirty = bucket.popitem(last=False)
             self._evictions.value += 1
-            if victim_line.dirty:
+            if dirty:
                 self._dirty_evictions.value += 1
-                writebacks = (victim_key,)
-        bucket[block] = CacheLine(block, is_write)
+                writebacks = (victim,)
+        bucket[block] = bool(is_write)
         self._fills.value += 1
         return MemoryTraffic(
             hit=False,

@@ -40,7 +40,16 @@ def hmac_key(hmac_line_index: int) -> HmacKey:
 
 
 class MetadataCache:
-    """Unified security-metadata cache with typed key helpers."""
+    """Unified security-metadata cache with typed key helpers.
+
+    Each set of the inner cache maps a key to its dirty bit (see
+    :mod:`repro.cache.cache`). The MEE's event loop and persist path
+    work on those sets directly: every key they touch comes with its
+    set mix from the event record or the interned node triple, and the
+    inner cache uses default placement (``set_of=None``), so a probe, a
+    dirtying reference and a persist's clean are each one dict
+    operation on the set ``mix & (num_sets - 1)``.
+    """
 
     def __init__(self, config: MetadataCacheConfig, name: str = "mdcache") -> None:
         self.config = config
@@ -58,10 +67,6 @@ class MetadataCache:
         self.lookup = inner.lookup
         self.contains = inner.contains
         self.insert = inner.insert
-        # The MEE's event loop and persist path index the inner cache's
-        # sets directly with premixed set indices (mix_of(key) & mask),
-        # valid because build_cache above uses default placement
-        # (set_of=None).
         self.mark_dirty = inner.mark_dirty
         self.clean = inner.clean
         self.is_dirty = inner.is_dirty

@@ -79,7 +79,9 @@ class AMNTProtocol(MetadataPersistencePolicy):
         count = self.subtree_count()
         #: Slot ``s`` holds the subtree root ``(subtree_level, region)``
         #: register ``s`` anchors, from adoption to retirement, else
-        #: None. The per-event membership tests read this list.
+        #: None. The per-event membership tests read this list, and it
+        #: is the container ``trusted_nodes()`` hands the engine, so it
+        #: is only ever updated in place.
         self._slots: List[Optional[NodeId]] = [None] * count
         allocate = self.mee.registers.allocate
         self._registers = [allocate("amnt_subtree_root", 64)] + [
@@ -132,16 +134,13 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # to the root, so ``path[-subtree_level]`` is the level-L ancestor,
     # ``(subtree_level, region_of_counter(...))`` without re-deriving.
 
-    def path_update_extent(
-        self, counter_index: int, path: List[NodeId]
-    ) -> List[NodeId]:
+    def path_update_extent(self, counter_index: int, path: List[NodeId]) -> int:
         if path[-self.subtree_level] not in self._slots:
-            return path
-        # Strictly below the subtree root: the register holds the
-        # subtree root itself, and levels above are reconciled only on
-        # retirement.
-        level = self.subtree_level
-        return [node for node in path if node[0] > level]
+            return len(path)
+        # Strictly below the subtree root (``path[-L]`` is the level-L
+        # node): the register holds the subtree root itself, and levels
+        # above are reconciled only on retirement.
+        return len(path) - self.subtree_level
 
     def on_data_write(
         self,
@@ -164,8 +163,7 @@ class AMNTProtocol(MetadataPersistencePolicy):
             self._ctr_subtree_hits.value += 1
         else:
             # Strict persistence outside it (ordered tree walk).
-            for node in path:
-                cycles += mee.persist_tree_node(node)
+            cycles += mee.persist_path(path)
             self._ctr_subtree_misses.value += 1
 
         # The write's own persists are complete here; everything below
@@ -188,8 +186,8 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # read path
     # ------------------------------------------------------------------
 
-    def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
-        return node in self._slots
+    def trusted_nodes(self) -> List[Optional[NodeId]]:
+        return self._slots
 
     # ------------------------------------------------------------------
     # subtree selection and movement

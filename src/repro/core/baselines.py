@@ -87,15 +87,11 @@ class StrictPersistenceProtocol(MetadataPersistencePolicy):
         cycles = mee.persist_leaf(counter_index, block_index)
         # ...but the tree walk is ordered: each level's write-through
         # must be durable before its parent's (persist barriers), which
-        # is what puts strict persistence on the critical path.
-        probe = mee.fault_probe
-        for node in path:
-            if probe is not None:
-                # Inside the write's persist group, so injected crashes
-                # defer to the group commit: ADR drains the queued
-                # write-throughs, making the walk all-or-nothing.
-                probe.on_phase("strict_write_through")
-            cycles += mee.persist_tree_node(node)
+        # is what puts strict persistence on the critical path. Its
+        # phase fires inside the write's persist group, so injected
+        # crashes defer to the group commit: ADR drains the queued
+        # write-throughs, making the walk all-or-nothing.
+        cycles += mee.persist_path(path, "strict_write_through")
         self._ctr_paths.value += 1
         return cycles
 

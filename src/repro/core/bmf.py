@@ -39,6 +39,8 @@ class BMFProtocol(MetadataPersistencePolicy):
         self._adjust_interval = self.config.bmf.adjust_interval
         self._writes_since_adjust = 0
         #: The persistent root set: node -> access count this interval.
+        #: ``trusted_nodes()`` hands this dict to the engine, so it is
+        #: only ever updated in place.
         self._root_counts: Dict[NodeId, int] = {(1, 0): 0}
         #: NV-cached node values (functional mode only).
         self._root_values: Dict[NodeId, bytes] = {}
@@ -87,11 +89,8 @@ class BMFProtocol(MetadataPersistencePolicy):
     # write path
     # ------------------------------------------------------------------
 
-    def path_update_extent(
-        self, counter_index: int, path: List[NodeId]
-    ) -> List[NodeId]:
-        root = self.nearest_persistent_root(path)
-        return path[: path.index(root)]
+    def path_update_extent(self, counter_index: int, path: List[NodeId]) -> int:
+        return path.index(self.nearest_persistent_root(path))
 
     def on_data_write(
         self,
@@ -103,10 +102,7 @@ class BMFProtocol(MetadataPersistencePolicy):
         mee = self.mee
         root = self.nearest_persistent_root(path)
         cycles = mee.persist_leaf(counter_index, block_index)
-        for node in path:
-            if node == root:
-                break
-            cycles += mee.persist_tree_node(node)
+        cycles += mee.persist_path(path[: path.index(root)])
         self._root_counts[root] += 1
         if mee.functional:
             # The on-chip NV entry absorbs the root's new value.
@@ -118,8 +114,8 @@ class BMFProtocol(MetadataPersistencePolicy):
             self._adjust()
         return cycles
 
-    def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
-        return node in self._root_counts
+    def trusted_nodes(self) -> Dict[NodeId, int]:
+        return self._root_counts
 
     # ------------------------------------------------------------------
     # prune / merge

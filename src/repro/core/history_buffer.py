@@ -10,8 +10,10 @@ maintained by a single compare-and-swap against the head on each
 increment. Ties keep the incumbent at the head, avoiding gratuitous
 subtree movement.
 
-After ``n`` recorded writes the protocol reads the head as the next
-subtree region and calls :meth:`reset_interval`, zeroing every counter.
+The buffer does not count its interval: the protocol counts writes
+since its last selection (AMNT's ``_writes_since_selection``), and at
+the end of each interval reads the head as the next subtree region and
+calls :meth:`reset_interval`, zeroing every counter.
 
 Area: each entry needs ``log2(n)`` bits of region index plus
 ``log2(n)`` bits of counter — ``n * 2 * log2(n)`` bits total, 768 bits
@@ -38,7 +40,6 @@ class HistoryBuffer:
 
     capacity: int = 64
     _entries: List[_Entry] = field(default_factory=list)
-    _recorded: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 2:
@@ -61,7 +62,6 @@ class HistoryBuffer:
             position = self._allocate(region)
         entry = self._entries[position]
         entry.count += 1
-        self._recorded += 1
         if position != 0 and entry.count > self._entries[0].count:
             self._entries[0], self._entries[position] = (
                 self._entries[position],
@@ -88,15 +88,6 @@ class HistoryBuffer:
 
     # -- interval protocol -------------------------------------------------
 
-    @property
-    def recorded_writes(self) -> int:
-        """Writes recorded since the last interval reset."""
-        return self._recorded
-
-    def interval_complete(self) -> bool:
-        """True after ``capacity`` writes — time to (re)select."""
-        return self._recorded >= self.capacity
-
     def head_region(self) -> Optional[int]:
         """The current most-written region (None when empty)."""
         return self._entries[0].region if self._entries else None
@@ -110,7 +101,6 @@ class HistoryBuffer:
         ``keep_region`` (the newly selected subtree) stays as the head
         entry so ties in the next interval favour the incumbent.
         """
-        self._recorded = 0
         self._entries.clear()
         if keep_region is not None:
             self._entries.append(_Entry(keep_region, 0))

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import CacheLine, mix_of
+from repro.cache.cache import mix_of
 from repro.cache.metadata_cache import (
     MetadataCache,
     counter_key,
@@ -289,9 +289,6 @@ class MemoryEncryptionEngine:
         self._default_extent = (
             proto_cls.path_update_extent is base.path_update_extent
         )
-        self._check_trusted = (
-            proto_cls.trusted_register_node is not base.trusted_register_node
-        )
         protocol.bind(self)
         #: The engine's one read/write datapath:
         #: ``run_events(events, data=None, plaintexts=None)`` runs
@@ -354,11 +351,12 @@ class MemoryEncryptionEngine:
         (tree-walk) persists pay full latency."""
         return self._posted_write_cycles
 
-    def _persist_line(self, key: tuple, writer) -> int:
+    def _persist_line(self, key: tuple, mix: int, writer) -> int:
         """The one crash-consistency persist: write ``key``'s line
         through with ``writer`` (full latency, returned), leave it clean
-        if it is cached (a line that is not resident stays absent), and
-        fence the write-pending queue."""
+        if it is cached in the set its premixed ``mix`` selects (a line
+        that is not resident stays absent), and fence the write-pending
+        queue."""
         if self.wear_tracker is not None:
             self.wear_tracker.record_line(key)
         probe = self.fault_probe
@@ -367,9 +365,9 @@ class MemoryEncryptionEngine:
             # neither is anything enqueued since the last fence.
             probe.on_persist()
         cycles = writer()
-        line = self._md_sets[mix_of(key) & self._md_set_mask].get(key)
-        if line is not None:
-            line.dirty = False
+        bucket = self._md_sets[mix & self._md_set_mask]
+        if key in bucket:
+            bucket[key] = False
         if self.functional:
             self._sync_line_to_backend(key)
         if self._wpq is not None:
@@ -378,19 +376,35 @@ class MemoryEncryptionEngine:
 
     def persist_counter_line(self, counter_index: int) -> int:
         """Write the counter line through (crash-consistency persist)."""
-        return self._persist_line(
-            counter_key(counter_index), self._persist_ctr_write
-        )
+        key = counter_key(counter_index)
+        return self._persist_line(key, mix_of(key), self._persist_ctr_write)
 
     def persist_hmac_line(self, hmac_line: int) -> int:
         """Write the HMAC line through (crash-consistency persist)."""
-        return self._persist_line(hmac_key(hmac_line), self._persist_hmac_write)
+        key = hmac_key(hmac_line)
+        return self._persist_line(key, mix_of(key), self._persist_hmac_write)
 
     def persist_tree_node(self, node: NodeId) -> int:
         """Write a BMT node's line through (crash-consistency persist)."""
-        return self._persist_line(
-            node_key(node[0], node[1]), self._persist_tree_write
-        )
+        _, key, mix = node_triple(node)
+        return self._persist_line(key, mix, self._persist_tree_write)
+
+    def persist_path(self, nodes: List[NodeId], phase: Optional[str] = None) -> int:
+        """Ordered write-through of ``nodes``, in the given order: each
+        node's persist completes before the next issues (persist
+        barriers), so the critical path pays every full write latency
+        (their sum is returned). With a fault probe attached, ``phase``
+        fires before each node's persist window."""
+        probe = self.fault_probe if phase is not None else None
+        persist = self._persist_line
+        writer = self._persist_tree_write
+        cycles = 0
+        for node in nodes:
+            _, key, mix = node_triple(node)
+            if probe is not None:
+                probe.on_phase(phase)
+            cycles += persist(key, mix, writer)
+        return cycles
 
     def persist_leaf(self, counter_index: int, block_index: int) -> int:
         """Leaf persistence of one data write: its counter line and its
@@ -398,10 +412,16 @@ class MemoryEncryptionEngine:
 
         The two lines are independent, so they issue as an unordered
         pair: the critical path pays one full write plus
-        :attr:`posted_write_cycles` for the overlapped second.
+        :attr:`posted_write_cycles` for the overlapped second. Both
+        keys and mixes come from the write's event record.
         """
-        cycles = self.persist_counter_line(counter_index)
-        self.persist_hmac_line(block_index // MACS_PER_LINE)
+        hmac_line = block_index // MACS_PER_LINE
+        record = self._records.get((counter_index, hmac_line))
+        if record is None:
+            record = resolve_record(self.geometry, counter_index, hmac_line)
+        ctr_key, ctr_mix, hkey, hmac_mix, _, _, _ = record
+        cycles = self._persist_line(ctr_key, ctr_mix, self._persist_ctr_write)
+        self._persist_line(hkey, hmac_mix, self._persist_hmac_write)
         return cycles + self._posted_write_cycles
 
     # ------------------------------------------------------------------
@@ -573,9 +593,13 @@ class MemoryEncryptionEngine:
         except ``fault_probe`` and ``wear_tracker``, which are attached
         after construction and read once per call. Each metadata-cache
         reference probes the line's set inline (the record carries its
-        premixed set): a hit refreshes recency, and a write's reference
-        sets the dirty bit. Every miss goes through one closure,
-        ``miss``, which holds the only copy of the miss rule.
+        premixed set). A set maps key -> dirty bit (see
+        :mod:`repro.cache.cache`), so a hit is one ``move_to_end`` and a
+        write's reference first sets ``bucket[key] = True``. Every miss
+        goes through one closure, ``miss``, which holds the only copy of
+        the miss rule. A protocol's update extent is a prefix length of
+        the record's ``triples``, and its NV anchors are one container
+        (``trusted_nodes()``) the walk tests membership in.
         """
         inner = self.mdcache._cache
         sets = self._md_sets
@@ -586,7 +610,6 @@ class MemoryEncryptionEngine:
         md_fills = inner._fills
         md_evictions = inner._evictions
         md_dirty_evictions = inner._dirty_evictions
-        line_cls = CacheLine
         md_latency = self._md_latency
         fill_hook = self._fill_hook
         writeback = self._writeback_metadata
@@ -600,7 +623,7 @@ class MemoryEncryptionEngine:
         walk_cache = self._ctr_walk_cache
         walk_register = self._ctr_walk_register
         protocol = self.protocol
-        trusted = protocol.trusted_register_node if self._check_trusted else None
+        trusted = protocol.trusted_nodes()
         read_auth_hook = self._read_auth_hook
         default_extent = self._default_extent
         extent_of = protocol.path_update_extent
@@ -622,17 +645,19 @@ class MemoryEncryptionEngine:
             md_misses.value += 1
             victim = None
             if len(bucket) >= assoc:
-                victim = bucket.popitem(last=False)[1]
+                victim, victim_dirty = bucket.popitem(last=False)
                 md_evictions.value += 1
-                if victim.dirty:
+                if victim_dirty:
                     md_dirty_evictions.value += 1
-            bucket[key] = line_cls(key, dirty)
+                else:
+                    victim = None
+            bucket[key] = dirty
             md_fills.value += 1
             cycles = nvm_read()
             if fill_hook is not None:
                 cycles += fill_hook(key)
-            if victim is not None and victim.dirty:
-                cycles += writeback(victim.key)
+            if victim is not None:
+                cycles += writeback(victim)
             return cycles
 
         def run(events, data=None, plaintexts=None) -> int:
@@ -654,7 +679,7 @@ class MemoryEncryptionEngine:
                         cycles += miss(bucket, ctr_key, False, read_ctr)
                     # BMT walk: climb until the first cached / trusted node.
                     for node, key, mix in triples:
-                        if trusted is not None and trusted(node, counter_index):
+                        if node in trusted:
                             walk_register.value += 1
                             break
                         bucket = sets[mix & set_mask]
@@ -697,10 +722,9 @@ class MemoryEncryptionEngine:
                     probe.begin_group()
                 # 1. read-modify-write the counter (dirtying reference).
                 bucket = sets[ctr_mix & set_mask]
-                line = bucket.get(ctr_key)
                 cycles += md_latency
-                if line is not None:
-                    line.dirty = True
+                if ctr_key in bucket:
+                    bucket[ctr_key] = True
                     bucket.move_to_end(ctr_key)
                     md_hits.value += 1
                 else:
@@ -710,10 +734,9 @@ class MemoryEncryptionEngine:
                     bump_and_store(addr, block_index, counter_index, data, path)
                 # 2. update the HMAC line (dirtying reference).
                 bucket = sets[hmac_mix & set_mask]
-                line = bucket.get(hkey)
                 cycles += md_latency
-                if line is not None:
-                    line.dirty = True
+                if hkey in bucket:
+                    bucket[hkey] = True
                     bucket.move_to_end(hkey)
                     md_hits.value += 1
                 else:
@@ -721,16 +744,12 @@ class MemoryEncryptionEngine:
                 # 3. update the ancestor path (protocols with an NV trust
                 #    anchor stop the update below it).
                 if not default_extent:
-                    triples = [
-                        node_triple(node)
-                        for node in extent_of(counter_index, path)
-                    ]
+                    triples = triples[: extent_of(counter_index, path)]
                 for node, key, mix in triples:
                     bucket = sets[mix & set_mask]
-                    line = bucket.get(key)
                     cycles += md_latency
-                    if line is not None:
-                        line.dirty = True
+                    if key in bucket:
+                        bucket[key] = True
                         bucket.move_to_end(key)
                         md_hits.value += 1
                     else:

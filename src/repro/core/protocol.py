@@ -18,7 +18,7 @@ back into it through the ``mee`` attribute set by :meth:`bind`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Type
+from typing import TYPE_CHECKING, Container, Dict, List, Optional, Type
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
@@ -93,11 +93,10 @@ class MetadataPersistencePolicy(ABC):
         the fence retires and is charged synchronously.
         """
 
-    def path_update_extent(
-        self, counter_index: int, path: List[NodeId]
-    ) -> List[NodeId]:
-        """The ancestor nodes the engine fetches and updates (dirties)
-        in the metadata cache on a data write.
+    def path_update_extent(self, counter_index: int, path: List[NodeId]) -> int:
+        """How many ancestors the engine fetches and updates (dirties)
+        in the metadata cache on a data write: the extent is always the
+        prefix ``path[:n]`` of the bottom-up path, and ``n`` is returned.
 
         Default: the whole path to the root — the tree must reflect the
         new counter everywhere. Protocols with an intermediate NV trust
@@ -105,17 +104,23 @@ class MetadataPersistencePolicy(ABC):
         above the subtree-root register (that register *is* the trusted
         summary), and BMF stops below the nearest persistent root.
         """
-        return path
+        return len(path)
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
 
+    def trusted_nodes(self) -> Container[NodeId]:
+        """The nodes held in on-chip NV registers, which terminate a
+        verification walk (AMNT's subtree slots, BMF's persistent root
+        set). The engine reads this once and tests membership per walk
+        level, so an override must return the same container object
+        for the engine's lifetime and update it in place."""
+        return ()
+
     def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
-        """True when ``node`` is held in an on-chip NV register and can
-        terminate a verification walk (AMNT's subtree root, BMF's
-        persistent root set)."""
-        return False
+        """True when ``node`` is in :meth:`trusted_nodes`."""
+        return node in self.trusted_nodes()
 
     def on_read_authentication(self, counter_index: int) -> int:
         """Extra read-path cycles (protocol bookkeeping)."""

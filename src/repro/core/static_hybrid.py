@@ -41,9 +41,6 @@ class TriadNVMProtocol(MetadataPersistencePolicy):
             2, geometry.num_node_levels - persist_levels + 1
         )
 
-    def _is_strict_level(self, level: int) -> bool:
-        return level >= self.strict_above_level
-
     def on_data_write(
         self,
         counter_index: int,
@@ -53,11 +50,10 @@ class TriadNVMProtocol(MetadataPersistencePolicy):
     ) -> int:
         mee = self.mee
         cycles = mee.persist_leaf(counter_index, block_index)
-        # Ordered write-through of the deepest persist_levels levels.
-        for node in path:
-            if not self._is_strict_level(node[0]):
-                break
-            cycles += mee.persist_tree_node(node)
+        # Ordered write-through of the deepest persist_levels levels
+        # (the path runs bottom-up, one node per level).
+        strict_nodes = len(path) - self.strict_above_level + 1
+        cycles += mee.persist_path(path[:strict_nodes])
         self.stats.add("level_persists")
         return cycles
 
@@ -112,8 +108,7 @@ class PLPProtocol(MetadataPersistencePolicy):
         # All lines persist (same traffic and recovery as strict)...
         mee.persist_counter_line(counter_index)
         mee.persist_hmac_line(block_index // 8)
-        for node in path:
-            mee.persist_tree_node(node)
+        mee.persist_path(path)
         # ...but issued in parallel: the critical path sees one full
         # write plus queue occupancy per extra line.
         extra_lines = 1 + len(path)  # hmac + nodes overlap the counter

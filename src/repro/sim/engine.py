@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Optional, Tuple
 
-from repro.cache.cache import CacheLine
 from repro.core.mee import MACS_PER_LINE
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
@@ -123,7 +122,6 @@ def _boundary_events(
     fills = llc._fills
     evictions = llc._evictions
     dirty_evictions = llc._dirty_evictions
-    line_cls = CacheLine
     # HMAC line (or block) index -> event record, for this walk only.
     line_shift = (
         MACS_PER_LINE.bit_length() - 1
@@ -136,11 +134,12 @@ def _boundary_events(
 
     # The loop iterates the trace's raw columns: machine integers per
     # record via zip, no per-record object or attribute lookups. Flags
-    # pack is_write in bit 0 and flush in bit 1.
+    # pack is_write in bit 0 and flush in bit 1; ``is_write`` is a bool
+    # because it becomes a filled line's dirty bit.
     position = 0
     for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
         position += 1
-        is_write = flags & 1
+        is_write = flags & 1 == 1
         base = bases_of.get(pid, unmapped).get(vaddr >> page_shift)
         if base is None:
             paddr = translate(pid, vaddr)
@@ -151,23 +150,22 @@ def _boundary_events(
         else:
             block = block_index(paddr)  # raises AddressError
         bucket = sets[block & set_mask]
-        line = bucket.get(block)
-        if line is not None:
+        if block in bucket:
             if is_write:
-                line.dirty = True
+                bucket[block] = True
             bucket.move_to_end(block)
             hits.value += 1
         else:
             misses.value += 1
             victim = None
             if len(bucket) >= assoc:
-                victim, victim_line = bucket.popitem(last=False)
+                victim, dirty = bucket.popitem(last=False)
                 evictions.value += 1
-                if victim_line.dirty:
+                if dirty:
                     dirty_evictions.value += 1
                 else:
                     victim = None
-            bucket[block] = line = line_cls(block, is_write)
+            bucket[block] = is_write
             fills.value += 1
             addr = block * block_bytes
             if records is not None:
@@ -186,7 +184,7 @@ def _boundary_events(
             # CLWB + fence: the store is pushed to memory now, and the
             # core waits for the (protocol-dependent) persist to finish
             # — the path in-memory storage applications live on.
-            line.dirty = False
+            bucket[block] = False
             addr = block * block_bytes
             if records is not None:
                 rec = record_at(block >> line_shift)

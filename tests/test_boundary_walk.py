@@ -190,3 +190,65 @@ class TestCoverage:
         )
         assert raised
         assert len(events) < 16
+
+
+class TestDirtyBitsAreBools:
+    """Sets map key -> dirty bit. The walks derive that bit from
+    ``flags & 1``, an int; since ``1 == True``, the list comparisons
+    above would not notice an int leaking into a set, so these tests
+    check the type."""
+
+    STREAM = [
+        (step % 40, 64 * step % PAGE, step % 2, step % 4) for step in range(240)
+    ]
+
+    @staticmethod
+    def assert_bool_bits(llc):
+        cache = llc._cache
+        assert all(
+            type(dirty) is bool
+            for bucket in cache._sets
+            for dirty in bucket.values()
+        )
+        full = next(
+            index
+            for index, bucket in enumerate(cache._sets)
+            if len(bucket) == cache.associativity
+        )
+        victim = cache.insert(full + cache.num_sets * 4096)
+        assert type(victim.dirty) is bool
+        dropped = cache.drop_all()
+        assert dropped and all(type(line.dirty) is bool for line in dropped)
+
+    @pytest.mark.parametrize("walk", [fused_walk, reference_walk])
+    def test_after_a_walk(self, walk):
+        llc, mm = build_data_side(CONFIG, modified_os=False, seed=7)
+        vaddrs = [vpage * PAGE + offset for vpage, offset, _, _ in self.STREAM]
+        pids = [pid for _, _, pid, _ in self.STREAM]
+        flag_col = [flags for _, _, _, flags in self.STREAM]
+        rng = make_rng("boundary-walk")
+        events = list(
+            walk(llc, mm, RECORD_OF, vaddrs, pids, flag_col, rng, (16, 2, 8))
+        )
+        assert {kind for kind, _, _ in events} == {0, 1, 2}
+        self.assert_bool_bits(llc)
+
+    def test_after_data_cache_access_with_int_flags(self):
+        llc = DataCache(CONFIG.llc, AddressSpace(64 * PAGE))
+        for step in range(200):
+            llc.access(64 * (step * 7 % 512), step & 1)
+        self.assert_bool_bits(llc)
+
+    def test_metadata_cache_after_mee_events(self):
+        mee = build_machine(CONFIG, "amnt").mee
+        for step in range(300):
+            addr = (step * 37 % 1024) * PAGE
+            if step % 3:
+                mee.write_block(addr, fenced=step % 5 == 0)
+            else:
+                mee.read_block(addr)
+        assert all(
+            type(dirty) is bool
+            for bucket in mee.mdcache._cache._sets
+            for dirty in bucket.values()
+        )

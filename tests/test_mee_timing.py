@@ -134,6 +134,90 @@ class TestPersistHelpers:
         mee = engine_for(config)
         assert 0 < mee.posted_write_cycles < mee.nvm.write_latency_cycles
 
+    def test_persist_path_runs_in_order_at_full_latency(self, config):
+        mee = engine_for(config)
+        mee.write_block(0)
+        order = []
+        mee.wear_tracker = WriteLog(order)
+        path = mee.geometry.ancestors_of_counter(0)
+        nodes = [path[2], path[0], path[-1]]
+        cycles = mee.persist_path(nodes)
+        assert cycles == len(nodes) * mee.nvm.write_latency_cycles
+        assert order == [("line", node_key(*node)) for node in nodes]
+        assert mee.nvm.persists(MetadataRegion.TREE) == len(nodes)
+        assert mee.persist_path([]) == 0
+
+    def test_persist_path_cleans_resident_and_skips_absent(self, config):
+        mee = engine_for(config)
+        mee.write_block(0)
+        path = mee.geometry.ancestors_of_counter(0)
+        far = mee.geometry.ancestors_of_counter(
+            mee.geometry.num_counter_blocks - 1
+        )[0]
+        occupancy = mee.mdcache.occupancy()
+        mee.persist_path(path + [far])
+        for node in path:
+            key = node_key(*node)
+            assert mee.mdcache.contains(key)
+            assert not mee.mdcache.is_dirty(key)
+        assert not mee.mdcache.contains(node_key(*far))
+        assert mee.mdcache.occupancy() == occupancy
+
+    def test_persist_path_fires_phase_before_each_persist(self, config):
+        mee = engine_for(config)
+        mee.write_block(0)
+        events = []
+        mee.fault_probe = ProbeLog(events)
+        path = mee.geometry.ancestors_of_counter(0)
+        mee.persist_path(path, "strict_write_through")
+        assert events == [
+            ("phase", "strict_write_through"),
+            ("persist",),
+        ] * len(path)
+        events.clear()
+        mee.persist_path(path)
+        assert events == [("persist",)] * len(path)
+
+    def test_persist_path_equals_a_persist_tree_node_loop(self, config):
+        pathwise, nodewise = engine_for(config), engine_for(config)
+        for mee in (pathwise, nodewise):
+            for page in (0, 9, 70):
+                mee.write_block(page * 4096)
+        nodes = pathwise.geometry.ancestors_of_counter(9)
+        nodes = nodes + pathwise.geometry.ancestors_of_counter(70)[:2]
+        cycles = pathwise.persist_path(nodes)
+        assert cycles == sum(nodewise.persist_tree_node(node) for node in nodes)
+        assert pathwise.nvm.stats.snapshot() == nodewise.nvm.stats.snapshot()
+        assert (
+            pathwise.mdcache.stats.snapshot() == nodewise.mdcache.stats.snapshot()
+        )
+        assert list(pathwise.mdcache._cache.lines()) == list(
+            nodewise.mdcache._cache.lines()
+        )
+
+
+class WriteLog:
+    """A wear tracker that logs the metadata lines written, in order."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def record_line(self, key):
+        self.log.append(("line", key))
+
+
+class ProbeLog:
+    """A fault probe that logs phase and persist-window announcements."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_phase(self, name):
+        self.log.append(("phase", name))
+
+    def on_persist(self):
+        self.log.append(("persist",))
+
 
 class TestPathMemo:
     def test_ancestor_path_memoized(self, config):
