@@ -20,7 +20,9 @@ persist's clean ``bucket[key] = False`` on a resident key: one dict
 operation each, with no object allocated. ``DataCache.access``, the
 direct path's data-side walk and the MEE's event loop run these steps
 inline over ``_sets``; methods that hand lines out return
-:class:`EvictedLine` snapshots.
+:class:`EvictedLine` snapshots. (An MEE replay group's metadata cache
+stores member masks instead of bools; see
+:class:`repro.cache.metadata_cache.MetadataCache`.)
 """
 
 from __future__ import annotations

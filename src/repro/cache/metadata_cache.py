@@ -42,13 +42,17 @@ def hmac_key(hmac_line_index: int) -> HmacKey:
 class MetadataCache:
     """Unified security-metadata cache with typed key helpers.
 
-    Each set of the inner cache maps a key to its dirty bit (see
-    :mod:`repro.cache.cache`). The MEE's event loop and persist path
-    work on those sets directly: every key they touch comes with its
-    set mix from the event record or the interned node triple, and the
-    inner cache uses default placement (``set_of=None``), so a probe, a
-    dirtying reference and a persist's clean are each one dict
-    operation on the set ``mix & (num_sets - 1)``.
+    Each set of the inner cache maps a key to its set value. For a
+    solo engine that value is the line's dirty bool (see
+    :mod:`repro.cache.cache`). A :class:`~repro.core.mee.ReplayGroup`
+    holds its members' shared residency in a cache of its own, whose
+    set value is a member mask: bit *i* is member *i*'s dirty bit. The
+    MEE's event loop and persist path work on those sets directly:
+    every key they touch comes with its set mix from the event record
+    or the interned node triple, and the inner cache uses default
+    placement (``set_of=None``), so a probe, a dirtying reference and a
+    persist's clean are each one dict operation on the set ``mix &
+    (num_sets - 1)``.
     """
 
     def __init__(self, config: MetadataCacheConfig, name: str = "mdcache") -> None:

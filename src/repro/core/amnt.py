@@ -305,6 +305,7 @@ class AMNTProtocol(MetadataPersistencePolicy):
                 detail="no subtree selected; nothing stale",
             )
         nodes = 0
+        ancestors = set()
         for register in anchored:
             subtree = tuple(register.tag)
             rebuilt_bytes, count = tree.subtree_value_from_persisted(subtree)
@@ -319,8 +320,13 @@ class AMNTProtocol(MetadataPersistencePolicy):
             node = subtree
             while node[0] > 1:
                 node = tree.geometry.parent(node)
-                tree.recompute_and_persist(node)
-                nodes += 1
+                ancestors.add(node)
+        # The union of the repaired subtrees' paths to the root, each
+        # node once, deepest level first: every node then reads its
+        # children's repaired values.
+        for node in sorted(ancestors, reverse=True):
+            tree.recompute_and_persist(node)
+        nodes += len(ancestors)
         root_bytes = tree.persisted_node_bytes((1, 0))
         ok = tree.engine.hash8(root_bytes) == tree.root_register
         return RecoveryOutcome(

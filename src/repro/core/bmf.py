@@ -47,6 +47,9 @@ class BMFProtocol(MetadataPersistencePolicy):
         if self.mee.functional:
             self._root_values[(1, 0)] = self.mee.tree.current_node_bytes((1, 0))
         self._deepest_prunable = geometry.num_node_levels
+        # Resolved on the first write, so a run without one reports no
+        # zero-valued key.
+        self._ctr_covered = None
 
     # ------------------------------------------------------------------
     # root set queries
@@ -107,7 +110,10 @@ class BMFProtocol(MetadataPersistencePolicy):
         if mee.functional:
             # The on-chip NV entry absorbs the root's new value.
             self._root_values[root] = mee.tree.current_node_bytes(root)
-        self.stats.add("covered_persists")
+        counter = self._ctr_covered
+        if counter is None:
+            counter = self._ctr_covered = self.stats.counter("covered_persists")
+        counter.value += 1
         self._writes_since_adjust += 1
         if self._writes_since_adjust >= self._adjust_interval:
             self._writes_since_adjust = 0

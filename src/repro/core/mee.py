@@ -60,11 +60,11 @@ from repro.cache.metadata_cache import (
     node_key,
 )
 from repro.config import SystemConfig
-from repro.core.protocol import MetadataPersistencePolicy
+from repro.core.protocol import MetadataPersistencePolicy, shares_residency
 from repro.crypto.counters import counter_in_line
 from repro.crypto.engine import CryptoEngine, RealCryptoEngine
 from repro.crypto.hmac import data_mac
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, SimulationError
 from repro.integrity.bmt import BonsaiMerkleTree
 from repro.integrity.geometry import NodeId, TreeGeometry
 from repro.mem.address import AddressSpace
@@ -214,6 +214,7 @@ class MemoryEncryptionEngine:
         # metadata cache default placement, so a set is mix & mask).
         self._md_sets = self.mdcache._cache._sets
         self._md_set_mask = self.mdcache._cache._set_mask
+        self._md_dirty_evictions = self.mdcache._cache._dirty_evictions
         # Per-region NVM access closures (see NVMDevice.reader/writer):
         # each call site names its region statically.
         self._read_data = self.nvm.reader(_DATA)
@@ -281,14 +282,17 @@ class MemoryEncryptionEngine:
             if proto_cls.on_metadata_writeback is not base.on_metadata_writeback
             else None
         )
-        self._read_auth_hook = (
-            protocol.on_read_authentication
-            if proto_cls.on_read_authentication is not base.on_read_authentication
-            else None
-        )
         self._default_extent = (
             proto_cls.path_update_extent is base.path_update_extent
         )
+        self._shares_residency = shares_residency(proto_cls)
+        #: What a persist leaves of a line's set value (see
+        #: _persist_line): nothing (``False``) for a solo engine; a
+        #: ReplayGroup member's persist keeps the other members' bits.
+        self._persist_keeps = False
+        #: The ReplayGroup this engine replays in, if any (see
+        #: simulate_from_plan).
+        self.replay_group: Optional["ReplayGroup"] = None
         protocol.bind(self)
         #: The engine's one read/write datapath:
         #: ``run_events(events, data=None, plaintexts=None)`` runs
@@ -296,13 +300,30 @@ class MemoryEncryptionEngine:
         #: cycles (see _event_loop).
         self.run_events = self._event_loop()
 
+    @property
+    def groupable(self) -> bool:
+        """Whether this engine can join a :class:`ReplayGroup`: it is
+        timing-only, has no fault probe or wear tracker attached, and
+        its protocol has no NV anchor
+        (:func:`~repro.core.protocol.shares_residency`)."""
+        return (
+            self._shares_residency
+            and not self.functional
+            and self.fault_probe is None
+            and self.wear_tracker is None
+        )
+
     # ------------------------------------------------------------------
     # metadata cache plumbing
     # ------------------------------------------------------------------
 
-    def _writeback_metadata(self, key: tuple) -> int:
+    def _writeback_metadata(self, key: tuple, dirty=True) -> int:
         """Lazy writeback of a dirty metadata line on eviction (posted:
-        it drains from the write queue off the critical path)."""
+        it drains from the write queue off the critical path); counts
+        the dirty eviction. ``dirty`` is the victim's set value, which
+        only a ReplayGroup's dispatcher reads (it writes the line back
+        once per member bit set)."""
+        self._md_dirty_evictions.value += 1
         if self.wear_tracker is not None:
             self.wear_tracker.record_line(key)
         probe = self.fault_probe
@@ -356,7 +377,9 @@ class MemoryEncryptionEngine:
         through with ``writer`` (full latency, returned), leave it clean
         if it is cached in the set its premixed ``mix`` selects (a line
         that is not resident stays absent), and fence the write-pending
-        queue."""
+        queue. Clean means this engine's dirty bit cleared: the value
+        ANDed with :attr:`_persist_keeps`, ``False`` for a solo engine
+        and the other members' bits in a :class:`ReplayGroup`."""
         if self.wear_tracker is not None:
             self.wear_tracker.record_line(key)
         probe = self.fault_probe
@@ -367,7 +390,7 @@ class MemoryEncryptionEngine:
         cycles = writer()
         bucket = self._md_sets[mix & self._md_set_mask]
         if key in bucket:
-            bucket[key] = False
+            bucket[key] &= self._persist_keeps
         if self.functional:
             self._sync_line_to_backend(key)
         if self._wpq is not None:
@@ -576,7 +599,7 @@ class MemoryEncryptionEngine:
     # the event loop
     # ------------------------------------------------------------------
 
-    def _event_loop(self):
+    def _event_loop(self, group: Optional["ReplayGroup"] = None):
         """Build the engine's read/write datapath; returns ``run``.
 
         ``run(events, data=None, plaintexts=None)`` executes ``(kind,
@@ -593,48 +616,69 @@ class MemoryEncryptionEngine:
         except ``fault_probe`` and ``wear_tracker``, which are attached
         after construction and read once per call. Each metadata-cache
         reference probes the line's set inline (the record carries its
-        premixed set). A set maps key -> dirty bit (see
-        :mod:`repro.cache.cache`), so a hit is one ``move_to_end`` and a
-        write's reference first sets ``bucket[key] = True``. Every miss
-        goes through one closure, ``miss``, which holds the only copy of
-        the miss rule. A protocol's update extent is a prefix length of
-        the record's ``triples``, and its NV anchors are one container
-        (``trusted_nodes()``) the walk tests membership in.
+        premixed set). Every miss goes through one closure, ``miss``,
+        which holds the only copy of the miss rule. A protocol's update
+        extent is a prefix length of the record's ``triples``, and its
+        NV anchors are one container (``trusted_nodes()``) the walk
+        tests membership in.
+
+        A set maps key -> set value (see :mod:`repro.cache.cache`), so a
+        hit is one ``move_to_end`` and a write's reference first stores
+        ``dirty``. For this engine alone (``group=None``) the value is
+        its dirty bool, ``dirty`` is ``True``, and ``run`` returns the
+        engine's cycles. Built for a :class:`ReplayGroup`, the loop runs
+        on the group's shared residency and counters: a set value is a
+        member mask (bit *i* is member *i*'s dirty bit), ``dirty`` is
+        the all-members mask, and the fill hook, writeback and
+        ``on_data_write`` are the group's dispatchers, which run each
+        member's own and charge its cycles to that member. ``run`` then
+        returns the cycles every member shares.
         """
-        inner = self.mdcache._cache
-        sets = self._md_sets
-        set_mask = self._md_set_mask
-        assoc = inner.associativity
-        md_hits = inner._hits
-        md_misses = inner._misses
-        md_fills = inner._fills
-        md_evictions = inner._evictions
-        md_dirty_evictions = inner._dirty_evictions
         md_latency = self._md_latency
-        fill_hook = self._fill_hook
-        writeback = self._writeback_metadata
-        read_ctr = self._read_ctr
-        read_tree = self._read_tree
-        read_hmac = self._read_hmac
-        read_data = self._read_data
-        write_data = self._write_data
-        data_reads = self._ctr_data_reads
-        data_writes = self._ctr_data_writes
-        walk_cache = self._ctr_walk_cache
-        walk_register = self._ctr_walk_register
-        protocol = self.protocol
-        trusted = protocol.trusted_nodes()
-        read_auth_hook = self._read_auth_hook
-        default_extent = self._default_extent
-        extent_of = protocol.path_update_extent
-        on_data_write = protocol.on_data_write
-        wpq = self._wpq
         functional = self.functional
         block_shift = self._block_shift
         bump_and_store = self._functional_counter_bump_and_store
         verify_and_decrypt = self._verify_and_decrypt
         posted_cycles = self._posted_write_cycles
         fenced_cycles = self.nvm.write_latency_cycles
+        wpq = self._wpq
+        if group is None:
+            shared = self
+            fill_hook = self._fill_hook
+            writeback = self._writeback_metadata
+            on_data_write = self.protocol.on_data_write
+            trusted = self.protocol.trusted_nodes()
+            default_extent = self._default_extent
+            extent_of = self.protocol.path_update_extent
+            dirty = True
+        else:
+            shared = group
+            fill_hook = group._fill_hook
+            writeback = group._writeback
+            on_data_write = group._on_data_write
+            trusted = ()
+            default_extent = True
+            extent_of = None
+            dirty = group.all_members
+        # The residency, its counters and the NVM accesses every member
+        # shares (a ReplayGroup names these as an engine does).
+        inner = shared.mdcache._cache
+        sets = inner._sets
+        set_mask = inner._set_mask
+        assoc = inner.associativity
+        md_hits = inner._hits
+        md_misses = inner._misses
+        md_fills = inner._fills
+        md_evictions = inner._evictions
+        read_ctr = shared._read_ctr
+        read_tree = shared._read_tree
+        read_hmac = shared._read_hmac
+        read_data = shared._read_data
+        write_data = shared._write_data
+        data_reads = shared._ctr_data_reads
+        data_writes = shared._ctr_data_writes
+        walk_cache = shared._ctr_walk_cache
+        walk_register = shared._ctr_walk_register
 
         def miss(bucket, key, dirty, nvm_read) -> int:
             """One metadata-cache miss on ``key``, whose set is
@@ -647,9 +691,7 @@ class MemoryEncryptionEngine:
             if len(bucket) >= assoc:
                 victim, victim_dirty = bucket.popitem(last=False)
                 md_evictions.value += 1
-                if victim_dirty:
-                    md_dirty_evictions.value += 1
-                else:
+                if not victim_dirty:
                     victim = None
             bucket[key] = dirty
             md_fills.value += 1
@@ -657,7 +699,7 @@ class MemoryEncryptionEngine:
             if fill_hook is not None:
                 cycles += fill_hook(key)
             if victim is not None:
-                cycles += writeback(victim)
+                cycles += writeback(victim, victim_dirty)
             return cycles
 
         def run(events, data=None, plaintexts=None) -> int:
@@ -698,8 +740,6 @@ class MemoryEncryptionEngine:
                         md_hits.value += 1
                     else:
                         cycles += miss(bucket, hkey, False, read_hmac)
-                    if read_auth_hook is not None:
-                        cycles += read_auth_hook(counter_index)
                     if functional:
                         plaintext = verify_and_decrypt(
                             addr, addr >> block_shift, counter_index
@@ -724,11 +764,11 @@ class MemoryEncryptionEngine:
                 bucket = sets[ctr_mix & set_mask]
                 cycles += md_latency
                 if ctr_key in bucket:
-                    bucket[ctr_key] = True
+                    bucket[ctr_key] = dirty
                     bucket.move_to_end(ctr_key)
                     md_hits.value += 1
                 else:
-                    cycles += miss(bucket, ctr_key, True, read_ctr)
+                    cycles += miss(bucket, ctr_key, dirty, read_ctr)
                 block_index = addr >> block_shift
                 if functional:
                     bump_and_store(addr, block_index, counter_index, data, path)
@@ -736,11 +776,11 @@ class MemoryEncryptionEngine:
                 bucket = sets[hmac_mix & set_mask]
                 cycles += md_latency
                 if hkey in bucket:
-                    bucket[hkey] = True
+                    bucket[hkey] = dirty
                     bucket.move_to_end(hkey)
                     md_hits.value += 1
                 else:
-                    cycles += miss(bucket, hkey, True, read_hmac)
+                    cycles += miss(bucket, hkey, dirty, read_hmac)
                 # 3. update the ancestor path (protocols with an NV trust
                 #    anchor stop the update below it).
                 if not default_extent:
@@ -749,11 +789,11 @@ class MemoryEncryptionEngine:
                     bucket = sets[mix & set_mask]
                     cycles += md_latency
                     if key in bucket:
-                        bucket[key] = True
+                        bucket[key] = dirty
                         bucket.move_to_end(key)
                         md_hits.value += 1
                     else:
-                        cycles += miss(bucket, key, True, read_tree)
+                        cycles += miss(bucket, key, dirty, read_tree)
                 # 4. the data write itself (posted, unless under a fence).
                 write_data()
                 fenced = kind == 2
@@ -812,3 +852,161 @@ class MemoryEncryptionEngine:
             self.tree.crash()
         self.registers.crash()  # no-op by design; NV registers survive
         self.stats.add("crashes")
+
+
+class ReplayGroup:
+    """Timing-only engines that replay one event stream on one shared
+    metadata-cache residency.
+
+    Protocols without NV anchors (see
+    :func:`~repro.core.protocol.shares_residency`) differ only in which
+    dirty lines they write through, so on one stream they see the same
+    hits, misses, fills and evictions. A group simulates that residency
+    once for all its members, while each member keeps its own dirty
+    bits, hooks, NVM writes and cycles:
+
+    * a set value of :attr:`mdcache` is a member mask, bit *i* being
+      member *i*'s dirty bit. A dirtying reference stores
+      :attr:`all_members`, a read's fill ``False``, and member *i*'s
+      persist (its ``_persist_line``) clears bit *i* only;
+    * a dirty victim is written back through each member's
+      ``_writeback_metadata`` (hook included) once per member whose bit
+      is set, and that member counts one dirty eviction;
+    * fill hooks and ``on_data_write`` run for every member; the
+      cycles of its hooks and writebacks are charged to that member;
+    * probes, NVM reads, data reads and writes, hits, misses, fills,
+      evictions and walk stops happen once, on the group's own
+      counters, and are added to every member's when the replay ends.
+
+    The members must be :attr:`~MemoryEncryptionEngine.groupable` and
+    share one :class:`~repro.config.SystemConfig`. The group runs the
+    engines' one event loop, built with its dispatchers (see
+    ``_event_loop``). :meth:`cycles_of` replays on its first call and
+    answers each member's later call from that replay, so each
+    member's result still comes from its own ``simulate_from_plan``.
+    """
+
+    def __init__(self, engines) -> None:
+        engines = list(engines)
+        if not engines:
+            raise SimulationError("a replay group needs at least one engine")
+        leader = engines[0]
+        for engine in engines:
+            if not engine.groupable:
+                raise SimulationError(
+                    f"a {engine.protocol.name} engine cannot share "
+                    "metadata-cache residency"
+                )
+            if engine.config != leader.config:
+                raise SimulationError(
+                    "replay group members need one configuration"
+                )
+            if engine.replay_group is not None:
+                raise SimulationError("an engine replays in one group")
+        if len({id(engine) for engine in engines}) != len(engines):
+            raise SimulationError("an engine joins a replay group once")
+        self.engines = engines
+        #: The set value of a line every member has dirtied.
+        self.all_members = (1 << len(engines)) - 1
+        config = leader.config
+        # The shared residency and what the loop counts once.
+        self.mdcache = MetadataCache(config.metadata_cache)
+        self.nvm = NVMDevice(config.pcm)
+        self.stats = StatRegistry("mee")
+        self._ctr_data_reads = self.stats.counter("data_reads")
+        self._ctr_data_writes = self.stats.counter("data_writes")
+        self._ctr_walk_register = self.stats.counter("walk_stopped_at_register")
+        self._ctr_walk_cache = self.stats.counter("walk_stopped_at_cache")
+        self._read_data = self.nvm.reader(_DATA)
+        self._read_ctr = self.nvm.reader(_COUNTERS)
+        self._read_tree = self.nvm.reader(_TREE)
+        self._read_hmac = self.nvm.reader(_HMACS)
+        self._write_data = self.nvm.writer(_DATA)
+        # Per member: the cycles its own hooks and writebacks charged.
+        own = self._own_cycles = [0] * len(engines)
+
+        fill_hooks = [
+            (member, engine._fill_hook)
+            for member, engine in enumerate(engines)
+            if engine._fill_hook is not None
+        ]
+
+        def fill_hook(key) -> int:
+            for member, hook in fill_hooks:
+                own[member] += hook(key)
+            return 0
+
+        writebacks = list(
+            enumerate(engine._writeback_metadata for engine in engines)
+        )
+
+        def writeback(key, members) -> int:
+            for member, write_back in writebacks:
+                if members >> member & 1:
+                    own[member] += write_back(key)
+            return 0
+
+        data_writes = list(
+            enumerate(engine.protocol.on_data_write for engine in engines)
+        )
+
+        def on_data_write(counter_index, block_index, path, fenced=False) -> int:
+            for member, on_write in data_writes:
+                own[member] += on_write(
+                    counter_index, block_index, path, fenced=fenced
+                )
+            return 0
+
+        self._fill_hook = fill_hook if fill_hooks else None
+        self._writeback = writeback
+        self._on_data_write = on_data_write
+        self._source: Optional[tuple] = None
+        self._cycles: Optional[List[int]] = None
+        self.run_events = leader._event_loop(self)
+        for engine in engines:
+            engine.replay_group = self
+
+    def replay(self, events) -> List[int]:
+        """Run ``events`` through the group, once; returns each
+        member's cycles, in member order."""
+        if self._cycles is not None:
+            raise SimulationError("a replay group replays once")
+        engines = self.engines
+        if not all(engine.groupable for engine in engines):
+            raise SimulationError(
+                "a fault probe or wear tracker was attached to a replay "
+                "group member"
+            )
+        # Members persist into the shared sets, each clearing its bit.
+        for member, engine in enumerate(engines):
+            engine._md_sets = self.mdcache._cache._sets
+            engine._persist_keeps = self.all_members ^ (1 << member)
+        try:
+            shared = self.run_events(events)
+        finally:
+            for engine in engines:
+                engine._md_sets = engine.mdcache._cache._sets
+                engine._persist_keeps = False
+        for engine in engines:
+            engine.mdcache.stats.merge_from(self.mdcache.stats)
+            engine.stats.merge_from(self.stats)
+            engine.nvm.stats.merge_from(self.nvm.stats)
+        self._cycles = [shared + own for own in self._own_cycles]
+        return self._cycles
+
+    def cycles_of(self, engine: MemoryEncryptionEngine, source: tuple, events) -> int:
+        """``engine``'s cycles over the group's replay of ``source``.
+
+        ``source`` is the tuple of objects the events come from (a
+        stream, its plan, the flush flag); ``events`` builds them. The
+        first call replays the group on ``events()``; every later call
+        must name the same objects.
+        """
+        if self._source is None:
+            self._source = source
+            self.replay(events())
+        elif len(source) != len(self._source) or any(
+            mine is not theirs for mine, theirs in zip(self._source, source)
+        ):
+            raise SimulationError("a replay group replays one stream and plan")
+        return self._cycles[self.engines.index(engine)]

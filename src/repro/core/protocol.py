@@ -4,8 +4,8 @@ A protocol decides, for every data write reaching memory, which pieces
 of security metadata (counter line, HMAC line, BMT path nodes) are
 written through to NVM immediately versus left dirty in the volatile
 metadata cache — the crash-consistency/performance trade-off at the
-heart of the paper. Protocols also hook the read path (extra trust
-anchors shorten verification) and metadata cache events (Anubis's
+heart of the paper. Protocols also shape the read path (extra trust
+anchors shorten verification) and hook metadata cache events (Anubis's
 shadow-table slow path lives there), and describe their recovery
 behaviour for Table 4 and the functional crash tests.
 
@@ -122,10 +122,6 @@ class MetadataPersistencePolicy(ABC):
         """True when ``node`` is in :meth:`trusted_nodes`."""
         return node in self.trusted_nodes()
 
-    def on_read_authentication(self, counter_index: int) -> int:
-        """Extra read-path cycles (protocol bookkeeping)."""
-        return 0
-
     # ------------------------------------------------------------------
     # metadata cache events
     # ------------------------------------------------------------------
@@ -224,6 +220,34 @@ def protocol_uses_modified_os(name: str) -> bool:
     except KeyError:
         raise ConfigError(f"unknown protocol {name!r}") from None
     return modified
+
+
+def shares_residency(cls: Type[MetadataPersistencePolicy]) -> bool:
+    """True when ``cls`` keeps the base :meth:`~MetadataPersistencePolicy.
+    trusted_nodes` and :meth:`~MetadataPersistencePolicy.path_update_extent`.
+
+    Such a protocol has no NV anchor: a read walk stops only at a cache
+    hit, and a write dirties the whole path. Its persists only clear
+    dirty bits in place, so on one event stream every such protocol
+    sees the same metadata-cache hits, misses, fills and evictions —
+    the residency a :class:`~repro.core.mee.ReplayGroup` simulates once
+    for all of them.
+    """
+    base = MetadataPersistencePolicy
+    return (
+        cls.trusted_nodes is base.trusted_nodes
+        and cls.path_update_extent is base.path_update_extent
+    )
+
+
+def protocol_shares_residency(name: str) -> bool:
+    """:func:`shares_residency` of the registered protocol ``name``."""
+    _ensure_registry_populated()
+    try:
+        cls, _ = PROTOCOL_REGISTRY[name]
+    except KeyError:
+        raise ConfigError(f"unknown protocol {name!r}") from None
+    return shares_residency(cls)
 
 
 def protocol_names() -> List[str]:

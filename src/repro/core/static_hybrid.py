@@ -40,6 +40,8 @@ class TriadNVMProtocol(MetadataPersistencePolicy):
         self.strict_above_level = max(
             2, geometry.num_node_levels - persist_levels + 1
         )
+        # Resolved on the first write (no zero-valued key without one).
+        self._ctr_level_persists = None
 
     def on_data_write(
         self,
@@ -54,7 +56,12 @@ class TriadNVMProtocol(MetadataPersistencePolicy):
         # (the path runs bottom-up, one node per level).
         strict_nodes = len(path) - self.strict_above_level + 1
         cycles += mee.persist_path(path[:strict_nodes])
-        self.stats.add("level_persists")
+        counter = self._ctr_level_persists
+        if counter is None:
+            counter = self._ctr_level_persists = self.stats.counter(
+                "level_persists"
+            )
+        counter.value += 1
         return cycles
 
     # ------------------------------------------------------------------
@@ -97,6 +104,10 @@ class PLPProtocol(MetadataPersistencePolicy):
 
     name = "plp"
 
+    def _on_bind(self) -> None:
+        # Resolved on the first write (no zero-valued key without one).
+        self._ctr_parallel_persists = None
+
     def on_data_write(
         self,
         counter_index: int,
@@ -114,7 +125,12 @@ class PLPProtocol(MetadataPersistencePolicy):
         extra_lines = 1 + len(path)  # hmac + nodes overlap the counter
         cycles = mee.nvm.write_latency_cycles
         cycles += extra_lines * mee.posted_write_cycles
-        self.stats.add("parallel_persists")
+        counter = self._ctr_parallel_persists
+        if counter is None:
+            counter = self._ctr_parallel_persists = self.stats.counter(
+                "parallel_persists"
+            )
+        counter.value += 1
         return cycles
 
     def stale_data_bytes(self, memory_bytes: int) -> float:

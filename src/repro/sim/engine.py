@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.mee import MACS_PER_LINE
+from repro.core.mee import MACS_PER_LINE, ReplayGroup
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
 from repro.sim.results import SimulationResult
@@ -302,21 +302,33 @@ def simulate_from_plan(
     machine's own LLC and memory manager are left untouched; every
     data-side quantity the result needs was captured at compile time
     and is spliced in here.
+
+    A machine whose engine joined a
+    :class:`~repro.core.mee.ReplayGroup` (see :func:`share_residency`)
+    replays with its group: the first member's call runs the whole
+    group over the stream, and every member's call, that one included,
+    returns that member's own result.
     """
     mee = machine.mee
     llc_latency = machine.config.llc.access_latency_cycles
 
-    kinds = stream.kind
-    addrs = stream.addr
-    event_records = plan.event_records()
-    if not flush_llc_at_end:
-        limit = stream.main_events
-        kinds = kinds[:limit]
-        addrs = addrs[:limit]
-        event_records = event_records[:limit]
+    def events():
+        kinds = stream.kind
+        addrs = stream.addr
+        event_records = plan.event_records()
+        if not flush_llc_at_end:
+            limit = stream.main_events
+            kinds = kinds[:limit]
+            addrs = addrs[:limit]
+            event_records = event_records[:limit]
+        return zip(kinds, addrs, event_records)
 
     cycles = stream.think_total + stream.accesses * llc_latency
-    cycles += mee.run_events(zip(kinds, addrs, event_records))
+    group = mee.replay_group
+    if group is None:
+        cycles += mee.run_events(events())
+    else:
+        cycles += group.cycles_of(mee, (stream, plan, flush_llc_at_end), events)
 
     os_instructions = stream.os_instructions
     result = SimulationResult(
@@ -335,6 +347,22 @@ def simulate_from_plan(
     )
     record_simulation(result, mee, stream.llc_hits, stream.llc_misses)
     return result
+
+
+def share_residency(machines: Sequence[Machine]) -> Optional[ReplayGroup]:
+    """Join the engines of ``machines`` that can share metadata-cache
+    residency (:attr:`~repro.core.mee.MemoryEncryptionEngine.groupable`)
+    into one :class:`~repro.core.mee.ReplayGroup`; returns it, or
+    ``None`` when fewer than two qualify.
+
+    The machines must share one configuration and then be replayed
+    with :func:`simulate_from_plan` on one stream and plan; the group
+    checks both.
+    """
+    engines = [machine.mee for machine in machines if machine.mee.groupable]
+    if len(engines) < 2:
+        return None
+    return ReplayGroup(engines)
 
 
 # ----------------------------------------------------------------------

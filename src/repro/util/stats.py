@@ -79,9 +79,15 @@ class StatRegistry:
             counter.reset()
 
     def merge_from(self, other: "StatRegistry") -> None:
-        """Add every counter from ``other`` into this registry."""
+        """Add every counter from ``other`` into this registry, matched
+        by full (prefixed) name; a counter this registry lacks is
+        created after its own."""
+        counters = self._counters
         for name, counter in other._counters.items():
-            self.counter(name).add(counter.value)
+            mine = counters.get(name)
+            if mine is None:
+                mine = counters[name] = StatCounter(name)
+            mine.add(counter.value)
 
     def items(self) -> Iterator[Tuple[str, int]]:
         for name in sorted(self._counters):

@@ -164,3 +164,26 @@ class TestHardwareCostObjection:
             area.nonvolatile_on_chip_bytes
             > single.protocol.area_overhead().nonvolatile_on_chip_bytes
         )
+
+
+class TestRecoveryCount:
+    def test_shared_ancestors_are_recomputed_once(self, config):
+        """Four level-3 slots repair their subtrees (73 nodes each at
+        64 MB), then the union of their paths to the root once."""
+        mee = engine_for(config, functional=True)
+        written = write_intervals(mee, [0, 1, 2, 3])
+        regions = sorted(mee.protocol.active_regions)
+        assert regions == [0, 1, 2, 3]
+        geometry = mee.geometry
+        union = set()
+        for region in regions:
+            node = (3, region)
+            while node[0] > 1:
+                node = geometry.parent(node)
+                union.add(node)
+        assert union == {(2, 0), (1, 0)}
+        outcome = CrashInjector(mee).crash_and_recover()
+        assert outcome.ok, outcome.detail
+        assert outcome.nodes_recomputed == 4 * 73 + len(union)
+        for addr, payload in written.items():
+            assert mee.read_block_data(addr) == payload
