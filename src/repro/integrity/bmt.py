@@ -227,8 +227,7 @@ class BonsaiMerkleTree:
         Each parent gets *only the changed child's slot* spliced in —
         the hardware never re-reads or re-hashes siblings on an update,
         so a sibling corrupted in NVM can never be laundered into a
-        freshly written parent (the audit in ``repro.core.audit`` and
-        the splice tests rely on this).
+        freshly written parent (the splice tests rely on this).
         """
         if path is None:
             path = self.geometry.ancestors_of_counter(counter_index)

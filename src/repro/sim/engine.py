@@ -24,7 +24,11 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.mee import MACS_PER_LINE, ReplayGroup
+from repro.core.mee import (
+    MACS_PER_LINE,
+    MemoryEncryptionEngine,
+    ReplayGroup,
+)
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
 from repro.sim.results import SimulationResult
@@ -283,34 +287,31 @@ def simulate(
 
 
 def simulate_from_plan(
-    stream, plan, machine: Machine, flush_llc_at_end: bool = False
+    stream, plan, mee: MemoryEncryptionEngine, flush_llc_at_end: bool = False
 ) -> SimulationResult:
-    """Drive ``machine``'s MEE/protocol layer from a compiled
+    """Drive the engine ``mee`` (and its bound protocol) from a compiled
     :class:`~repro.sim.replay.BoundaryStream` and its
     :class:`~repro.sim.plan.MetadataPlan`; returns the result.
 
     Bit-identical to :func:`simulate` run on the trace the stream was
-    compiled from, provided the stream's data-side parameters (config
-    geometry, seed, churn, OS variant) match the machine's and ``plan``
-    was compiled from this ``stream`` under the machine's metadata
-    geometry — the compiled-artifact cache key in
+    compiled from by a machine with this engine, provided the stream's
+    data-side parameters (config geometry, seed, churn, OS variant) are
+    that machine's and ``plan`` was compiled from this ``stream`` under
+    the engine's metadata geometry — the compiled-artifact cache key in
     :mod:`repro.workloads.registry` encodes exactly that contract. The
     stream's event columns, zipped with the plan's per-event records,
     run through one call of the MEE's event loop
     (:attr:`~repro.core.mee.MemoryEncryptionEngine.run_events`), the
-    loop :func:`simulate` feeds from its live data-side walk. The
-    machine's own LLC and memory manager are left untouched; every
-    data-side quantity the result needs was captured at compile time
-    and is spliced in here.
+    loop :func:`simulate` feeds from its live data-side walk. No LLC or
+    memory manager takes part: every data-side quantity the result
+    needs was captured at compile time and is spliced in here.
 
-    A machine whose engine joined a
-    :class:`~repro.core.mee.ReplayGroup` (see :func:`share_residency`)
-    replays with its group: the first member's call runs the whole
-    group over the stream, and every member's call, that one included,
-    returns that member's own result.
+    An engine that joined a :class:`~repro.core.mee.ReplayGroup` (see
+    :func:`share_residency`) replays with its group: the first member's
+    call runs the whole group over the stream, and every member's call,
+    that one included, returns that member's own result.
     """
-    mee = machine.mee
-    llc_latency = machine.config.llc.access_latency_cycles
+    llc_latency = mee.config.llc.access_latency_cycles
 
     def events():
         kinds = stream.kind
@@ -349,17 +350,19 @@ def simulate_from_plan(
     return result
 
 
-def share_residency(machines: Sequence[Machine]) -> Optional[ReplayGroup]:
-    """Join the engines of ``machines`` that can share metadata-cache
+def share_residency(
+    engines: Sequence[MemoryEncryptionEngine],
+) -> Optional[ReplayGroup]:
+    """Join those of ``engines`` that can share metadata-cache
     residency (:attr:`~repro.core.mee.MemoryEncryptionEngine.groupable`)
     into one :class:`~repro.core.mee.ReplayGroup`; returns it, or
     ``None`` when fewer than two qualify.
 
-    The machines must share one configuration and then be replayed
+    The engines must share one configuration and then be replayed
     with :func:`simulate_from_plan` on one stream and plan; the group
     checks both.
     """
-    engines = [machine.mee for machine in machines if machine.mee.groupable]
+    engines = [mee for mee in engines if mee.groupable]
     if len(engines) < 2:
         return None
     return ReplayGroup(engines)

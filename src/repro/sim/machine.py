@@ -6,6 +6,9 @@ the last-level data cache, and the memory encryption engine with its
 bound persistence protocol. :func:`build_machine` is the one place the
 wiring happens, so every harness, test, and example builds identical
 systems from a :class:`~repro.config.SystemConfig` and a protocol name.
+Its two halves are built by :func:`build_engine` (all a compiled-plan
+replay needs) and :func:`build_data_side` (all the stream compiler
+needs).
 """
 
 from __future__ import annotations
@@ -110,6 +113,18 @@ def build_data_side(
     return llc, mm
 
 
+def build_engine(
+    config: SystemConfig, protocol_name: str, functional: bool = False
+) -> MemoryEncryptionEngine:
+    """Build the memory encryption engine with ``protocol_name`` bound:
+    the only part of a machine that a compiled-plan replay
+    (:func:`~repro.sim.engine.simulate_from_plan`) drives, since the
+    stream it replays already holds the data side's events."""
+    return MemoryEncryptionEngine(
+        config, make_protocol(protocol_name, config), functional=functional
+    )
+
+
 def build_machine(
     config: SystemConfig,
     protocol_name: str,
@@ -127,8 +142,7 @@ def build_machine(
     buddy allocator over that many max-order chunks (multiprogram
     methodology; see :meth:`BuddyAllocator.scatter`).
     """
-    protocol = make_protocol(protocol_name, config)
-    mee = MemoryEncryptionEngine(config, protocol, functional=functional)
+    mee = build_engine(config, protocol_name, functional=functional)
     llc, mm = build_data_side(
         config,
         modified_os=protocol_uses_modified_os(protocol_name),

@@ -39,7 +39,7 @@ from repro import telemetry
 from repro.config import SystemConfig
 from repro.errors import ConfigValidationError
 from repro.sim.engine import share_residency, simulate, simulate_from_plan
-from repro.sim.machine import build_machine
+from repro.sim.machine import build_engine, build_machine
 from repro.sim.results import SimulationResult
 from repro.util.rng import Seed
 from repro.workloads.registry import (
@@ -84,30 +84,41 @@ class SweepCell:
 def validate_cells(cells: Sequence[SweepCell]) -> None:
     """Reject a malformed grid before any work is dispatched.
 
-    Checks every cell's protocol against the live registry and its
-    trace spec against the workload suites, so a 1000-cell sweep with a
-    typo in cell 997 fails in milliseconds instead of hours in.
+    Checks every cell's fields with :func:`validate_cell_fields` and its
+    trace spec against the workload suites, so a 1000-cell sweep
+    with a typo in cell 997 fails in milliseconds instead of hours in.
     """
+    for cell in cells:
+        validate_cell_fields(
+            cell.protocol, cell.churn_interval, cell.scatter_span_chunks
+        )
+        validate_trace_spec(cell.trace)
+
+
+def validate_cell_fields(
+    protocol: str, churn_interval: int, scatter_span_chunks: int
+) -> None:
+    """The checks of :func:`validate_cells` that do not read the trace
+    spec: the protocol against the live registry, then the churn
+    interval and scatter span. A raw-trace sweep, which has no spec,
+    runs these alone."""
     from repro.core.protocol import protocol_names
 
-    known = set(protocol_names())
-    for cell in cells:
-        if cell.protocol not in known:
-            raise ConfigValidationError(
-                "cell.protocol",
-                f"unknown protocol {cell.protocol!r}; known: {sorted(known)}",
-            )
-        validate_trace_spec(cell.trace)
-        if cell.churn_interval <= 0:
-            raise ConfigValidationError(
-                "cell.churn_interval",
-                f"must be positive, got {cell.churn_interval}",
-            )
-        if cell.scatter_span_chunks < 0:
-            raise ConfigValidationError(
-                "cell.scatter_span_chunks",
-                f"cannot be negative, got {cell.scatter_span_chunks}",
-            )
+    known = protocol_names()
+    if protocol not in known:
+        raise ConfigValidationError(
+            "cell.protocol",
+            f"unknown protocol {protocol!r}; known: {known}",
+        )
+    if churn_interval <= 0:
+        raise ConfigValidationError(
+            "cell.churn_interval", f"must be positive, got {churn_interval}"
+        )
+    if scatter_span_chunks < 0:
+        raise ConfigValidationError(
+            "cell.scatter_span_chunks",
+            f"cannot be negative, got {scatter_span_chunks}",
+        )
 
 
 def stream_spec_for(cell: SweepCell, config: SystemConfig):
@@ -153,39 +164,15 @@ def precompile_streams(cells: Sequence[SweepCell], config: SystemConfig) -> int:
     return len(specs)
 
 
-def _build_cell_machine(cell: SweepCell, config: SystemConfig):
-    return build_machine(
-        cell.config if cell.config is not None else config,
-        cell.protocol,
-        functional=cell.functional,
-        seed=cell.seed,
-        scatter_span_chunks=cell.scatter_span_chunks,
-    )
-
-
-def _run_cell_impl(cell: SweepCell, config: SystemConfig) -> SimulationResult:
-    cell_config = cell.config if cell.config is not None else config
-    machine = _build_cell_machine(cell, config)
-    if cell.replay:
-        stream, plan = materialize_compiled(
-            stream_spec_for(cell, config), cell_config
-        )
-        return simulate_from_plan(stream, plan, machine)
-    trace = materialize_trace(cell.trace)
-    return simulate(
-        machine, trace, seed=cell.seed, churn_interval=cell.churn_interval
-    )
-
-
-def _observed(cell: SweepCell, compute) -> SimulationResult:
-    """``compute()``, the work of ``cell``; with telemetry enabled it is
-    timed under a span and its wall-clock lands in the
-    ``sweep.cell_seconds`` histogram. The simulation is identical
-    either way."""
+def _observed(protocol: str, label: str, compute) -> SimulationResult:
+    """``compute()``, the work of one cell (``protocol`` on the trace
+    labelled ``label``); with telemetry enabled it is timed under a
+    span and its wall-clock lands in the ``sweep.cell_seconds``
+    histogram. The simulation is identical either way."""
     if not telemetry.enabled():
         return compute()
     start = time.monotonic()
-    with telemetry.span(f"cell:{cell.protocol}:{cell.trace.label()}"):
+    with telemetry.span(f"cell:{protocol}:{label}"):
         result = compute()
     telemetry.histogram(
         "sweep.cell_seconds", telemetry.CELL_SECONDS_BUCKETS
@@ -194,10 +181,41 @@ def _observed(cell: SweepCell, compute) -> SimulationResult:
     return result
 
 
+def replay_stream(
+    stream,
+    plan,
+    config: SystemConfig,
+    protocols: Sequence[str],
+    label: str,
+    functional: bool = False,
+) -> List[SimulationResult]:
+    """Replay one compiled ``stream`` and its ``plan`` into each of
+    ``protocols``; results in order. Spec cells (:func:`_run_unit`) and
+    a raw trace's sweep-local compile (``repro.sim.runner``) both
+    replay through here.
+
+    Each protocol gets a fresh engine and nothing else: the stream
+    already holds the data side's events, so no LLC or memory manager
+    is built. The engines that can share metadata-cache residency join
+    one :class:`~repro.core.mee.ReplayGroup`, and each result comes
+    from its own ``simulate_from_plan`` call under its cell's telemetry
+    (:func:`_observed`); the first grouped call replays the whole
+    group, so that cell's span holds the group's replay time.
+    """
+    engines = [
+        build_engine(config, name, functional=functional) for name in protocols
+    ]
+    share_residency(engines)
+    return [
+        _observed(name, label, lambda: simulate_from_plan(stream, plan, mee))
+        for name, mee in zip(protocols, engines)
+    ]
+
+
 def run_cell(cell: SweepCell, config: SystemConfig) -> SimulationResult:
     """Execute one cell in the current process (telemetry as in
     :func:`_observed`)."""
-    return _observed(cell, lambda: _run_cell_impl(cell, config))
+    return _run_unit([cell], config)[0]
 
 
 def _replay_units(
@@ -239,26 +257,42 @@ def _run_unit(
     """Execute one unit of :func:`_replay_units` in the current
     process; results in cell order.
 
-    One cell runs through :func:`run_cell`. Several are one replay
-    group: their machines are built first and joined into a
-    :class:`~repro.core.mee.ReplayGroup`, then each cell's result comes
-    from its own ``simulate_from_plan`` call, the first of which
-    replays the whole group (so that cell's telemetry span holds the
-    group's replay time).
+    Replay cells (one, or a replay group's) take their compiled stream
+    and plan from the process-wide cache and replay through
+    :func:`replay_stream`. A direct cell is a unit of its own: it
+    builds a whole machine and walks the trace with ``simulate()``.
     """
-    if len(cells) == 1:
-        return [run_cell(cells[0], config)]
     first = cells[0]
-    stream, plan = materialize_compiled(
-        stream_spec_for(first, config),
-        first.config if first.config is not None else config,
-    )
-    machines = [_build_cell_machine(cell, config) for cell in cells]
-    share_residency(machines)
-    return [
-        _observed(cell, lambda: simulate_from_plan(stream, plan, machine))
-        for cell, machine in zip(cells, machines)
-    ]
+    cell_config = first.config if first.config is not None else config
+    if first.replay:
+        stream, plan = materialize_compiled(
+            stream_spec_for(first, config), cell_config
+        )
+        return replay_stream(
+            stream,
+            plan,
+            cell_config,
+            [cell.protocol for cell in cells],
+            first.trace.label(),
+            functional=first.functional,
+        )
+
+    def direct() -> SimulationResult:
+        machine = build_machine(
+            cell_config,
+            first.protocol,
+            functional=first.functional,
+            seed=first.seed,
+            scatter_span_chunks=first.scatter_span_chunks,
+        )
+        return simulate(
+            machine,
+            materialize_trace(first.trace),
+            seed=first.seed,
+            churn_interval=first.churn_interval,
+        )
+
+    return [_observed(first.protocol, first.trace.label(), direct)]
 
 
 def _pool_entry(payload: Tuple[SweepCell, SystemConfig]) -> SimulationResult:

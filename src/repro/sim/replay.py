@@ -19,8 +19,8 @@ its own: it drains the generator ``simulate()`` feeds the MEE
 (:func:`repro.sim.engine._boundary_events`) into columns.
 :func:`compile_trace` pairs the stream with its metadata plan
 (:mod:`repro.sim.plan`), and
-:func:`repro.sim.engine.simulate_from_plan` drives any machine's
-MEE/protocol layer straight from that pair. The events come from the
+:func:`repro.sim.engine.simulate_from_plan` drives an engine and its
+protocol straight from that pair, with no data side built. The events come from the
 walk ``simulate()`` runs and both paths reach the MEE's one event loop,
 so the replayed result is bit-identical to the direct one by
 construction — verified across the full protocol lineup, timing and

@@ -1,6 +1,6 @@
 """Experiment runner: protocol sweeps over identical traces.
 
-Each protocol gets a *fresh machine* but the *same virtual trace*, so
+Each protocol gets a *fresh engine* but the *same virtual trace*, so
 differences come only from the protocol (and, for ``amnt++``, the
 modified OS's physical placement — which is the experiment). The runner
 is the building block every figure's benchmark harness uses.
@@ -26,13 +26,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.config import SystemConfig, default_config
-from repro.sim.engine import share_residency, simulate_from_plan
-from repro.sim.machine import build_machine
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
     _pool_entry,
     precompile_streams,
+    replay_stream,
+    validate_cell_fields,
     validate_cells,
 )
 from repro.sim.results import SimulationResult, normalized_cycles
@@ -74,7 +74,7 @@ def run_protocol_sweep(
     workers: int = 1,
     store=None,
 ) -> Dict[str, SimulationResult]:
-    """Run ``trace`` under each protocol on a fresh machine.
+    """Run ``trace`` under each protocol on a fresh engine.
 
     The protocol-independent data side is compiled to a boundary-event
     stream once per OS variant, and its metadata plan once per stream,
@@ -101,7 +101,6 @@ def run_protocol_sweep(
     read back, only the rest are computed (then written back), and the
     returned mapping is bit-identical to a cold run.
     """
-    _validate_sweep(trace, protocols, churn_interval)
     label = trace.name if isinstance(trace, Trace) else trace.label()
     with telemetry.span(f"sweep:{label}"):
         if isinstance(trace, Trace) and workers <= 1 and store is None:
@@ -142,73 +141,32 @@ def _run_local_sweep(
     """A raw trace's sweep with its stream and plan compiled here, one
     per OS variant in the lineup (stock vs AMNT++-modified placement),
     and dropped with the sweep instead of joining the process-wide
-    caches. The protocols of one stream that can share metadata-cache
-    residency replay as one group (see
-    :func:`~repro.sim.engine.share_residency`)."""
+    caches. Each variant's protocols replay through
+    :func:`~repro.sim.parallel.replay_stream`, as a spec sweep's do."""
     from repro.core.protocol import protocol_uses_modified_os
     from repro.sim.replay import compile_trace
 
-    machines = {
-        name: build_machine(
-            config, name, seed=seed, scatter_span_chunks=scatter_span_chunks
+    names = list(dict.fromkeys(protocols))
+    for name in names:
+        validate_cell_fields(name, churn_interval, scatter_span_chunks)
+    results: Dict[str, SimulationResult] = {}
+    for modified in dict.fromkeys(map(protocol_uses_modified_os, names)):
+        variant = [
+            name for name in names if protocol_uses_modified_os(name) == modified
+        ]
+        compiled = compile_trace(
+            trace,
+            config,
+            seed=seed,
+            churn_interval=churn_interval,
+            scatter_span_chunks=scatter_span_chunks,
+            modified_os=modified,
         )
-        for name in dict.fromkeys(protocols)
-    }
-    for modified in (False, True):
-        share_residency(
-            [
-                machine
-                for name, machine in machines.items()
-                if protocol_uses_modified_os(name) == modified
-            ]
+        results.update(
+            zip(variant, replay_stream(*compiled, config, variant, trace.name))
         )
-
-    compiled: Dict[bool, tuple] = {}
-    results_by_name: Dict[str, SimulationResult] = {}
-    for name, machine in machines.items():
-        modified = protocol_uses_modified_os(name)
-        if modified not in compiled:
-            compiled[modified] = compile_trace(
-                trace,
-                config,
-                seed=seed,
-                churn_interval=churn_interval,
-                scatter_span_chunks=scatter_span_chunks,
-                modified_os=modified,
-            )
-        stream, plan = compiled[modified]
-        with telemetry.span(f"cell:{name}"):
-            results_by_name[name] = simulate_from_plan(stream, plan, machine)
-    return results_by_name
-
-
-def _validate_sweep(
-    trace: TraceLike, protocols: Sequence[str], churn_interval: int
-) -> None:
-    """Fail fast on a malformed sweep, before any machine is built.
-
-    The parallel path re-validates per cell inside the runner; doing it
-    here as well gives the serial path the same field-named errors and
-    catches a typo'd grid before the first (expensive) machine build.
-    """
-    from repro.core.protocol import protocol_names
-    from repro.errors import ConfigValidationError
-    from repro.workloads.registry import validate_trace_spec
-
-    known = set(protocol_names())
-    for name in protocols:
-        if name not in known:
-            raise ConfigValidationError(
-                "cell.protocol",
-                f"unknown protocol {name!r}; known: {sorted(known)}",
-            )
-    if isinstance(trace, TraceSpec):
-        validate_trace_spec(trace)
-    if churn_interval <= 0:
-        raise ConfigValidationError(
-            "cell.churn_interval",
-            f"must be positive, got {churn_interval}",
-        )
+        del compiled  # freed before the next variant compiles
+    return {name: results[name] for name in names}
 
 
 def sweep_normalized(

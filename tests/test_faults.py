@@ -30,6 +30,7 @@ from repro.faults import (
     run_oracle,
 )
 from repro.faults.campaign import spread_ordinals
+from repro.mem.backend import MetadataRegion
 from repro.sim.engine import drive_memory_boundary, replay_payload
 from repro.sim.machine import build_machine
 from repro.util.units import MB
@@ -46,6 +47,40 @@ def tiny_cell(protocol, trigger=None, tamper=""):
         protocol=protocol, trace=TINY, trigger=trigger,
         seed=SEED, tamper=tamper,
     )
+
+
+def stored_counters_verify(mee):
+    """The oracle's cross-check: how many counter lines the NVM image
+    stores, after asserting that each one verifies to the root
+    register. The oracle verifies only the pages its golden map names;
+    a recovery that left some other stored line stale would pass it."""
+    stored = sorted(mee.nvm.backend.keys(MetadataRegion.COUNTERS))
+    stale = [
+        index
+        for index in stored
+        if not mee.tree.verify_counter(index, persisted_only=True).ok
+    ]
+    assert not stale, f"stored counter lines stale after recovery: {stale[:8]}"
+    return len(stored)
+
+
+@pytest.fixture
+def cross_checked_oracle(monkeypatch):
+    """Run the campaign's oracle with :func:`stored_counters_verify`
+    after every ``recovered`` verdict; returns the list it fills with
+    the number of counter lines checked per recovered state."""
+    from repro.faults import campaign
+
+    checked = []
+
+    def oracle(mee, record):
+        report = run_oracle(mee, record)
+        if report.verdict == VERDICT_RECOVERED:
+            checked.append(stored_counters_verify(mee))
+        return report
+
+    monkeypatch.setattr(campaign, "run_oracle", oracle)
+    return checked
 
 
 class TestFaultInjectionError:
@@ -171,11 +206,12 @@ class TestReplayDriver:
 
 
 class TestFaultCell:
-    def test_access_crash_recovers(self):
+    def test_access_crash_recovers(self, cross_checked_oracle):
         outcome = run_fault_cell(
             tiny_cell("amnt", CrashTrigger("access", 300)), CONFIG
         )
         assert outcome.verdict == VERDICT_RECOVERED
+        assert cross_checked_oracle and cross_checked_oracle[0] > 0
         assert outcome.crash_phase == "access"
         assert outcome.crash_access_index == 300
         assert outcome.accesses_completed == 300
@@ -257,6 +293,27 @@ class TestOracleClassification:
         assert report.verdict == VERDICT_RECOVERED
         assert report.pages_inconsistent == 0
         assert report.blocks_diverged == 0
+        assert stored_counters_verify(machine.mee) >= report.pages_verified
+
+    def test_cross_check_sees_stored_lines_the_oracle_skips(self):
+        """A stale counter line outside the golden pages leaves the
+        oracle's verdict at recovered; the cross-check names it."""
+        machine = build_machine(CONFIG, "strict", functional=True, seed=SEED)
+        from repro.workloads.registry import materialize_trace
+
+        record = drive_memory_boundary(
+            machine, materialize_trace(TINY), seed=SEED
+        )
+        machine.mee.crash()
+        page_index = machine.mee.address_space.page_index
+        golden_pages = {page_index(base) for base in record.golden}
+        outside = min(set(range(len(golden_pages) + 1)) - golden_pages)
+        machine.mee.nvm.backend.write(
+            MetadataRegion.COUNTERS, outside, b"\x01" * 64
+        )
+        assert run_oracle(machine.mee, record).verdict == VERDICT_RECOVERED
+        with pytest.raises(AssertionError, match="stale"):
+            stored_counters_verify(machine.mee)
 
 
 #: Every registered crash-consistent protocol. ``amnt-multi`` rides
@@ -273,7 +330,7 @@ class TestEveryPhaseBoundary:
     divergence (the tentpole property, as a test)."""
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_phase_boundary_crashes_recover(self, protocol):
+    def test_phase_boundary_crashes_recover(self, protocol, cross_checked_oracle):
         probe = run_fault_cell(tiny_cell(protocol), CONFIG)
         assert probe.verdict == VERDICT_BASELINE
         for phase, count in probe.phase_counts:
@@ -290,6 +347,7 @@ class TestEveryPhaseBoundary:
                     f"{outcome.first_divergence}"
                 )
                 assert outcome.anomaly == "", label
+        assert cross_checked_oracle and max(cross_checked_oracle) > 0
 
     def test_amnt_multi_movement_window_exists(self):
         # Retiring and adopting regions is crashable like AMNT's

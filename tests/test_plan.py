@@ -85,7 +85,7 @@ class TestPlanBitIdentity:
         plan_machine = build_machine(
             small_config, protocol, functional=True, seed=7
         )
-        planned = simulate_from_plan(stream, plan, plan_machine)
+        planned = simulate_from_plan(stream, plan, plan_machine.mee)
 
         assert planned == direct
         assert machine_tree_state(plan_machine) == machine_tree_state(
@@ -103,7 +103,7 @@ class TestPlanBitIdentity:
                 build_machine(small_config, protocol, seed=7), trace, seed=7
             )
             planned = simulate_from_plan(
-                stream, plan, build_machine(small_config, protocol, seed=7)
+                stream, plan, build_machine(small_config, protocol, seed=7).mee
             )
             assert planned == direct, protocol
 

@@ -354,7 +354,7 @@ def test_plan_replay_matches_reference(config, protocol, records, scatter):
     )
     stream, plan = materialize_compiled(stream_spec, config, cache=False)
     machine = build_machine(config, protocol, seed=5)
-    result = simulate_from_plan(stream, plan, machine)
+    result = simulate_from_plan(stream, plan, machine.mee)
     ref = ReferenceMEE(config, protocol)
     for kind, addr in zip(stream.kind[: stream.main_events], stream.addr):
         ref.event(kind, addr)

@@ -89,7 +89,7 @@ class TestFunctionalEquivalence:
             small_config, protocol, functional=True, seed=7
         )
         replayed = simulate_from_plan(
-            stream, plan, replay_machine, flush_llc_at_end=True
+            stream, plan, replay_machine.mee, flush_llc_at_end=True
         )
 
         assert replayed == direct
@@ -107,7 +107,7 @@ class TestFunctionalEquivalence:
         replayed = simulate_from_plan(
             stream,
             compile_metadata_plan(stream, small_config),
-            build_machine(small_config, "strict", functional=True, seed=7),
+            build_machine(small_config, "strict", functional=True, seed=7).mee,
             flush_llc_at_end=True,
         )
         assert replayed == direct
@@ -202,7 +202,7 @@ class TestStreamCache:
         assert compiled_cache_size() == 1
         stream, plan = hit
         replayed = simulate_from_plan(
-            stream, plan, build_machine(resized, "strict", seed=7)
+            stream, plan, build_machine(resized, "strict", seed=7).mee
         )
         direct = simulate(
             build_machine(resized, "strict", seed=7),

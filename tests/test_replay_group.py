@@ -95,8 +95,11 @@ def _trace(source, seed):
 def _replay(names, stream, plan, seed, grouped):
     machines = [build_machine(CONFIG, name, seed=seed) for name in names]
     if grouped:
-        assert share_residency(machines) is not None
-    results = [simulate_from_plan(stream, plan, machine) for machine in machines]
+        engines = [machine.mee for machine in machines]
+        assert share_residency(engines) is not None
+    results = [
+        simulate_from_plan(stream, plan, machine.mee) for machine in machines
+    ]
     caches = [machine.mee.mdcache.stats.snapshot() for machine in machines]
     return results, caches
 
@@ -140,9 +143,9 @@ def test_group_set_values_are_member_masks():
     trace = _trace("storage", 3)
     stream, plan = compile_trace(trace, CONFIG, seed=3)
     machines = [build_machine(CONFIG, name, seed=3) for name in ANCHORLESS]
-    group = share_residency(machines)
+    group = share_residency([machine.mee for machine in machines])
     for machine in machines:
-        simulate_from_plan(stream, plan, machine)
+        simulate_from_plan(stream, plan, machine.mee)
     values = [
         value for bucket in group.mdcache._cache._sets for value in bucket.values()
     ]
@@ -162,7 +165,8 @@ def test_group_set_values_are_member_masks():
 class TestEligibility:
     def test_anchored_and_functional_engines_stay_solo(self):
         machines = [build_machine(CONFIG, name) for name in ("amnt", "bmf", "leaf")]
-        assert share_residency(machines) is None
+        engines = [machine.mee for machine in machines]
+        assert share_residency(engines) is None
         functional = MemoryEncryptionEngine(
             CONFIG, make_protocol("leaf", CONFIG), functional=True
         )
@@ -172,7 +176,7 @@ class TestEligibility:
 
     def test_a_probe_attached_after_forming_is_refused(self):
         machines = [build_machine(CONFIG, name) for name in ("leaf", "strict")]
-        group = share_residency(machines)
+        group = share_residency([machine.mee for machine in machines])
         machines[1].mee.wear_tracker = object()
         with pytest.raises(SimulationError):
             group.replay([])
@@ -188,10 +192,10 @@ class TestEligibility:
         first = compile_trace(_trace("storage", 1), CONFIG, seed=1)
         second = compile_trace(_trace("storage", 2), CONFIG, seed=2)
         machines = [build_machine(CONFIG, name) for name in ("leaf", "strict")]
-        share_residency(machines)
-        simulate_from_plan(*first, machines[0])
+        share_residency([machine.mee for machine in machines])
+        simulate_from_plan(*first, machines[0].mee)
         with pytest.raises(SimulationError):
-            simulate_from_plan(*second, machines[1])
+            simulate_from_plan(*second, machines[1].mee)
 
 
 class TestPoolUnits:

@@ -129,3 +129,65 @@ class TestSweepValidation:
         with pytest.raises(ConfigValidationError) as excinfo:
             run_protocol_sweep(spec, config, protocols=("volatile",))
         assert excinfo.value.field == "trace.accesses"
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"protocols": ("volatile", "typo")}, "cell.protocol"),
+            ({"churn_interval": 0}, "cell.churn_interval"),
+            ({"scatter_span_chunks": -1}, "cell.scatter_span_chunks"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ("trace", "spec"))
+    def test_raw_trace_and_spec_sweeps_reject_alike(
+        self, config, source, kwargs, field
+    ):
+        """A raw trace's sweep-local path and a spec's runner path run
+        the same cell checks."""
+        from repro.errors import ConfigValidationError
+        from repro.workloads.registry import materialize_trace, profile_spec
+
+        spec = profile_spec("parsec", "canneal", 500, 2024)
+        swept = materialize_trace(spec) if source == "trace" else spec
+        kwargs = {"protocols": ("volatile", "leaf"), **kwargs}
+        with pytest.raises(ConfigValidationError) as excinfo:
+            run_protocol_sweep(swept, config, **kwargs)
+        assert excinfo.value.field == field
+
+
+class TestReplayBuildsNoDataSide:
+    """Plan replay drives engines alone: the data side (LLC and buddy
+    allocator) is built by the stream compiler once per compiled
+    stream, one per OS variant, however many protocols replay it."""
+
+    @pytest.mark.parametrize("lineup", ("two", "all"))
+    @pytest.mark.parametrize("source", ("trace", "spec"))
+    def test_one_data_side_per_stream(self, monkeypatch, config, source, lineup):
+        import repro.sim.machine as machine_module
+        import repro.sim.replay as replay_module
+        from repro.core.protocol import protocol_names
+        from repro.workloads.registry import (
+            compiled_cache_clear,
+            materialize_trace,
+            profile_spec,
+        )
+
+        built = []
+        original = machine_module.build_data_side
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["modified_os"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(machine_module, "build_data_side", counted)
+        monkeypatch.setattr(replay_module, "build_data_side", counted)
+        protocols = (
+            ("volatile", "amnt++") if lineup == "two" else tuple(protocol_names())
+        )
+        assert "amnt++" in protocols
+        spec = profile_spec("parsec", "canneal", 500, 2024)
+        swept = materialize_trace(spec) if source == "trace" else spec
+        compiled_cache_clear()
+        results = run_protocol_sweep(swept, config, protocols, seed=2024)
+        assert list(results) == list(protocols)
+        assert sorted(built) == [False, True]

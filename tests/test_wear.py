@@ -164,7 +164,7 @@ class TestSimulatedWear:
         simulate(direct_machine, trace, seed=1)
         planned_machine = build_machine(config, protocol, seed=1)
         planned = attach_wear_tracking(planned_machine.mee)
-        simulate_from_plan(stream, plan, planned_machine)
+        simulate_from_plan(stream, plan, planned_machine.mee)
 
         direct_report = direct.report()
         assert direct_report.writes_by_region["data"] > 0
