@@ -41,9 +41,7 @@ class AnubisProtocol(MetadataPersistencePolicy):
     def _on_bind(self) -> None:
         # The extra NV register anchoring the shadow Merkle tree.
         self._shadow_root = self.mee.registers.allocate("anubis_shadow_root", 64)
-        self._persist_shadow = self.mee.nvm.writer(
-            MetadataRegion.SHADOW_TABLE, persist=True
-        )
+        self._persist_shadow = self.mee.nvm.persister(MetadataRegion.SHADOW_TABLE)
         # Each counter is resolved on its first bump, not here, so a
         # run without that event reports no zero-valued key.
         self._ctr_updates = None
@@ -76,7 +74,7 @@ class AnubisProtocol(MetadataPersistencePolicy):
         write pays the shadow persist synchronously.
         """
         mee = self.mee
-        self._persist_shadow()
+        self._persist_shadow(1)
         fence_cycles = mee.nvm.write_latency_cycles if fenced else 0
         if mee.wear_tracker is not None:
             mee.wear_tracker.record(
@@ -118,7 +116,7 @@ class AnubisProtocol(MetadataPersistencePolicy):
         if counter is None:
             counter = self._ctr_fills = self.stats.counter("shadow_fills")
         counter.value += 1
-        cycles = self._persist_shadow()
+        cycles = self._persist_shadow(1)
         if self.mee.wear_tracker is not None:
             self.mee.wear_tracker.record(MetadataRegion.SHADOW_TABLE, key)
         if not self.config.anubis.shadow_cache_on_chip:
@@ -137,7 +135,7 @@ class AnubisProtocol(MetadataPersistencePolicy):
         if counter is None:
             counter = self._ctr_retires = self.stats.counter("shadow_retires")
         counter.value += 1
-        self._persist_shadow()
+        self._persist_shadow(1)
         if self.mee.wear_tracker is not None:
             self.mee.wear_tracker.record(MetadataRegion.SHADOW_TABLE, key)
         return 0

@@ -105,7 +105,7 @@ class BMFProtocol(MetadataPersistencePolicy):
         mee = self.mee
         root = self.nearest_persistent_root(path)
         cycles = mee.persist_leaf(counter_index, block_index)
-        cycles += mee.persist_path(path[: path.index(root)])
+        cycles += mee.persist_path(path, upto=path.index(root))
         self._root_counts[root] += 1
         if mee.functional:
             # The on-chip NV entry absorbs the root's new value.

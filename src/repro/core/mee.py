@@ -202,6 +202,12 @@ class MemoryEncryptionEngine:
         #: resolve_record): the read/write entry points look an event's
         #: record up here and resolve it only on first touch.
         self._records = record_table(self.geometry)
+        #: This tree shape's ancestor chains, keyed by their deepest
+        #: node (see resolve_record): persist_path finds a record
+        #: path's resolved triples here.
+        self._chains = _CHAINS.setdefault(
+            (self.geometry.num_counter_blocks, self.geometry.arity), {}
+        )
         # Address decode pieces: record_of inlines the block/page split
         # (a bounds check and two shifts).
         self._block_index = self.address_space.block_index
@@ -222,9 +228,12 @@ class MemoryEncryptionEngine:
         self._read_tree = self.nvm.reader(_TREE)
         self._read_hmac = self.nvm.reader(_HMACS)
         self._write_data = self.nvm.writer(_DATA)
-        self._persist_ctr_write = self.nvm.writer(_COUNTERS, persist=True)
-        self._persist_tree_write = self.nvm.writer(_TREE, persist=True)
-        self._persist_hmac_write = self.nvm.writer(_HMACS, persist=True)
+        #: Per-region counted persist writers, the ``persist`` argument
+        #: of :meth:`write_through`.
+        self.counter_persister = self.nvm.persister(_COUNTERS)
+        self.tree_persister = self.nvm.persister(_TREE)
+        self.hmac_persister = self.nvm.persister(_HMACS)
+        self._leaf_persister = self.nvm.persister(_COUNTERS, _HMACS)
         self._wb_writers_by_kind = {
             "ctr": self.nvm.writer(_COUNTERS),
             "node": self.nvm.writer(_TREE),
@@ -238,6 +247,11 @@ class MemoryEncryptionEngine:
                 self.nvm.write_latency_cycles
                 * config.pcm.posted_write_latency_fraction
             ),
+        )
+
+        #: persist_leaf's charge: one full write, one overlapped.
+        self._leaf_pair_cycles = (
+            self.nvm.write_latency_cycles + self._posted_write_cycles
         )
 
         self.engine: Optional[CryptoEngine] = None
@@ -287,7 +301,7 @@ class MemoryEncryptionEngine:
         )
         self._shares_residency = shares_residency(proto_cls)
         #: What a persist leaves of a line's set value (see
-        #: _persist_line): nothing (``False``) for a solo engine; a
+        #: write_through): nothing (``False``) for a solo engine; a
         #: ReplayGroup member's persist keeps the other members' bits.
         self._persist_keeps = False
         #: The ReplayGroup this engine replays in, if any (see
@@ -372,80 +386,114 @@ class MemoryEncryptionEngine:
         (tree-walk) persists pay full latency."""
         return self._posted_write_cycles
 
-    def _persist_line(self, key: tuple, mix: int, writer) -> int:
-        """The one crash-consistency persist: write ``key``'s line
-        through with ``writer`` (full latency, returned), leave it clean
-        if it is cached in the set its premixed ``mix`` selects (a line
-        that is not resident stays absent), and fence the write-pending
-        queue. Clean means this engine's dirty bit cleared: the value
+    def write_through(self, persist, lines, phase: Optional[str] = None) -> int:
+        """Every crash-consistency persist: write ``lines`` through, in
+        order, and return their summed full latency.
+
+        ``lines`` are ``(node, key, mix)`` triples (``node`` is unused
+        here) whose cache key and premixed set are already resolved;
+        ``persist`` is the counted writer of the region they belong to
+        (:meth:`~repro.mem.nvm.NVMDevice.persister`). Per line, in
+        order: ``phase`` fires (with a fault probe attached), the wear
+        tracker records it, the probe's persist window opens (the line
+        is not yet durable, nor anything enqueued since the last fence),
+        the line is left clean if it is cached in the set its mix
+        selects (a line that is not resident stays absent), a functional
+        engine syncs its value to NVM, and the write-pending queue is
+        fenced. Clean means this engine's dirty bit cleared: the value
         ANDed with :attr:`_persist_keeps`, ``False`` for a solo engine
-        and the other members' bits in a :class:`ReplayGroup`."""
-        if self.wear_tracker is not None:
-            self.wear_tracker.record_line(key)
+        and the other members' bits in a :class:`ReplayGroup`.
+
+        The device is charged once, with the lines actually written: if
+        a probe raises, the line whose window raised is not charged.
+        """
         probe = self.fault_probe
-        if probe is not None:
-            # The persist window: this line is not yet durable, and
-            # neither is anything enqueued since the last fence.
-            probe.on_persist()
-        cycles = writer()
-        bucket = self._md_sets[mix & self._md_set_mask]
-        if key in bucket:
-            bucket[key] &= self._persist_keeps
-        if self.functional:
-            self._sync_line_to_backend(key)
-        if self._wpq is not None:
-            self._wpq.fence()
+        phase_probe = probe if phase is not None else None
+        tracker = self.wear_tracker
+        sets = self._md_sets
+        set_mask = self._md_set_mask
+        keeps = self._persist_keeps
+        sync = self._sync_line_to_backend if self.functional else None
+        wpq = self._wpq
+        written = 0
+        try:
+            for _, key, mix in lines:
+                if phase_probe is not None:
+                    phase_probe.on_phase(phase)
+                if tracker is not None:
+                    tracker.record_line(key)
+                if probe is not None:
+                    probe.on_persist()
+                written += 1
+                bucket = sets[mix & set_mask]
+                if key in bucket:
+                    bucket[key] &= keeps
+                if sync is not None:
+                    sync(key)
+                if wpq is not None:
+                    wpq.fence()
+        finally:
+            cycles = persist(written)
         return cycles
 
     def persist_counter_line(self, counter_index: int) -> int:
         """Write the counter line through (crash-consistency persist)."""
         key = counter_key(counter_index)
-        return self._persist_line(key, mix_of(key), self._persist_ctr_write)
-
-    def persist_hmac_line(self, hmac_line: int) -> int:
-        """Write the HMAC line through (crash-consistency persist)."""
-        key = hmac_key(hmac_line)
-        return self._persist_line(key, mix_of(key), self._persist_hmac_write)
+        return self.write_through(self.counter_persister, ((None, key, mix_of(key)),))
 
     def persist_tree_node(self, node: NodeId) -> int:
         """Write a BMT node's line through (crash-consistency persist)."""
-        _, key, mix = node_triple(node)
-        return self._persist_line(key, mix, self._persist_tree_write)
+        return self.write_through(self.tree_persister, (node_triple(node),))
 
-    def persist_path(self, nodes: List[NodeId], phase: Optional[str] = None) -> int:
-        """Ordered write-through of ``nodes``, in the given order: each
-        node's persist completes before the next issues (persist
-        barriers), so the critical path pays every full write latency
-        (their sum is returned). With a fault probe attached, ``phase``
-        fires before each node's persist window."""
-        probe = self.fault_probe if phase is not None else None
-        persist = self._persist_line
-        writer = self._persist_tree_write
-        cycles = 0
-        for node in nodes:
-            _, key, mix = node_triple(node)
-            if probe is not None:
-                probe.on_phase(phase)
-            cycles += persist(key, mix, writer)
-        return cycles
+    def persist_path(
+        self,
+        nodes: List[NodeId],
+        phase: Optional[str] = None,
+        upto: Optional[int] = None,
+    ) -> int:
+        """Ordered write-through of ``nodes[:upto]`` (all of ``nodes``
+        when ``upto`` is None), in the given order: each node's persist
+        completes before the next issues (persist barriers), so the
+        critical path pays every full write latency (their sum is
+        returned). With a fault probe attached, ``phase`` fires before
+        each node's persist window.
 
-    def persist_leaf(self, counter_index: int, block_index: int) -> int:
-        """Leaf persistence of one data write: its counter line and its
-        HMAC line, written through with the data.
-
-        The two lines are independent, so they issue as an unordered
-        pair: the critical path pays one full write plus
-        :attr:`posted_write_cycles` for the overlapped second. Both
-        keys and mixes come from the write's event record.
+        An event record's ancestor path (the ``path`` protocols receive)
+        finds its resolved triples in one lookup of the chain
+        :func:`resolve_record` built; any other node list resolves each
+        node through :func:`node_triple`.
         """
+        chain = self._chains.get(nodes[0]) if nodes else None
+        if chain is not None and chain[1] is nodes:
+            lines = chain[0]
+        else:
+            lines = [node_triple(node) for node in nodes]
+        if upto is not None:
+            lines = lines[:upto]
+        return self.write_through(self.tree_persister, lines, phase)
+
+    def leaf_lines(self, counter_index: int, block_index: int) -> tuple:
+        """A data write's counter line and HMAC line, in that order, as
+        the ``(None, key, mix)`` triples :meth:`write_through` takes,
+        from the write's event record."""
         hmac_line = block_index // MACS_PER_LINE
         record = self._records.get((counter_index, hmac_line))
         if record is None:
             record = resolve_record(self.geometry, counter_index, hmac_line)
-        ctr_key, ctr_mix, hkey, hmac_mix, _, _, _ = record
-        cycles = self._persist_line(ctr_key, ctr_mix, self._persist_ctr_write)
-        self._persist_line(hkey, hmac_mix, self._persist_hmac_write)
-        return cycles + self._posted_write_cycles
+        return (None, record[0], record[1]), (None, record[2], record[3])
+
+    def persist_leaf(self, counter_index: int, block_index: int) -> int:
+        """Leaf persistence of one data write: its counter line and its
+        HMAC line (:meth:`leaf_lines`), written through with the data.
+
+        The two lines are independent, so they issue as an unordered
+        pair: the critical path pays one full write plus
+        :attr:`posted_write_cycles` for the overlapped second.
+        """
+        self.write_through(
+            self._leaf_persister, self.leaf_lines(counter_index, block_index)
+        )
+        return self._leaf_pair_cycles
 
     # ------------------------------------------------------------------
     # fault-injection instrumentation
@@ -868,7 +916,7 @@ class ReplayGroup:
     * a set value of :attr:`mdcache` is a member mask, bit *i* being
       member *i*'s dirty bit. A dirtying reference stores
       :attr:`all_members`, a read's fill ``False``, and member *i*'s
-      persist (its ``_persist_line``) clears bit *i* only;
+      persist (its ``write_through``) clears bit *i* only;
     * a dirty victim is written back through each member's
       ``_writeback_metadata`` (hook included) once per member whose bit
       is set, and that member counts one dirty eviction;

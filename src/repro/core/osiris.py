@@ -47,13 +47,16 @@ class OsirisProtocol(MetadataPersistencePolicy):
         # persist of the HMAC line only in functional mode, charged 0
         # timing cycles.
         cycles = 0
-        if mee.functional:
-            mee.persist_hmac_line(block_index // 8)
         pending = self._updates_since_persist.get(counter_index, 0) + 1
-        if pending >= self._interval:
-            cycles += mee.persist_counter_line(counter_index)
-            pending = 0
-            self.stats.add("stop_loss_persists")
+        stop_loss = pending >= self._interval
+        if mee.functional or stop_loss:
+            ctr_line, hmac_line = mee.leaf_lines(counter_index, block_index)
+            if mee.functional:
+                mee.write_through(mee.hmac_persister, (hmac_line,))
+            if stop_loss:
+                cycles += mee.write_through(mee.counter_persister, (ctr_line,))
+                pending = 0
+                self.stats.add("stop_loss_persists")
         self._updates_since_persist[counter_index] = pending
         return cycles
 

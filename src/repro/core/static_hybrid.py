@@ -55,7 +55,7 @@ class TriadNVMProtocol(MetadataPersistencePolicy):
         # Ordered write-through of the deepest persist_levels levels
         # (the path runs bottom-up, one node per level).
         strict_nodes = len(path) - self.strict_above_level + 1
-        cycles += mee.persist_path(path[:strict_nodes])
+        cycles += mee.persist_path(path, upto=strict_nodes)
         counter = self._ctr_level_persists
         if counter is None:
             counter = self._ctr_level_persists = self.stats.counter(
@@ -117,8 +117,7 @@ class PLPProtocol(MetadataPersistencePolicy):
     ) -> int:
         mee = self.mee
         # All lines persist (same traffic and recovery as strict)...
-        mee.persist_counter_line(counter_index)
-        mee.persist_hmac_line(block_index // 8)
+        mee.persist_leaf(counter_index, block_index)
         mee.persist_path(path)
         # ...but issued in parallel: the critical path sees one full
         # write plus queue occupancy per extra line.

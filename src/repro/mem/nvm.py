@@ -265,31 +265,62 @@ class NVMDevice:
 
         return read
 
-    def writer(self, region: MetadataRegion, persist: bool = False):
-        """A zero-argument equivalent of ``write_access(region,
-        persist=...)`` — same counters, same returned latency."""
+    def writer(self, region: MetadataRegion):
+        """A zero-argument equivalent of ``write_access(region)`` — same
+        counters, same returned latency."""
         total = self._write_total
         by_region = self._write_by_region[region]
         latency = self._write_cycles
-        if not persist:
 
-            def write() -> int:
-                total.value += 1
-                by_region.value += 1
-                return latency
-
-            return write
-        persist_total = self._persist_total
-        persist_by_region = self._persist_by_region[region]
-
-        def persist_write() -> int:
+        def write() -> int:
             total.value += 1
             by_region.value += 1
-            persist_total.value += 1
-            persist_by_region.value += 1
             return latency
 
-        return persist_write
+        return write
+
+    def persister(self, *regions: MetadataRegion):
+        """A counted persist writer: ``persist(lines)`` records ``lines``
+        write-throughs — what ``lines`` calls of ``write_access(region,
+        persist=True)`` record — and returns their summed full latency.
+
+        With one region every line of a call is in it. With several, a
+        call writes at most one line per region, the i-th in
+        ``regions[i]``: ``persister(COUNTERS, HMACS)`` charges a leaf
+        pair's counter line and then its HMAC line.
+        """
+        total = self._write_total
+        persist_total = self._persist_total
+        by_region = [
+            (self._write_by_region[region], self._persist_by_region[region])
+            for region in regions
+        ]
+        latency = self._write_cycles
+        if len(by_region) == 1:
+            ((writes, persists),) = by_region
+
+            def persist(lines: int) -> int:
+                total.value += lines
+                writes.value += lines
+                persist_total.value += lines
+                persists.value += lines
+                return lines * latency
+
+            return persist
+
+        # bumps[k]: the region counters a call of k lines adds one to.
+        bumps = [()]
+        for pair in by_region:
+            bumps.append(bumps[-1] + pair)
+
+        def persist_each(lines: int) -> int:
+            total.value += lines
+            persist_total.value += lines
+            for counter in bumps[lines]:
+                counter.value += 1
+            return lines * latency
+
+        return persist_each
 
     # -- content plumbing (functional mode) ----------------------------
 

@@ -327,6 +327,7 @@ class BoundaryStreamSpec:
     capacity_bytes: int = 0
     counters_per_block: int = 0
     tree_arity: int = 0
+    #: The modified OS's region size; 0 for a stock-OS stream.
     subtree_level: int = 0
     max_order: int = 10
     reclaim_interval: int = 64
@@ -351,7 +352,9 @@ def boundary_stream_spec(
     data-side geometry lands in the key, so two configs differing in —
     say — metadata-cache shape share one compiled stream (the data side
     cannot observe that difference), while an LLC or page-size change
-    forces a recompile.
+    forces a recompile. The AMNT subtree level lands in the key only
+    for a modified-OS stream, whose allocator maps pages to subtree
+    regions: stock-OS cells at every level share one stream.
     """
     return BoundaryStreamSpec(
         trace=trace,
@@ -369,7 +372,7 @@ def boundary_stream_spec(
         capacity_bytes=config.pcm.capacity_bytes,
         counters_per_block=config.security.counters_per_block,
         tree_arity=config.security.tree_arity,
-        subtree_level=config.amnt.subtree_level,
+        subtree_level=config.amnt.subtree_level if modified_os else 0,
         max_order=max_order,
         reclaim_interval=reclaim_interval,
     )

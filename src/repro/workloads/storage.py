@@ -31,7 +31,12 @@ from typing import Dict, List
 from repro.util.rng import Seed, make_rng
 from repro.util.units import MB
 from repro.workloads.synthetic import BLOCK_BYTES, WorkloadProfile, generate_trace
-from repro.workloads.trace import MemoryAccess, Trace
+from repro.workloads.trace import (
+    _FLUSH_BIT,
+    _WRITE_BIT,
+    ColumnarAccesses,
+    Trace,
+)
 
 
 @dataclass(frozen=True)
@@ -130,24 +135,20 @@ def generate_storage_trace(
     base = profile.base
     if accesses:
         base = base.scaled(accesses=accesses)
-    plain = generate_trace(base, seed=seed, pid=pid)
+    vaddr, pids, think, flags = generate_trace(
+        base, seed=seed, pid=pid
+    ).accesses.columns()
+    # The base trace is this call's own: keep its columns and mark the
+    # flush bit in its flags, drawing once per write in trace order.
     rng = make_rng(f"{seed}/flush/{profile.name}/{pid}")
-    flushed: List[MemoryAccess] = []
-    for access in plain:
-        flush = access.is_write and rng.random() < profile.persist_fraction
-        if flush:
-            flushed.append(
-                MemoryAccess(
-                    access.vaddr,
-                    access.is_write,
-                    access.pid,
-                    access.think_cycles,
-                    flush=True,
-                )
-            )
-        else:
-            flushed.append(access)
-    return Trace(profile.name, flushed)
+    random = rng.random
+    persist_fraction = profile.persist_fraction
+    for i, flag in enumerate(flags):
+        if flag & _WRITE_BIT and random() < persist_fraction:
+            flags[i] = flag | _FLUSH_BIT
+    return Trace(
+        profile.name, ColumnarAccesses(_columns=(vaddr, pids, think, flags))
+    )
 
 
 def persisted_write_count(trace: Trace) -> int:

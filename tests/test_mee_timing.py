@@ -4,10 +4,15 @@ import pytest
 
 from repro.cache.metadata_cache import counter_key, hmac_key, node_key
 from repro.config import default_config
+from repro.core import mee as mee_module
 from repro.core.mee import MemoryEncryptionEngine, resolve_record
 from repro.core.protocol import make_protocol
 from repro.mem.backend import MetadataRegion
+from repro.sim.engine import share_residency, simulate_from_plan
+from repro.sim.machine import build_engine
+from repro.sim.replay import compile_trace
 from repro.util.units import MB
+from repro.workloads.storage import generate_storage_trace, storage_profile
 
 
 @pytest.fixture
@@ -194,6 +199,136 @@ class TestPersistHelpers:
         assert list(pathwise.mdcache._cache.lines()) == list(
             nodewise.mdcache._cache.lines()
         )
+
+    @pytest.mark.parametrize("upto", [0, 1, 3, None])
+    def test_persist_path_upto_equals_the_sliced_list(self, config, upto):
+        prefixed, sliced = engine_for(config), engine_for(config)
+        for mee in (prefixed, sliced):
+            for page in (0, 9, 70):
+                mee.write_block(page * 4096)
+        path = prefixed.record_of(9 * 4096)[5]
+        cycles = prefixed.persist_path(path, upto=upto)
+        assert cycles == sliced.persist_path(list(path[:upto]))
+        assert prefixed.nvm.stats.snapshot() == sliced.nvm.stats.snapshot()
+        assert list(prefixed.mdcache._cache.lines()) == list(
+            sliced.mdcache._cache.lines()
+        )
+        assert cycles == len(path[:upto]) * prefixed.nvm.write_latency_cycles
+
+    def test_record_path_resolves_no_node(self, config, monkeypatch):
+        mee = engine_for(config)
+        mee.write_block(0)
+        calls = count_node_triple_calls(monkeypatch)
+        path = mee.record_of(0)[5]
+        mee.persist_path(path)
+        mee.persist_path(path, "strict_write_through", upto=2)
+        assert calls == []
+        assert mee.nvm.persists(MetadataRegion.TREE) == len(path) + 2
+
+    def test_caller_built_list_falls_back_to_node_triple(self, config, monkeypatch):
+        mee = engine_for(config)
+        mee.write_block(0)
+        calls = count_node_triple_calls(monkeypatch)
+        path = mee.record_of(0)[5]
+        nodes = list(path)  # equal to the record's path, but not it
+        mee.persist_path(nodes)
+        assert calls == nodes
+        for node in nodes:
+            assert not mee.mdcache.is_dirty(node_key(*node))
+        assert mee.nvm.persists(MetadataRegion.TREE) == len(nodes)
+
+    def test_probe_raising_mid_write_charges_the_lines_before_it(self, config):
+        """A strict write persists its counter, its HMAC line and then
+        its path: a crash in the k-th persist window leaves exactly the
+        k - 1 lines before it written and charged."""
+        levels = engine_for(config).geometry.num_node_levels
+        kinds = [MetadataRegion.COUNTERS, MetadataRegion.HMACS]
+        kinds += [MetadataRegion.TREE] * levels
+        for k in range(1, len(kinds) + 1):
+            mee = engine_for(config, "strict")
+            mee.fault_probe = CrashAtWindow(k)
+            with pytest.raises(PowerCut):
+                mee.write_block(0)
+            written = kinds[: k - 1]
+            for region in (
+                MetadataRegion.COUNTERS,
+                MetadataRegion.HMACS,
+                MetadataRegion.TREE,
+            ):
+                assert mee.nvm.persists(region) == written.count(region), k
+            assert mee.nvm.persists() == k - 1
+            # The data write itself went out before the persists.
+            assert mee.nvm.writes() == k
+
+    def test_grouped_and_solo_replays_persist_alike(self):
+        """A fenced storage trace, replayed by protocols that persist
+        their records' paths (whole, or a prefix), persists the same
+        lines per region whether its engines share residency or not."""
+        config = default_config(capacity_bytes=64 * MB)
+        names = ("strict", "bmf", "triad", "plp", "amnt")
+        trace = generate_storage_trace(
+            storage_profile("kvstore"), seed=5, accesses=1500
+        )
+        stream, plan = compile_trace(trace, config, seed=5)
+
+        def persists(grouped):
+            engines = [build_engine(config, name) for name in names]
+            if grouped:
+                assert share_residency(engines) is not None
+            return [
+                {
+                    name: value
+                    for name, value in simulate_from_plan(
+                        stream, plan, mee
+                    ).nvm_stats.items()
+                    if name.startswith("nvm.persists.")
+                }
+                for mee in engines
+            ]
+
+        solo = persists(grouped=False)
+        assert persists(grouped=True) == solo
+        for name, counts in zip(names, solo):
+            assert counts["nvm.persists.counters"] > 0, name
+            assert counts["nvm.persists.tree"] > 0, name
+
+
+def count_node_triple_calls(monkeypatch):
+    """Log every node :func:`repro.core.mee.node_triple` resolves."""
+    calls = []
+    resolve = mee_module.node_triple
+
+    def logged(node):
+        calls.append(node)
+        return resolve(node)
+
+    monkeypatch.setattr(mee_module, "node_triple", logged)
+    return calls
+
+
+class PowerCut(Exception):
+    """The crash :class:`CrashAtWindow` injects."""
+
+
+class CrashAtWindow:
+    """A fault probe that cuts power in its k-th persist window."""
+
+    def __init__(self, k):
+        self.remaining = k
+
+    def begin_group(self):
+        pass
+
+    def commit_group(self):
+        pass
+
+    def on_phase(self, name):
+        pass
+
+    def on_persist(self):
+        self.remaining -= 1
+        if self.remaining == 0:
+            raise PowerCut
 
 
 class WriteLog:

@@ -211,6 +211,31 @@ class TestStreamCache:
         )
         assert replayed == direct
 
+    def test_stock_os_streams_share_across_subtree_levels(self, small_config):
+        """Only the modified OS maps pages to subtree regions, so a
+        stock-OS cell at any level replays one compiled pair while
+        amnt++ compiles its own per level; every replay still equals
+        its cell's direct run."""
+        trace_spec = profile_spec("parsec", "bodytrack", 800, 7)
+        compiled = {}
+        for level in (3, 5):
+            config = small_config.with_amnt(subtree_level=level)
+            for protocol in ("strict", "amnt", "amnt++"):
+                cell = SweepCell(
+                    protocol=protocol, trace=trace_spec, seed=7, replay=True
+                )
+                compiled[protocol, level] = materialize_compiled(
+                    stream_spec_for(cell, config), config
+                )
+                assert run_cell(cell, config) == run_cell(
+                    replace(cell, replay=False), config
+                ), (protocol, level)
+        stock = compiled["strict", 3]
+        assert compiled["amnt", 3] is stock
+        assert compiled["strict", 5] is stock and compiled["amnt", 5] is stock
+        assert compiled["amnt++", 3] is not compiled["amnt++", 5]
+        assert compiled_cache_size() == 3
+
     def test_precompile_counts_distinct_data_sides(self, small_config):
         cells = [
             SweepCell(

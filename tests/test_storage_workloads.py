@@ -85,6 +85,35 @@ class TestGeneration:
         trace = generate_storage_trace(small_profile(), seed=1, accesses=123)
         assert len(trace) == 123
 
+    @pytest.mark.parametrize("seed", [2024, 4242])
+    @pytest.mark.parametrize("name", ["kvstore", "oltp", "logger"])
+    def test_matches_a_record_wise_reference(self, name, seed):
+        """The column-wise marking equals rebuilding the base trace one
+        record at a time, drawing once per write."""
+        from repro.util.rng import make_rng
+        from repro.workloads.synthetic import generate_trace
+        from repro.workloads.trace import MemoryAccess
+
+        profile = storage_profile(name)
+        base = profile.base.scaled(accesses=4000)
+        rng = make_rng(f"{seed}/flush/{name}/0")
+        reference = [
+            MemoryAccess(
+                access.vaddr,
+                access.is_write,
+                access.pid,
+                access.think_cycles,
+                flush=True,
+            )
+            if access.is_write and rng.random() < profile.persist_fraction
+            else access
+            for access in generate_trace(base, seed=seed)
+        ]
+        trace = generate_storage_trace(profile, seed=seed, accesses=4000)
+        assert trace.name == name
+        assert list(trace) == reference
+        assert 0 < persisted_write_count(trace) < len(trace)
+
 
 class TestFlushDatapath:
     def test_flushes_force_memory_writes(self, config):
