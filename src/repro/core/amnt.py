@@ -129,18 +129,13 @@ class AMNTProtocol(MetadataPersistencePolicy):
     # write path
     # ------------------------------------------------------------------
     #
-    # The per-write hooks read a counter's subtree root off the ancestor
-    # path the engine hands them: ``path`` runs from the deepest level up
-    # to the root, so ``path[-subtree_level]`` is the level-L ancestor,
-    # ``(subtree_level, region_of_counter(...))`` without re-deriving.
-
-    def path_update_extent(self, counter_index: int, path: List[NodeId]) -> int:
-        if path[-self.subtree_level] not in self._slots:
-            return len(path)
-        # Strictly below the subtree root (``path[-L]`` is the level-L
-        # node): the register holds the subtree root itself, and levels
-        # above are reconciled only on retirement.
-        return len(path) - self.subtree_level
+    # The engine has already dirtied the write's path below the first
+    # node in ``trusted_nodes()``. Inside a fast subtree that node is the
+    # subtree root, whose register absorbs the new value; the levels
+    # above are reconciled only on retirement. ``path`` runs from the
+    # deepest level up to the root, so ``path[-subtree_level]`` is the
+    # level-L ancestor, ``(subtree_level, region_of_counter(...))``
+    # without re-deriving.
 
     def on_data_write(
         self,
@@ -305,7 +300,7 @@ class AMNTProtocol(MetadataPersistencePolicy):
                 detail="no subtree selected; nothing stale",
             )
         nodes = 0
-        ancestors = set()
+        subtrees = []
         for register in anchored:
             subtree = tuple(register.tag)
             rebuilt_bytes, count = tree.subtree_value_from_persisted(subtree)
@@ -317,16 +312,8 @@ class AMNTProtocol(MetadataPersistencePolicy):
                     nodes_recomputed=nodes,
                     detail="rebuilt subtree contradicts the NV subtree register",
                 )
-            node = subtree
-            while node[0] > 1:
-                node = tree.geometry.parent(node)
-                ancestors.add(node)
-        # The union of the repaired subtrees' paths to the root, each
-        # node once, deepest level first: every node then reads its
-        # children's repaired values.
-        for node in sorted(ancestors, reverse=True):
-            tree.recompute_and_persist(node)
-        nodes += len(ancestors)
+            subtrees.append(subtree)
+        nodes += tree.repair_ancestors(subtrees)
         root_bytes = tree.persisted_node_bytes((1, 0))
         ok = tree.engine.hash8(root_bytes) == tree.root_register
         return RecoveryOutcome(

@@ -92,9 +92,6 @@ class BMFProtocol(MetadataPersistencePolicy):
     # write path
     # ------------------------------------------------------------------
 
-    def path_update_extent(self, counter_index: int, path: List[NodeId]) -> int:
-        return path.index(self.nearest_persistent_root(path))
-
     def on_data_write(
         self,
         counter_index: int,
@@ -212,22 +209,9 @@ class BMFProtocol(MetadataPersistencePolicy):
 
         from repro.mem.backend import MetadataRegion
 
-        geometry = self.mee.geometry
-        fixed = 0
         for node, value in self._root_values.items():
             tree.backend.write(MetadataRegion.TREE, node, value)
-            fixed += 1
-        # Recompute every strict ancestor of every persistent root,
-        # deepest levels first.
-        ancestors = set()
-        for node in self._root_counts:
-            level, index = node
-            while level > 1:
-                level, index = geometry.parent((level, index))
-                ancestors.add((level, index))
-        for node in sorted(ancestors, key=lambda n: -n[0]):
-            tree.recompute_and_persist(node)
-            fixed += 1
+        fixed = len(self._root_values) + tree.repair_ancestors(self._root_counts)
         root_bytes = tree.persisted_node_bytes((1, 0))
         if tree.engine.hash8(root_bytes) != tree.root_register:
             raise CrashConsistencyError(

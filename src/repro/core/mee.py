@@ -20,8 +20,10 @@ Read path (authentication):
 Write path (a dirty block leaving the LLC, or an explicit persist):
   1. read-modify-write the counter (fetch, bump, mark dirty);
   2. update the HMAC line (fetch, mark dirty);
-  3. update every BMT node on the ancestor path in the cache (fetch,
-     mark dirty) — the tree must reflect the new counter;
+  3. update the BMT ancestor path in the cache (fetch, mark dirty) up
+     to the first protocol NV register on it, the same stop as the
+     read walk's: the register absorbs the new value on-chip, and
+     without one the whole path must reflect the new counter;
   4. write the (encrypted) data block to NVM;
   5. hand control to the protocol, which persists whichever of the
      dirty lines its crash-consistency model requires and charges the
@@ -295,9 +297,6 @@ class MemoryEncryptionEngine:
             protocol.on_metadata_writeback
             if proto_cls.on_metadata_writeback is not base.on_metadata_writeback
             else None
-        )
-        self._default_extent = (
-            proto_cls.path_update_extent is base.path_update_extent
         )
         self._shares_residency = shares_residency(proto_cls)
         #: What a persist leaves of a line's set value (see
@@ -665,10 +664,10 @@ class MemoryEncryptionEngine:
         after construction and read once per call. Each metadata-cache
         reference probes the line's set inline (the record carries its
         premixed set). Every miss goes through one closure, ``miss``,
-        which holds the only copy of the miss rule. A protocol's update
-        extent is a prefix length of the record's ``triples``, and its
-        NV anchors are one container (``trusted_nodes()``) the walk
-        tests membership in.
+        which holds the only copy of the miss rule. A protocol's NV
+        anchors are one container (``trusted_nodes()``): a read's walk
+        and a write's path update both climb the record's ``triples``
+        until the first member.
 
         A set maps key -> set value (see :mod:`repro.cache.cache`), so a
         hit is one ``move_to_end`` and a write's reference first stores
@@ -696,8 +695,6 @@ class MemoryEncryptionEngine:
             writeback = self._writeback_metadata
             on_data_write = self.protocol.on_data_write
             trusted = self.protocol.trusted_nodes()
-            default_extent = self._default_extent
-            extent_of = self.protocol.path_update_extent
             dirty = True
         else:
             shared = group
@@ -705,8 +702,6 @@ class MemoryEncryptionEngine:
             writeback = group._writeback
             on_data_write = group._on_data_write
             trusted = ()
-            default_extent = True
-            extent_of = None
             dirty = group.all_members
         # The residency, its counters and the NVM accesses every member
         # shares (a ReplayGroup names these as an engine does).
@@ -829,11 +824,12 @@ class MemoryEncryptionEngine:
                     md_hits.value += 1
                 else:
                     cycles += miss(bucket, hkey, dirty, read_hmac)
-                # 3. update the ancestor path (protocols with an NV trust
-                #    anchor stop the update below it).
-                if not default_extent:
-                    triples = triples[: extent_of(counter_index, path)]
+                # 3. update the ancestor path up to the first trusted node,
+                #    where a read's walk stops too: the NV anchor absorbs
+                #    the new value on-chip.
                 for node, key, mix in triples:
+                    if node in trusted:
+                        break
                     bucket = sets[mix & set_mask]
                     cycles += md_latency
                     if key in bucket:

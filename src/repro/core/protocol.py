@@ -93,34 +93,22 @@ class MetadataPersistencePolicy(ABC):
         the fence retires and is charged synchronously.
         """
 
-    def path_update_extent(self, counter_index: int, path: List[NodeId]) -> int:
-        """How many ancestors the engine fetches and updates (dirties)
-        in the metadata cache on a data write: the extent is always the
-        prefix ``path[:n]`` of the bottom-up path, and ``n`` is returned.
-
-        Default: the whole path to the root — the tree must reflect the
-        new counter everywhere. Protocols with an intermediate NV trust
-        anchor stop below it: AMNT's in-subtree writes update nothing
-        above the subtree-root register (that register *is* the trusted
-        summary), and BMF stops below the nearest persistent root.
-        """
-        return len(path)
-
     # ------------------------------------------------------------------
-    # read path
+    # trust anchors (read and write paths)
     # ------------------------------------------------------------------
 
     def trusted_nodes(self) -> Container[NodeId]:
-        """The nodes held in on-chip NV registers, which terminate a
-        verification walk (AMNT's subtree slots, BMF's persistent root
-        set). The engine reads this once and tests membership per walk
-        level, so an override must return the same container object
-        for the engine's lifetime and update it in place."""
+        """The nodes held in on-chip NV registers (AMNT's subtree slots,
+        BMF's persistent root set): the one trust rule for both
+        directions. A read's verification walk stops at the first
+        member on its bottom-up path, and a write updates (dirties) the
+        path nodes strictly below it, because the register absorbs the
+        new value on-chip. Default: none, so reads climb to a cache hit
+        and writes update the whole path. The engine reads this once
+        and tests membership per path level, so an override must return
+        the same container object for the engine's lifetime and update
+        it in place."""
         return ()
-
-    def trusted_register_node(self, node: NodeId, counter_index: int) -> bool:
-        """True when ``node`` is in :meth:`trusted_nodes`."""
-        return node in self.trusted_nodes()
 
     # ------------------------------------------------------------------
     # metadata cache events
@@ -224,7 +212,7 @@ def protocol_uses_modified_os(name: str) -> bool:
 
 def shares_residency(cls: Type[MetadataPersistencePolicy]) -> bool:
     """True when ``cls`` keeps the base :meth:`~MetadataPersistencePolicy.
-    trusted_nodes` and :meth:`~MetadataPersistencePolicy.path_update_extent`.
+    trusted_nodes`.
 
     Such a protocol has no NV anchor: a read walk stops only at a cache
     hit, and a write dirties the whole path. Its persists only clear
@@ -233,11 +221,7 @@ def shares_residency(cls: Type[MetadataPersistencePolicy]) -> bool:
     the residency a :class:`~repro.core.mee.ReplayGroup` simulates once
     for all of them.
     """
-    base = MetadataPersistencePolicy
-    return (
-        cls.trusted_nodes is base.trusted_nodes
-        and cls.path_update_extent is base.path_update_extent
-    )
+    return cls.trusted_nodes is MetadataPersistencePolicy.trusted_nodes
 
 
 def protocol_shares_residency(name: str) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.counters import ENCODED_BYTES, CounterBlock
 from repro.crypto.engine import CryptoEngine
@@ -411,6 +411,24 @@ class BonsaiMerkleTree:
         self.backend.write(MetadataRegion.TREE, node, value)
         self._volatile_nodes.pop(node, None)
         return value
+
+    def repair_ancestors(self, anchors: Iterable[NodeId]) -> int:
+        """Recompute and persist the union of ``anchors``' strict
+        ancestors, each node once, deepest level first, so every node
+        reads its children's repaired values. The recovery step above
+        AMNT's subtree registers and BMF's persistent root set. Returns
+        the number of nodes recomputed."""
+        geometry = self.geometry
+        ancestors = set()
+        for node in anchors:
+            while node[0] > 1:
+                node = geometry.parent(node)
+                if node in ancestors:
+                    break  # its own ancestors are in the set already
+                ancestors.add(node)
+        for node in sorted(ancestors, reverse=True):
+            self.recompute_and_persist(node)
+        return len(ancestors)
 
     def rebuild_all_from_persisted(self) -> int:
         """Full-tree rebuild (leaf-persistence recovery). Returns node

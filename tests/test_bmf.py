@@ -1,6 +1,8 @@
 """Bonsai Merkle Forest: coverage invariant, prune/merge, recovery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.core.mee import MemoryEncryptionEngine
@@ -8,7 +10,10 @@ from repro.core.protocol import make_protocol
 from repro.core.recovery import CrashInjector
 from repro.mem.backend import MetadataRegion
 from repro.mem.bandwidth import RecoveryBandwidthModel
+from repro.sim.engine import simulate
+from repro.sim.machine import build_machine
 from repro.util.units import MB, TB
+from repro.workloads.storage import generate_storage_trace, storage_profile
 
 
 @pytest.fixture
@@ -38,8 +43,8 @@ class TestRootSet:
 
     def test_roots_act_as_read_trust_anchors(self, config):
         mee = engine_for(config)
-        assert mee.protocol.trusted_register_node((1, 0), 0)
-        assert not mee.protocol.trusted_register_node((2, 0), 0)
+        assert (1, 0) in mee.protocol.trusted_nodes()
+        assert (2, 0) not in mee.protocol.trusted_nodes()
 
 
 class TestWriteCosts:
@@ -59,6 +64,29 @@ class TestWriteCosts:
         mee.write_block(0)
         assert mee.nvm.persists(MetadataRegion.COUNTERS) == 1
         assert mee.nvm.persists(MetadataRegion.HMACS) == 1
+
+    def test_nearest_root_is_found_once_per_write(self, config):
+        """The engine's path update stops at the first trusted node by
+        itself, so ``on_data_write`` is the only root lookup a write
+        makes, prunes included."""
+        machine = build_machine(config, "bmf")
+        protocol = machine.mee.protocol
+        lookup = protocol.nearest_persistent_root
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return lookup(path)
+
+        protocol.nearest_persistent_root = counted
+        trace = generate_storage_trace(
+            storage_profile("kvstore"), seed=2024, accesses=3000
+        )
+        result = simulate(machine, trace, seed=2024)
+        writes = result.mee_stats["mee.data_writes"]
+        assert writes > 0
+        assert result.protocol_stats["protocol.bmf.prunes"] > 0
+        assert len(calls) == writes
 
 
 class TestAdaptation:
@@ -121,6 +149,37 @@ class TestRecovery:
         outcome = CrashInjector(mee).crash_and_recover()
         assert outcome.ok
         assert mee.read_block_data(0) is not None
+
+
+class TestRecoveryCount:
+    @settings(max_examples=20, deadline=None)
+    @given(prunes=st.lists(st.integers(min_value=0), max_size=8))
+    def test_roots_restored_then_their_ancestors_once(self, prunes):
+        """Recovery restores every NV root value, then recomputes the
+        union of the root set's strict ancestors, each node once."""
+        mee = engine_for(default_config(capacity_bytes=64 * MB), functional=True)
+        protocol = mee.protocol
+        geometry = mee.geometry
+        deepest = geometry.num_node_levels
+        for choice in prunes:
+            candidates = [
+                node for node in protocol.persistent_roots() if node[0] < deepest
+            ]
+            if not candidates:
+                break
+            protocol._prune(candidates[choice % len(candidates)])
+        mee.write_block(0, data=b"bmf".ljust(64, b"\x00"))
+        ancestors = set()
+        for node in protocol.persistent_roots():
+            while node[0] > 1:
+                node = geometry.parent(node)
+                ancestors.add(node)
+        outcome = CrashInjector(mee).crash_and_recover()
+        assert outcome.ok, outcome.detail
+        assert len(protocol._root_values) == len(protocol.persistent_roots())
+        assert outcome.nodes_recomputed == (
+            len(protocol._root_values) + len(ancestors)
+        )
 
 
 class TestArea:

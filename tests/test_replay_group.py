@@ -1,12 +1,13 @@
 """Replay groups: anchorless protocols share one metadata-cache residency.
 
-A protocol without NV anchors (the base ``trusted_nodes()`` and
-``path_update_extent``) differs from the others only in which dirty
-lines it writes through. The first test states that relation on solo
-engines, with no replay group involved: on any event list the seven
-such protocols leave the same hits, misses, fills and evictions, and
-the same lines in the same LRU order. The rest check the group that
-relies on it against solo replays of the same stream.
+A protocol without NV anchors keeps the base, empty ``trusted_nodes()``:
+its reads climb to a cache hit and its writes update the whole path.
+It differs from the others only in which dirty lines it writes through.
+The first test states that relation on solo engines, with no replay
+group involved: on any event list the seven such protocols leave the
+same hits, misses, fills and evictions, and the same lines in the same
+LRU order. The rest check the group that relies on it against solo
+replays of the same stream.
 """
 
 from dataclasses import replace
