@@ -246,12 +246,6 @@ class SetAssociativeCache:
             bucket.clear()
         return dropped
 
-    def flush_all(self) -> List[EvictedLine]:
-        """Writeback-and-invalidate every line; returns them all."""
-        flushed = self.drop_all()
-        self.stats.add("flushes")
-        return flushed
-
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
 

@@ -1042,9 +1042,9 @@ class ReplayGroup:
         """``engine``'s cycles over the group's replay of ``source``.
 
         ``source`` is the tuple of objects the events come from (a
-        stream, its plan, the flush flag); ``events`` builds them. The
-        first call replays the group on ``events()``; every later call
-        must name the same objects.
+        stream and its plan); ``events`` builds them. The first call
+        replays the group on ``events()``; every later call must name
+        the same objects.
         """
         if self._source is None:
             self._source = source

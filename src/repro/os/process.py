@@ -122,10 +122,14 @@ class MemoryManager:
         if self.restructurer is not None:
             self.restructurer.on_free(self.allocator)
 
-    def churn(self, rng, bursts: int = 4, pages_per_burst: int = 16) -> None:
+    def churn(self, rng, bursts: int = 2, pages_per_burst: int = 32) -> None:
         """Unrelated-system-activity model: allocate short-lived pages
         and free them back, exercising the reclamation path (and, under
-        the modified OS, the AMNT++ restructuring pass)."""
+        the modified OS, the AMNT++ restructuring pass).
+
+        The defaults are the one churn shape every run uses: the
+        simulation and fault drivers call ``churn(rng)`` every
+        ``churn_interval`` references, so only the interval varies."""
         for _ in range(bursts):
             frames: List[int] = []
             for _ in range(pages_per_burst):

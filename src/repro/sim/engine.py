@@ -21,7 +21,6 @@ scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.mee import (
@@ -64,8 +63,6 @@ def _boundary_events(
     flag_col,
     rng,
     churn_interval: int,
-    churn_bursts: int,
-    churn_pages_per_burst: int,
 ):
     """The data-side walk of a trace's (vaddr, pid, flags) columns:
     yields its memory-boundary events as ``(kind, addr, record)``.
@@ -196,19 +193,7 @@ def _boundary_events(
                     rec = records[block >> line_shift] = record_of(addr)
             yield 2, addr, rec
         if churn_interval and position % churn_interval == 0:
-            churn(
-                rng, bursts=churn_bursts, pages_per_burst=churn_pages_per_burst
-            )
-
-
-def _flush_events(llc, block_bytes: int, record_of):
-    """The end-of-run LLC flush as posted writes, ``(1, addr,
-    record_of(addr))`` (``None`` records under ``record_of=None``). The
-    flush runs when the first event is drawn, so chained after
-    :func:`_boundary_events` it sees the final LLC."""
-    for victim_block in llc.flush():
-        addr = victim_block * block_bytes
-        yield 1, addr, None if record_of is None else record_of(addr)
+            churn(rng)
 
 
 def simulate(
@@ -216,14 +201,10 @@ def simulate(
     trace: Trace,
     seed: Seed = 0,
     churn_interval: int = 16384,
-    churn_bursts: int = 2,
-    churn_pages_per_burst: int = 32,
-    flush_llc_at_end: bool = False,
 ) -> SimulationResult:
     """Run ``trace`` to completion on ``machine``; returns the result.
 
-    The data-side walk (:func:`_boundary_events`, then
-    :func:`_flush_events` under ``flush_llc_at_end``) is a generator the
+    The data-side walk (:func:`_boundary_events`) is a generator the
     MEE's event loop consumes in one call, as plan replay consumes a
     compiled plan.
     """
@@ -250,11 +231,7 @@ def simulate(
         flag_col,
         rng,
         churn_interval,
-        churn_bursts,
-        churn_pages_per_burst,
     )
-    if flush_llc_at_end:
-        events = chain(events, _flush_events(llc, block_bytes, mee.record_of))
     cycles += mee.run_events(events)
 
     os_instructions = (
@@ -286,9 +263,7 @@ def simulate(
 # ----------------------------------------------------------------------
 
 
-def simulate_from_plan(
-    stream, plan, mee: MemoryEncryptionEngine, flush_llc_at_end: bool = False
-) -> SimulationResult:
+def simulate_from_plan(stream, plan, mee: MemoryEncryptionEngine) -> SimulationResult:
     """Drive the engine ``mee`` (and its bound protocol) from a compiled
     :class:`~repro.sim.replay.BoundaryStream` and its
     :class:`~repro.sim.plan.MetadataPlan`; returns the result.
@@ -314,22 +289,14 @@ def simulate_from_plan(
     llc_latency = mee.config.llc.access_latency_cycles
 
     def events():
-        kinds = stream.kind
-        addrs = stream.addr
-        event_records = plan.event_records()
-        if not flush_llc_at_end:
-            limit = stream.main_events
-            kinds = kinds[:limit]
-            addrs = addrs[:limit]
-            event_records = event_records[:limit]
-        return zip(kinds, addrs, event_records)
+        return zip(stream.kind, stream.addr, plan.event_records())
 
     cycles = stream.think_total + stream.accesses * llc_latency
     group = mee.replay_group
     if group is None:
         cycles += mee.run_events(events())
     else:
-        cycles += group.cycles_of(mee, (stream, plan, flush_llc_at_end), events)
+        cycles += group.cycles_of(mee, (stream, plan), events)
 
     os_instructions = stream.os_instructions
     result = SimulationResult(
@@ -411,9 +378,6 @@ def drive_memory_boundary(
     seed: Seed = 0,
     scheduler=None,
     churn_interval: int = 1024,
-    churn_bursts: int = 2,
-    churn_pages_per_burst: int = 32,
-    verify_reads: bool = True,
 ) -> ReplayRecord:
     """Replay ``trace`` straight at the memory boundary (no LLC).
 
@@ -464,7 +428,7 @@ def drive_memory_boundary(
                     write_block(base, fenced=fenced)
             elif functional:
                 data = mee.read_block_data(base)
-                if verify_reads and data != golden.get(base, zero_block):
+                if data != golden.get(base, zero_block):
                     raise SimulationError(
                         f"pre-crash readback diverged at block {base:#x} "
                         f"(access {position} of {trace.name})"
@@ -474,11 +438,7 @@ def drive_memory_boundary(
             position += 1
             record.accesses_completed = position
             if churn_interval and position % churn_interval == 0:
-                churn(
-                    rng,
-                    bursts=churn_bursts,
-                    pages_per_burst=churn_pages_per_burst,
-                )
+                churn(rng)
     except PowerFailure as failure:
         record.crashed = True
         record.crash_phase = failure.phase

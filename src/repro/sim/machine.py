@@ -55,8 +55,6 @@ def build_data_side(
     modified_os: bool,
     seed: Seed = 0,
     scatter_span_chunks: int = 0,
-    max_order: int = 10,
-    reclaim_interval: int = 64,
     address_space: Optional[AddressSpace] = None,
     geometry: Optional[TreeGeometry] = None,
 ) -> Tuple[DataCache, MemoryManager]:
@@ -83,7 +81,7 @@ def build_data_side(
 
     page_bytes = config.security.page_bytes
     total_pages = config.pcm.capacity_bytes // page_bytes
-    allocator = BuddyAllocator(total_pages, max_order=max_order)
+    allocator = BuddyAllocator(total_pages)
     if scatter_span_chunks:
         allocator.scatter(
             make_rng(f"{seed}/scatter"), span_chunks=scatter_span_chunks
@@ -96,8 +94,7 @@ def build_data_side(
         region_bytes = geometry.region_bytes(config.amnt.subtree_level)
         pages_per_region = max(1, region_bytes // page_bytes)
         restructurer = AMNTPlusPlusRestructurer(
-            region_of_pfn=lambda pfn: pfn // pages_per_region,
-            reclaim_interval=reclaim_interval,
+            region_of_pfn=lambda pfn: pfn // pages_per_region
         )
         # The modified OS has been reordering free lists since boot; the
         # machine starts in that steady state rather than discovering it
@@ -131,8 +128,6 @@ def build_machine(
     functional: bool = False,
     seed: Seed = 0,
     scatter_span_chunks: int = 0,
-    max_order: int = 10,
-    reclaim_interval: int = 64,
 ) -> Machine:
     """Build a machine running ``protocol_name``.
 
@@ -148,8 +143,6 @@ def build_machine(
         modified_os=protocol_uses_modified_os(protocol_name),
         seed=seed,
         scatter_span_chunks=scatter_span_chunks,
-        max_order=max_order,
-        reclaim_interval=reclaim_interval,
         address_space=mee.address_space,
         geometry=mee.geometry,
     )

@@ -378,12 +378,10 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def pool_context(start_method: Optional[str] = None):
+def pool_context():
     """The multiprocessing context a runner's pool starts from:
-    ``start_method`` when given, else ``fork`` where available (workers
-    then inherit the parent's warm caches), else the platform default."""
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
+    ``fork`` where available (workers then inherit the parent's warm
+    caches), else the platform default."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -393,18 +391,13 @@ class ParallelSweepRunner:
     """Run sweep cells across ``workers`` processes, in cell order.
 
     ``workers=None`` auto-sizes to the visible core count; ``workers=1``
-    runs in-process (no pool, no pickling). ``start_method`` defaults to
-    ``fork`` where available — workers then inherit the parent's warm
-    trace cache for free — and falls back to the platform default.
+    runs in-process (no pool, no pickling). Pools start from
+    :func:`pool_context`, so workers inherit the parent's warm trace
+    cache for free where ``fork`` is available.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = default_workers() if workers is None else max(1, workers)
-        self.start_method = start_method
 
     def map(self, func, payloads: Sequence) -> List:
         """Fan ``func`` over ``payloads``; results arrive in order.
@@ -428,9 +421,7 @@ class ParallelSweepRunner:
         # Never spawn more processes than there are cells to run.
         processes = min(self.workers, len(payloads))
         try:
-            with pool_context(self.start_method).Pool(
-                processes=processes
-            ) as pool:
+            with pool_context().Pool(processes=processes) as pool:
                 # chunksize=1 keeps the grid balanced: payloads differ
                 # wildly in cost (strict vs volatile, a replay group vs
                 # one cell), so batching them would serialize the

@@ -41,7 +41,7 @@ from repro.util.bitops import ilog2
 
 class MetadataPlan:
     """The compiled metadata side of one boundary stream: one runtime
-    record per stream event (flush tail included), in stream order."""
+    record per stream event, in stream order."""
 
     __slots__ = ("name", "_event_records", "_num_records", "_num_paths")
 
@@ -82,14 +82,13 @@ class MetadataPlan:
 def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
     """Resolve the runtime record of every event in ``stream``.
 
-    One pass over the stream's ``addr`` column, flush tail included (a
-    replay slices the records exactly as it slices stream columns).
-    Pure address/tree arithmetic — identical to what the direct MEE
-    path derives per event — so the plan depends only on the stream and
-    the metadata geometry (block/page split, capacity, tree arity),
-    never on the metadata-cache shape or the protocol: one plan serves
-    every protocol replay of the stream, and a metadata-cache-only
-    config change shares it (the compiled-artifact cache key in
+    One pass over the stream's ``addr`` column. Pure address/tree
+    arithmetic — identical to what the direct MEE path derives per
+    event — so the plan depends only on the stream and the metadata
+    geometry (block/page split, capacity, tree arity), never on the
+    metadata-cache shape or the protocol: one plan serves every
+    protocol replay of the stream, and a metadata-cache-only config
+    change shares it (the compiled-artifact cache key in
     :mod:`repro.workloads.registry` encodes exactly that contract).
     """
     geometry = TreeGeometry.from_config(config)

@@ -14,8 +14,10 @@ times instead of 3.
 columnar, ``array``-backed record of every boundary event in program
 order plus the data-side half of the eventual
 :class:`~repro.sim.results.SimulationResult` (LLC hit counters, page
-faults, OS instruction charges, think-cycle totals). It has no walk of
-its own: it drains the generator ``simulate()`` feeds the MEE
+faults, OS instruction charges, think-cycle totals). The stream ends
+where the trace ends: as the paper measures a region of interest, no
+end-of-run LLC flush is compiled or replayed. It has no walk of its
+own: it drains the generator ``simulate()`` feeds the MEE
 (:func:`repro.sim.engine._boundary_events`) into columns.
 :func:`compile_trace` pairs the stream with its metadata plan
 (:mod:`repro.sim.plan`), and
@@ -43,7 +45,6 @@ from repro.config import SystemConfig
 from repro.sim.engine import (
     INSTRUCTIONS_PER_PAGE_FAULT,
     _boundary_events,
-    _flush_events,
     _trace_columns,
 )
 from repro.sim.machine import build_data_side
@@ -53,7 +54,7 @@ from repro.workloads.trace import Trace
 
 #: Boundary-event kinds stored in :attr:`BoundaryStream.kind`.
 EVENT_FILL = 0  #: LLC miss: read the block through the MEE.
-EVENT_WRITEBACK = 1  #: Dirty victim (or end-of-run flush): posted write.
+EVENT_WRITEBACK = 1  #: Dirty victim: posted write.
 EVENT_PERSIST = 2  #: CLWB + fence: fenced write on the critical path.
 
 
@@ -62,10 +63,8 @@ class BoundaryStream:
 
     Columnar like :class:`~repro.workloads.trace.ColumnarAccesses`: two
     parallel ``array`` columns (event kind, physical block base) instead
-    of per-event objects. Events ``[0, main_events)`` are the run
-    proper; the tail ``[main_events, len)`` is the end-of-run LLC flush
-    (all :data:`EVENT_WRITEBACK`), which a replay applies only when the
-    direct run would have (``flush_llc_at_end=True``).
+    of per-event objects, every event in program order. A replay runs
+    all of them; ``main_events`` equals ``len(stream)``.
 
     The scalar fields carry the data-side half of the result: the
     replay splices them into its :class:`SimulationResult` so the
@@ -122,21 +121,16 @@ def compile_boundary_stream(
     config: SystemConfig,
     seed: Seed = 0,
     churn_interval: int = 16384,
-    churn_bursts: int = 2,
-    churn_pages_per_burst: int = 32,
     scatter_span_chunks: int = 0,
     modified_os: bool = False,
-    max_order: int = 10,
-    reclaim_interval: int = 64,
 ) -> BoundaryStream:
     """Run the data-side hierarchy over ``trace`` once; return its
     boundary-event stream.
 
     The walk *is* the one ``simulate()`` feeds the MEE
-    (:func:`repro.sim.engine._boundary_events`, then its end-of-run
-    flush), drained into columns: same demand paging, same LRU
-    transitions, same churn RNG stream. The flush tail is compiled
-    always and replayed only under ``flush_llc_at_end``. Every parameter
+    (:func:`repro.sim.engine._boundary_events`), drained into columns:
+    same demand paging, same LRU transitions, same churn RNG stream.
+    Every parameter
     that shapes data-side behaviour is an argument here and a field of
     the compiled-artifact cache key
     (:class:`repro.workloads.registry.BoundaryStreamSpec`).
@@ -148,8 +142,6 @@ def compile_boundary_stream(
         modified_os=modified_os,
         seed=seed,
         scatter_span_chunks=scatter_span_chunks,
-        max_order=max_order,
-        reclaim_interval=reclaim_interval,
     )
     block_bytes = config.security.block_bytes
     vaddrs, pids, thinks, flag_col = _trace_columns(trace)
@@ -167,17 +159,10 @@ def compile_boundary_stream(
         flag_col,
         make_rng(f"{seed}/engine/{trace.name}"),
         churn_interval,
-        churn_bursts,
-        churn_pages_per_burst,
     ):
         kind_append(kind)
         addr_append(addr)
     stream.main_events = len(stream.kind)
-    # The flush is a pure function of the final LLC state and mutates
-    # nothing the main walk reads, so compiling it costs no fidelity.
-    for kind, addr, _ in _flush_events(llc, block_bytes, None):
-        kind_append(kind)
-        addr_append(addr)
 
     stream.accesses = len(vaddrs)
     stream.think_total = sum(thinks)

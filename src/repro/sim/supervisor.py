@@ -390,12 +390,10 @@ class SupervisedRunner:
         workers: Optional[int] = None,
         policy: Optional[SupervisionPolicy] = None,
         journal: Optional[RunJournal] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         self.workers = default_workers() if workers is None else max(1, workers)
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.journal = journal
-        self.start_method = start_method
         self._records_since_flush = 0
         self._flushes = 0
 
@@ -476,7 +474,7 @@ class SupervisedRunner:
             if retried:
                 time.sleep(self.policy.backoff_seconds(max(retried)))
             try:
-                pool = pool_context(self.start_method).Pool(
+                pool = pool_context().Pool(
                     processes=min(self.workers, len(queue)),
                     initializer=_worker_signal_reset,
                 )

@@ -298,10 +298,14 @@ class BoundaryStreamSpec:
     """Cache identity of one compiled boundary stream and its plan.
 
     Everything that shapes the data-side simulation — and therefore the
-    compiled events — is a field: the trace recipe, the engine seed and
-    churn schedule, allocator aging, the OS variant, and the data-side
-    geometry (LLC shape, block/page sizes, device capacity, and the
-    tree shape the modified OS's region mapping derives from). The
+    compiled events — and can vary is a field: the trace recipe, the
+    engine seed and churn interval, allocator aging, the OS variant,
+    and the data-side geometry (LLC shape, block/page sizes, device
+    capacity, and the tree shape the modified OS's region mapping
+    derives from). The rest of the OS model is one fixed shape, set in
+    the classes that use it: the churn burst
+    (:meth:`~repro.os.process.MemoryManager.churn`), the buddy
+    allocator's max order and the AMNT++ reclaim interval. The
     metadata plan reads only geometry already in that list (block/page
     split, capacity, tree arity), so the same key identifies it. Two
     sweep cells with equal specs replay the same pair; any geometry
@@ -315,8 +319,6 @@ class BoundaryStreamSpec:
     trace: TraceSpec
     seed: Union[int, str] = 0
     churn_interval: int = 16384
-    churn_bursts: int = 2
-    churn_pages_per_burst: int = 32
     scatter_span_chunks: int = 0
     modified_os: bool = False
     llc_capacity_bytes: int = 0
@@ -329,8 +331,6 @@ class BoundaryStreamSpec:
     tree_arity: int = 0
     #: The modified OS's region size; 0 for a stock-OS stream.
     subtree_level: int = 0
-    max_order: int = 10
-    reclaim_interval: int = 64
 
 
 def boundary_stream_spec(
@@ -338,12 +338,8 @@ def boundary_stream_spec(
     config,
     seed: Seed = 0,
     churn_interval: int = 16384,
-    churn_bursts: int = 2,
-    churn_pages_per_burst: int = 32,
     scatter_span_chunks: int = 0,
     modified_os: bool = False,
-    max_order: int = 10,
-    reclaim_interval: int = 64,
 ) -> BoundaryStreamSpec:
     """The compiled-artifact cache key for ``trace`` under ``config``'s
     data side.
@@ -360,8 +356,6 @@ def boundary_stream_spec(
         trace=trace,
         seed=seed,
         churn_interval=churn_interval,
-        churn_bursts=churn_bursts,
-        churn_pages_per_burst=churn_pages_per_burst,
         scatter_span_chunks=scatter_span_chunks,
         modified_os=modified_os,
         llc_capacity_bytes=config.llc.capacity_bytes,
@@ -373,8 +367,6 @@ def boundary_stream_spec(
         counters_per_block=config.security.counters_per_block,
         tree_arity=config.security.tree_arity,
         subtree_level=config.amnt.subtree_level if modified_os else 0,
-        max_order=max_order,
-        reclaim_interval=reclaim_interval,
     )
 
 
@@ -409,12 +401,8 @@ def materialize_compiled(spec: BoundaryStreamSpec, config, cache: bool = True):
         config,
         seed=spec.seed,
         churn_interval=spec.churn_interval,
-        churn_bursts=spec.churn_bursts,
-        churn_pages_per_burst=spec.churn_pages_per_burst,
         scatter_span_chunks=spec.scatter_span_chunks,
         modified_os=spec.modified_os,
-        max_order=spec.max_order,
-        reclaim_interval=spec.reclaim_interval,
     )
     if cache:
         _COMPILED_CACHE.put(spec, compiled, label)

@@ -42,7 +42,9 @@ CONFIG = dataclasses.replace(
 RECORD_OF = build_machine(CONFIG, "volatile").mee.record_of
 
 
-def reference_walk(llc, mm, record_of, vaddrs, pids, flag_col, rng, churn):
+def reference_walk(
+    llc, mm, record_of, vaddrs, pids, flag_col, rng, churn_interval
+):
     """The data-side walk, one public call per step; yields events."""
     for position, (vaddr, pid, flags) in enumerate(
         zip(vaddrs, pids, flag_col), start=1
@@ -61,17 +63,17 @@ def reference_walk(llc, mm, record_of, vaddrs, pids, flag_col, rng, churn):
             if flushed is not None:
                 addr = flushed * BLOCK
                 yield 2, addr, record_of(addr)
-        if churn[0] and position % churn[0] == 0:
-            mm.churn(rng, bursts=churn[1], pages_per_burst=churn[2])
+        if churn_interval and position % churn_interval == 0:
+            mm.churn(rng)
 
 
-def fused_walk(llc, mm, record_of, vaddrs, pids, flag_col, rng, churn):
+def fused_walk(llc, mm, record_of, vaddrs, pids, flag_col, rng, churn_interval):
     return _boundary_events(
-        llc, mm, BLOCK, record_of, vaddrs, pids, flag_col, rng, *churn
+        llc, mm, BLOCK, record_of, vaddrs, pids, flag_col, rng, churn_interval
     )
 
 
-def run_walk(walk, stream, modified_os, llc_pages, churn):
+def run_walk(walk, stream, modified_os, llc_pages, churn_interval):
     """Drain ``walk`` over ``stream`` on a fresh data side; returns the
     events, whether the walk raised :class:`AddressError`, and the
     data-side state it left."""
@@ -87,7 +89,9 @@ def run_walk(walk, stream, modified_os, llc_pages, churn):
     events = []
     raised = False
     try:
-        for event in walk(llc, mm, RECORD_OF, vaddrs, pids, flag_col, rng, churn):
+        for event in walk(
+            llc, mm, RECORD_OF, vaddrs, pids, flag_col, rng, churn_interval
+        ):
             events.append(event)
     except AddressError:
         raised = True
@@ -109,10 +113,12 @@ def run_walk(walk, stream, modified_os, llc_pages, churn):
 
 
 def assert_walks_agree(
-    stream, modified_os=False, llc_pages=None, churn=(4, 2, 8)
+    stream, modified_os=False, llc_pages=None, churn_interval=4
 ):
-    fused = run_walk(fused_walk, stream, modified_os, llc_pages, churn)
-    reference = run_walk(reference_walk, stream, modified_os, llc_pages, churn)
+    fused = run_walk(fused_walk, stream, modified_os, llc_pages, churn_interval)
+    reference = run_walk(
+        reference_walk, stream, modified_os, llc_pages, churn_interval
+    )
     assert fused == reference
     return fused
 
@@ -137,20 +143,18 @@ references = st.tuples(
 def test_fused_walk_matches_reference(
     stream, modified_os, llc_pages, churn_interval
 ):
-    assert_walks_agree(
-        stream, modified_os, llc_pages, churn=(churn_interval, 2, 8)
-    )
+    assert_walks_agree(stream, modified_os, llc_pages, churn_interval)
 
 
 def test_walk_without_records_yields_the_same_kinds_and_addresses():
     stream = [(page % 40, 8 * page, page % 3, page % 4) for page in range(200)]
-    with_records = run_walk(fused_walk, stream, False, None, (16, 2, 8))
+    with_records = run_walk(fused_walk, stream, False, None, 16)
     without = run_walk(
         lambda *args: fused_walk(*args[:2], None, *args[3:]),
         stream,
         False,
         None,
-        (16, 2, 8),
+        16,
     )
     assert [event[:2] for event in with_records[0]] == [
         event[:2] for event in without[0]
@@ -172,7 +176,7 @@ class TestCoverage:
             vpage, offset, pid = step % 40, 64 * step % PAGE, step % 2
             stream.append((vpage, offset, pid, step % 4))
             stream.append((vpage, offset, pid, (step + 1) % 4))
-        events, raised, state = assert_walks_agree(stream, churn=(16, 2, 8))
+        events, raised, state = assert_walks_agree(stream, churn_interval=16)
         assert not raised
         assert {kind for kind, _, _ in events} == {0, 1, 2}
         assert state["mm"]["mm.page_faults"] == 40
@@ -186,7 +190,7 @@ class TestCoverage:
         # inside it.
         stream = [(page, 0, 0, 1) for page in range(16)]
         events, raised, state = assert_walks_agree(
-            stream, modified_os=modified_os, llc_pages=4, churn=(0, 2, 8)
+            stream, modified_os=modified_os, llc_pages=4, churn_interval=0
         )
         assert raised
         assert len(events) < 16
@@ -228,7 +232,7 @@ class TestDirtyBitsAreBools:
         flag_col = [flags for _, _, _, flags in self.STREAM]
         rng = make_rng("boundary-walk")
         events = list(
-            walk(llc, mm, RECORD_OF, vaddrs, pids, flag_col, rng, (16, 2, 8))
+            walk(llc, mm, RECORD_OF, vaddrs, pids, flag_col, rng, 16)
         )
         assert {kind for kind, _, _ in events} == {0, 1, 2}
         self.assert_bool_bits(llc)

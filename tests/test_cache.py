@@ -103,12 +103,6 @@ class TestInvalidateAndDrop:
         assert len(dropped) == 2
         assert tiny.occupancy() == 0
 
-    def test_flush_all_counts(self, tiny):
-        tiny.insert(0, dirty=True)
-        flushed = tiny.flush_all()
-        assert flushed[0].dirty
-        assert tiny.stats.get("flushes") == 1
-
 
 class TestStats:
     def test_hit_rate(self, tiny):

@@ -53,12 +53,6 @@ class TestAccess:
 
 
 class TestFlush:
-    def test_flush_returns_only_dirty_blocks(self, llc):
-        llc.access(0, is_write=True)
-        llc.access(64, is_write=False)
-        assert llc.flush() == [0]
-        assert llc.occupancy() == 0
-
     def test_flush_block_clwb_semantics(self, llc):
         llc.access(0, is_write=True)
         assert llc.flush_block(0) == 0  # dirty -> memory write

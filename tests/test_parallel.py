@@ -203,7 +203,7 @@ class TestFallback:
         monkeypatch.setattr(
             parallel,
             "pool_context",
-            lambda start_method: (_ for _ in ()).throw(
+            lambda: (_ for _ in ()).throw(
                 OSError("no fork for you")
             ),
         )
@@ -298,7 +298,7 @@ class TestEdgeCases:
         monkeypatch.setattr(
             parallel,
             "pool_context",
-            lambda start_method: Recorder(real_get_context("fork")),
+            lambda: Recorder(real_get_context("fork")),
         )
         cells = grid_cells()[:2]
         results = cold_leg(lambda: runner.run(cells, config), 2)

@@ -356,7 +356,7 @@ def test_plan_replay_matches_reference(config, protocol, records, scatter):
     machine = build_machine(config, protocol, seed=5)
     result = simulate_from_plan(stream, plan, machine.mee)
     ref = ReferenceMEE(config, protocol)
-    for kind, addr in zip(stream.kind[: stream.main_events], stream.addr):
+    for kind, addr in zip(stream.kind, stream.addr):
         ref.event(kind, addr)
     llc = config.llc.access_latency_cycles
     assert result.cycles == stream.think_total + stream.accesses * llc + ref.cycles

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import default_config
+from repro.config import DataCacheConfig, default_config
 from repro.core.mee import MetadataRegion
 from repro.core.protocol import protocol_names, protocol_uses_modified_os
 from repro.sim.engine import simulate, simulate_from_plan
@@ -24,7 +24,6 @@ from repro.sim.parallel import (
     run_cell,
     stream_spec_for,
 )
-from repro.sim.plan import compile_metadata_plan
 from repro.sim.replay import (
     EVENT_FILL,
     EVENT_PERSIST,
@@ -33,7 +32,7 @@ from repro.sim.replay import (
     compile_boundary_stream,
 )
 from repro.sim.runner import reference_cells, run_protocol_sweep
-from repro.util.units import MB
+from repro.util.units import KB, MB
 from repro.workloads.registry import (
     boundary_stream_spec,
     compiled_cache_clear,
@@ -68,49 +67,35 @@ class TestFunctionalEquivalence:
     """Every registered protocol, real crypto: the replayed MEE must
     end in the same state the direct walk does. These replays take the
     stream and plan from the process-wide compiled-artifact cache (as
-    sweep cells do) and include the end-of-run flush tail."""
+    sweep cells do). A 4 KB, 4-way LLC makes the 600 accesses evict
+    dirty lines mid-run, so both paths write data blocks as well as
+    read them."""
 
     @pytest.mark.parametrize("protocol", protocol_names())
     def test_replay_matches_direct(self, small_config, protocol):
+        config = replace(
+            small_config,
+            llc=DataCacheConfig(capacity_bytes=4 * KB, associativity=4),
+        )
         trace_spec = profile_spec("parsec", "blackscholes", 600, 7)
         trace = materialize_trace(trace_spec)
 
-        direct_machine = build_machine(
-            small_config, protocol, functional=True, seed=7
-        )
-        direct = simulate(direct_machine, trace, seed=7, flush_llc_at_end=True)
+        direct_machine = build_machine(config, protocol, functional=True, seed=7)
+        direct = simulate(direct_machine, trace, seed=7)
 
         stream_spec = boundary_stream_spec(
-            trace_spec, small_config, seed=7,
+            trace_spec, config, seed=7,
             modified_os=protocol_uses_modified_os(protocol),
         )
-        stream, plan = materialize_compiled(stream_spec, small_config)
-        replay_machine = build_machine(
-            small_config, protocol, functional=True, seed=7
-        )
-        replayed = simulate_from_plan(
-            stream, plan, replay_machine.mee, flush_llc_at_end=True
-        )
+        stream, plan = materialize_compiled(stream_spec, config)
+        replay_machine = build_machine(config, protocol, functional=True, seed=7)
+        replayed = simulate_from_plan(stream, plan, replay_machine.mee)
 
+        assert direct.mee_stats["mee.data_writes"] > 0
         assert replayed == direct
         assert machine_tree_state(replay_machine) == machine_tree_state(
             direct_machine
         )
-
-    def test_flush_at_end_equivalence(self, small_config):
-        trace = materialize_trace(profile_spec("parsec", "canneal", 600, 7))
-        direct = simulate(
-            build_machine(small_config, "strict", functional=True, seed=7),
-            trace, seed=7, flush_llc_at_end=True,
-        )
-        stream = compile_boundary_stream(trace, small_config, seed=7)
-        replayed = simulate_from_plan(
-            stream,
-            compile_metadata_plan(stream, small_config),
-            build_machine(small_config, "strict", functional=True, seed=7).mee,
-            flush_llc_at_end=True,
-        )
-        assert replayed == direct
 
 
 class TestStreamContents:
@@ -120,10 +105,8 @@ class TestStreamContents:
         assert isinstance(stream, BoundaryStream)
         assert stream.accesses == 600
         assert set(stream.kind) <= {EVENT_FILL, EVENT_WRITEBACK, EVENT_PERSIST}
-        # The end-of-run flush tail sits after main_events, holds only
-        # posted writes, and is replayed only under flush_llc_at_end.
-        assert stream.main_events < len(stream)
-        assert set(stream.kind[stream.main_events:]) == {EVENT_WRITEBACK}
+        # No end-of-run flush tail: every compiled event is replayed.
+        assert stream.main_events == len(stream)
 
     def test_modified_os_changes_placement(self, small_config):
         """amnt++'s allocator restructuring must show up in the compiled
