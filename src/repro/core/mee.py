@@ -304,7 +304,7 @@ class MemoryEncryptionEngine:
         #: ReplayGroup member's persist keeps the other members' bits.
         self._persist_keeps = False
         #: The ReplayGroup this engine replays in, if any (see
-        #: simulate_from_plan).
+        #: simulate_from_plan and simulate).
         self.replay_group: Optional["ReplayGroup"] = None
         protocol.bind(self)
         #: The engine's one read/write datapath:
@@ -927,7 +927,8 @@ class ReplayGroup:
     engines' one event loop, built with its dispatchers (see
     ``_event_loop``). :meth:`cycles_of` replays on its first call and
     answers each member's later call from that replay, so each
-    member's result still comes from its own ``simulate_from_plan``.
+    member's result still comes from its own ``simulate_from_plan`` or
+    ``simulate`` call.
     """
 
     def __init__(self, engines) -> None:
@@ -1041,8 +1042,9 @@ class ReplayGroup:
     def cycles_of(self, engine: MemoryEncryptionEngine, source: tuple, events) -> int:
         """``engine``'s cycles over the group's replay of ``source``.
 
-        ``source`` is the tuple of objects the events come from (a
-        stream and its plan); ``events`` builds them. The first call
+        ``source`` is the tuple of objects the events come from: a
+        compiled stream and its plan, or a trace whose data-side walk
+        every member shares; ``events`` builds them. The first call
         replays the group on ``events()``; every later call must name
         the same objects.
         """
@@ -1052,5 +1054,7 @@ class ReplayGroup:
         elif len(source) != len(self._source) or any(
             mine is not theirs for mine, theirs in zip(self._source, source)
         ):
-            raise SimulationError("a replay group replays one stream and plan")
+            raise SimulationError(
+                "a replay group replays one stream and plan, or one trace"
+            )
         return self._cycles[self.engines.index(engine)]

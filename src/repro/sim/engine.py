@@ -207,6 +207,13 @@ def simulate(
     The data-side walk (:func:`_boundary_events`) is a generator the
     MEE's event loop consumes in one call, as plan replay consumes a
     compiled plan.
+
+    An engine that joined a :class:`~repro.core.mee.ReplayGroup` (see
+    :func:`share_residency`) runs with its group, as in
+    :func:`simulate_from_plan`: every member's machine shares one LLC
+    and memory manager, the first member's call walks that data side
+    once through the group, and every member's call reads its own
+    cycles and the shared data side's figures.
     """
     rng = make_rng(f"{seed}/engine/{trace.name}")
     mee = machine.mee
@@ -221,18 +228,28 @@ def simulate(
     think_total = sum(thinks)
     app_instructions = think_total + len(thinks)
     cycles = think_total + len(thinks) * llc_latency
-    events = _boundary_events(
-        llc,
-        mm,
-        block_bytes,
-        mee.record_of,
-        vaddrs,
-        pids,
-        flag_col,
-        rng,
-        churn_interval,
-    )
-    cycles += mee.run_events(events)
+
+    def events():
+        return _boundary_events(
+            llc,
+            mm,
+            block_bytes,
+            mee.record_of,
+            vaddrs,
+            pids,
+            flag_col,
+            rng,
+            churn_interval,
+        )
+
+    group = mee.replay_group
+    if group is None:
+        cycles += mee.run_events(events())
+    else:
+        # The source names the trace alone: a group outlives its call
+        # (engine and group refer to each other), and holding the LLC
+        # or memory manager would keep them alive with it.
+        cycles += group.cycles_of(mee, (trace,), events)
 
     os_instructions = (
         mm.allocator.instructions()
@@ -326,8 +343,10 @@ def share_residency(
     ``None`` when fewer than two qualify.
 
     The engines must share one configuration and then be replayed
-    with :func:`simulate_from_plan` on one stream and plan; the group
-    checks both.
+    with :func:`simulate_from_plan` on one stream and plan, or run
+    with :func:`simulate` on one trace by machines that share one LLC
+    and memory manager; the group checks the configuration and the
+    stream and plan, or trace.
     """
     engines = [mee for mee in engines if mee.groupable]
     if len(engines) < 2:

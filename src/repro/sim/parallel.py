@@ -16,11 +16,12 @@ Design rules:
 * **Determinism.** Cell results depend only on (config, protocol,
   spec, seed); scheduling order cannot leak in. ``run`` returns results
   in cell order, and a parallel run is bit-identical to the serial one.
-* **Shared residency.** The timing-only replay cells of one stream
-  whose protocols have no NV anchor travel as one payload and replay
-  as one :class:`~repro.core.mee.ReplayGroup`, which simulates their
-  common metadata-cache residency once; every result is bit-identical
-  to the cell's own run.
+* **Shared residency.** The timing-only cells of one data side whose
+  protocols have no NV anchor travel as one payload and run as one
+  :class:`~repro.core.mee.ReplayGroup`, which simulates their common
+  metadata-cache residency once: replay cells over one compiled
+  stream, direct cells over one LLC and memory manager, walked once.
+  Every result is bit-identical to the cell's own run.
 * **Graceful fallback.** ``workers <= 1``, an unavailable
   ``multiprocessing`` start method, or a pool that dies mid-flight all
   degrade to in-process execution of the same cells — same results,
@@ -33,13 +34,18 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.config import SystemConfig
 from repro.errors import ConfigValidationError
 from repro.sim.engine import share_residency, simulate, simulate_from_plan
-from repro.sim.machine import build_engine, build_machine
+from repro.sim.machine import (
+    Machine,
+    build_data_side,
+    build_engine,
+    build_machine,
+)
 from repro.sim.results import SimulationResult
 from repro.util.rng import Seed
 from repro.workloads.registry import (
@@ -76,7 +82,9 @@ class SweepCell:
     #: (stream, plan) pair per process. Off by default because compiling
     #: only pays when several protocols replay one stream: a lone cell
     #: (a single direct run, fault-free functional checks) would pay
-    #: the compile for a single replay.
+    #: the compile for a single replay. Direct cells of one data side
+    #: still share its walk when their protocols can share residency
+    #: (see :func:`_sweep_units`).
     #: ``run_protocol_sweep`` builds its cells with it on.
     replay: bool = False
 
@@ -122,12 +130,13 @@ def validate_cell_fields(
 
 
 def stream_spec_for(cell: SweepCell, config: SystemConfig):
-    """The compiled-artifact cache key of one replay cell.
+    """The compiled-artifact cache key of one replay cell; for any
+    cell, the key of its data side.
 
-    Centralized so every caller (run_cell, the precompile warmer)
-    derives the identical key from a cell — the modified-OS bit comes
-    from the protocol registry, everything else from the cell and its
-    effective config.
+    Centralized so every caller (run_cell, the precompile warmer, the
+    unit partition) derives the identical key from a cell — the
+    modified-OS bit comes from the protocol registry, everything else
+    from the cell and its effective config.
     """
     from repro.core.protocol import protocol_uses_modified_os
 
@@ -194,20 +203,42 @@ def replay_stream(
     a raw trace's sweep-local compile (``repro.sim.runner``) both
     replay through here.
 
-    Each protocol gets a fresh engine and nothing else: the stream
-    already holds the data side's events, so no LLC or memory manager
-    is built. The engines that can share metadata-cache residency join
-    one :class:`~repro.core.mee.ReplayGroup`, and each result comes
-    from its own ``simulate_from_plan`` call under its cell's telemetry
-    (:func:`_observed`); the first grouped call replays the whole
-    group, so that cell's span holds the group's replay time.
+    Each protocol gets a fresh engine and nothing else
+    (:func:`_run_engines`): the stream already holds the data side's
+    events, so no LLC or memory manager is built.
+    """
+    return _run_engines(
+        config,
+        protocols,
+        label,
+        lambda mee: simulate_from_plan(stream, plan, mee),
+        functional=functional,
+    )
+
+
+def _run_engines(
+    config: SystemConfig,
+    protocols: Sequence[str],
+    label: str,
+    run: Callable[..., SimulationResult],
+    functional: bool = False,
+) -> List[SimulationResult]:
+    """Build each of ``protocols``' engine, join those that can share
+    metadata-cache residency into one
+    :class:`~repro.core.mee.ReplayGroup`, and return ``run(mee)`` for
+    each, in order, under its cell's telemetry (:func:`_observed`).
+
+    ``run`` is ``simulate_from_plan`` over one stream and plan, or
+    ``simulate`` over one trace and shared data side. The first
+    grouped call runs the whole group, so that cell's span holds the
+    group's time.
     """
     engines = [
         build_engine(config, name, functional=functional) for name in protocols
     ]
     share_residency(engines)
     return [
-        _observed(name, label, lambda: simulate_from_plan(stream, plan, mee))
+        _observed(name, label, lambda: run(mee))
         for name, mee in zip(protocols, engines)
     ]
 
@@ -218,28 +249,26 @@ def run_cell(cell: SweepCell, config: SystemConfig) -> SimulationResult:
     return _run_unit([cell], config)[0]
 
 
-def _replay_units(
+def _sweep_units(
     cells: Sequence[SweepCell], config: SystemConfig
 ) -> List[List[int]]:
     """Partition ``cells`` (by index, first-appearance order) into the
-    units :func:`_run_unit` executes. The timing-only replay cells
-    whose protocol has no NV anchor
+    units :func:`_run_unit` executes. The timing-only cells whose
+    protocol has no NV anchor
     (:func:`~repro.core.protocol.protocol_shares_residency`) form one
-    unit per compiled-stream key and effective config; every other
-    cell is a unit of its own."""
+    unit per path (``replay``), data-side key
+    (:func:`stream_spec_for`) and effective config; every other cell
+    is a unit of its own."""
     from repro.core.protocol import protocol_shares_residency
 
     units: List[List[int]] = []
     groups: Dict[tuple, List[int]] = {}
     for index, cell in enumerate(cells):
-        if (
-            not cell.replay
-            or cell.functional
-            or not protocol_shares_residency(cell.protocol)
-        ):
+        if cell.functional or not protocol_shares_residency(cell.protocol):
             units.append([index])
             continue
         key = (
+            cell.replay,
             stream_spec_for(cell, config),
             cell.config if cell.config is not None else config,
         )
@@ -254,16 +283,21 @@ def _replay_units(
 def _run_unit(
     cells: Sequence[SweepCell], config: SystemConfig
 ) -> List[SimulationResult]:
-    """Execute one unit of :func:`_replay_units` in the current
+    """Execute one unit of :func:`_sweep_units` in the current
     process; results in cell order.
 
     Replay cells (one, or a replay group's) take their compiled stream
     and plan from the process-wide cache and replay through
-    :func:`replay_stream`. A direct cell is a unit of its own: it
-    builds a whole machine and walks the trace with ``simulate()``.
+    :func:`replay_stream`. A lone direct cell builds a whole machine
+    and walks the trace with ``simulate()``. A direct group builds its
+    data side once and its engines through :func:`_run_engines`; each
+    member runs ``simulate()`` on a machine that shares that LLC and
+    memory manager, and the first member's call walks it for all.
     """
     first = cells[0]
     cell_config = first.config if first.config is not None else config
+    protocols = [cell.protocol for cell in cells]
+    label = first.trace.label()
     if first.replay:
         stream, plan = materialize_compiled(
             stream_spec_for(first, config), cell_config
@@ -272,9 +306,30 @@ def _run_unit(
             stream,
             plan,
             cell_config,
-            [cell.protocol for cell in cells],
-            first.trace.label(),
+            protocols,
+            label,
             functional=first.functional,
+        )
+    if len(cells) > 1:
+        from repro.core.protocol import protocol_uses_modified_os
+
+        trace = materialize_trace(first.trace)
+        llc, mm = build_data_side(
+            cell_config,
+            modified_os=protocol_uses_modified_os(first.protocol),
+            seed=first.seed,
+            scatter_span_chunks=first.scatter_span_chunks,
+        )
+        return _run_engines(
+            cell_config,
+            protocols,
+            label,
+            lambda mee: simulate(
+                Machine(cell_config, mee, llc, mm),
+                trace,
+                seed=first.seed,
+                churn_interval=first.churn_interval,
+            ),
         )
 
     def direct() -> SimulationResult:
@@ -292,7 +347,7 @@ def _run_unit(
             churn_interval=first.churn_interval,
         )
 
-    return [_observed(first.protocol, first.trace.label(), direct)]
+    return [_observed(first.protocol, label, direct)]
 
 
 def _pool_entry(payload: Tuple[SweepCell, SystemConfig]) -> SimulationResult:
@@ -304,7 +359,7 @@ def _pool_entry(payload: Tuple[SweepCell, SystemConfig]) -> SimulationResult:
 def _pool_entry_unit(
     payload: Tuple[Tuple[SweepCell, ...], SystemConfig]
 ) -> List[SimulationResult]:
-    """Pool target of one :func:`_replay_units` unit."""
+    """Pool target of one :func:`_sweep_units` unit."""
     cells, config = payload
     return _run_unit(cells, config)
 
@@ -511,7 +566,7 @@ class ParallelSweepRunner:
         # The cells of one replay group travel as one payload, unless
         # that leaves the pool fewer units than it runs at once: a group
         # then serializes cells that idle workers could have spread.
-        units = _replay_units(cells, config)
+        units = _sweep_units(cells, config)
         if len(units) < min(self.workers, default_workers()):
             units = [[index] for index in range(len(cells))]
         payloads = [

@@ -7,9 +7,12 @@ The first test states that relation on solo engines, with no replay
 group involved: on any event list the seven such protocols leave the
 same hits, misses, fills and evictions, and the same lines in the same
 LRU order. The rest check the group that relies on it against solo
-replays of the same stream.
+replays of the same stream, and the direct path's groups, which share
+one data-side walk, against solo direct runs.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -26,11 +29,18 @@ from repro.core.protocol import (
 from repro.errors import SimulationError
 from repro.sim import parallel
 from repro.sim.engine import share_residency, simulate_from_plan
-from repro.sim.machine import build_machine
-from repro.sim.parallel import SweepCell
+from repro.sim.machine import build_data_side, build_machine
+from repro.sim.parallel import ParallelSweepRunner, SweepCell, run_cell
 from repro.sim.replay import compile_trace
 from repro.util.units import KB, MB
-from repro.workloads.registry import materialize_trace, profile_spec
+from repro.workloads.parsec import MULTIPROGRAM_PAIRS
+from repro.workloads.registry import (
+    literal_spec,
+    materialize_trace,
+    multiprogram_spec,
+    profile_spec,
+    result_cache_clear,
+)
 from repro.workloads.storage import generate_storage_trace, storage_profile
 
 #: The protocols without NV anchors, named here rather than derived.
@@ -235,3 +245,149 @@ class TestPoolUnits:
 
     def test_a_wide_pool_runs_every_cell_on_its_own(self, monkeypatch):
         assert self._payload_sizes(monkeypatch, 8, 8) == [1] * 11
+
+
+def _direct_cells(source, seed, names):
+    """Direct cells of ``names`` on a fenced storage trace, or on a
+    co-running pair over a scattered allocator."""
+    if source == "storage":
+        spec, scatter = literal_spec(_trace("storage", seed)), 0
+    else:
+        spec = multiprogram_spec("parsec", MULTIPROGRAM_PAIRS[0], 750, seed)
+        scatter = 8
+    return [
+        SweepCell(protocol=name, trace=spec, seed=seed, scatter_span_chunks=scatter)
+        for name in names
+    ]
+
+
+def _grid_and_solo(cells):
+    result_cache_clear()
+    grid = ParallelSweepRunner(workers=1).run(cells, CONFIG)
+    solo = [run_cell(cell, CONFIG) for cell in cells]
+    return grid, solo
+
+
+class TestDirectGroups:
+    """Direct cells of one data side run as one group: one LLC and
+    memory manager, walked once, and one metadata-cache residency."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        source=st.sampled_from(("pair", "storage")),
+        seed=st.integers(min_value=0, max_value=2**16),
+        subset=st.lists(
+            st.sampled_from(ANCHORLESS), min_size=2, max_size=7, unique=True
+        ),
+    )
+    def test_a_direct_group_equals_solo_direct_runs(self, source, seed, subset):
+        cells = _direct_cells(source, seed, subset)
+        assert parallel._sweep_units(cells, CONFIG) == [list(range(len(cells)))]
+        grid, solo = _grid_and_solo(cells)
+        assert [result.to_json_dict() for result in grid] == [
+            result.to_json_dict() for result in solo
+        ]
+
+    @pytest.mark.parametrize("source", ["pair", "storage"])
+    def test_both_traces_reach_the_persist_paths(self, source):
+        """The drawn cases above exercise dirty evictions and fenced
+        writes: data writes reach the MEE, and on the storage trace
+        strict, leaf and Anubis persist."""
+        grid, solo = _grid_and_solo(_direct_cells(source, 11, ANCHORLESS))
+        assert grid == solo
+        results = dict(zip(ANCHORLESS, grid))
+        assert results["volatile"].mee_stats["mee.data_writes"] > 0
+        if source == "storage":
+            for name, stat in (
+                ("strict", "protocol.strict.write_through_paths"),
+                ("leaf", "protocol.leaf.leaf_persists"),
+                ("anubis", "protocol.anubis.shadow_fills"),
+            ):
+                assert results[name].protocol_stats[stat] > 0, name
+
+    def test_a_direct_group_builds_one_data_side_and_does_not_pin_it(
+        self, monkeypatch
+    ):
+        built = []
+
+        def counted(*args, **kwargs):
+            llc, mm = build_data_side(*args, **kwargs)
+            built.append(weakref.ref(llc))
+            return llc, mm
+
+        monkeypatch.setattr(parallel, "build_data_side", counted)
+        cells = _direct_cells("pair", 5, ANCHORLESS)
+        # With the cyclic collector off, only reference counting frees
+        # the LLC: the group (held by its engines' cycle) must not
+        # refer to it.
+        gc.disable()
+        try:
+            results = parallel._run_unit(cells, CONFIG)
+            assert len(built) == 1
+            assert built[0]() is None
+        finally:
+            gc.enable()
+        assert len(results) == len(ANCHORLESS)
+
+
+class TestUnits:
+    """How ``_sweep_units`` partitions a grid."""
+
+    SPEC = profile_spec("parsec", "canneal", 400, 5)
+
+    def _cells(self, names, **fields):
+        return [
+            SweepCell(protocol=name, trace=self.SPEC, seed=5, **fields)
+            for name in names
+        ]
+
+    def test_direct_and_replay_cells_form_separate_units(self):
+        names = ("volatile", "leaf", "strict")
+        direct = self._cells(names)
+        replayed = self._cells(names, replay=True)
+        mixed = [cell for pair in zip(direct, replayed) for cell in pair]
+        assert parallel._sweep_units(mixed, CONFIG) == [[0, 2, 4], [1, 3, 5]]
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_functional_and_anchored_cells_stay_alone(self, replay):
+        names = ("volatile", "amnt", "leaf", "amnt++", "amnt-multi", "bmf")
+        cells = self._cells(names, replay=replay)
+        cells += self._cells(("strict",), functional=True, replay=replay)
+        cells += self._cells(("strict",), replay=replay)
+        assert parallel._sweep_units(cells, CONFIG) == [
+            [0, 2, 7],
+            [1],
+            [3],
+            [4],
+            [5],
+            [6],
+        ]
+
+    def test_a_stock_os_level_sweep_groups_where_data_side_and_config_agree(self):
+        level3 = CONFIG.with_amnt(subtree_level=3)
+        level4 = CONFIG.with_amnt(subtree_level=4)
+        assert level3 == CONFIG  # the default level
+        cells = [
+            SweepCell("volatile", self.SPEC, seed=5),
+            SweepCell("leaf", self.SPEC, seed=5, config=level3),
+            SweepCell("amnt", self.SPEC, seed=5, config=level3),
+            SweepCell("volatile", self.SPEC, seed=5, config=level4),
+            SweepCell("leaf", self.SPEC, seed=5, config=level4),
+            SweepCell("amnt", self.SPEC, seed=5, config=level4),
+            # Same config, another data side (a scattered allocator).
+            SweepCell("strict", self.SPEC, seed=5, scatter_span_chunks=4),
+            SweepCell("anubis", self.SPEC, seed=5, scatter_span_chunks=4),
+        ]
+        # A stock-OS data side does not read the subtree level ...
+        specs = {parallel.stream_spec_for(cell, CONFIG) for cell in cells[:6]}
+        assert len(specs) == 1
+        # ... but engines of one group share one config.
+        assert parallel._sweep_units(cells, CONFIG) == [
+            [0, 1],
+            [2],
+            [3, 4],
+            [5],
+            [6, 7],
+        ]
+        grid, solo = _grid_and_solo(cells)
+        assert grid == solo
