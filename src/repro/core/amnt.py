@@ -184,6 +184,12 @@ class AMNTProtocol(MetadataPersistencePolicy):
     def trusted_nodes(self) -> List[Optional[NodeId]]:
         return self._slots
 
+    def save_anchors(self) -> List[Optional[NodeId]]:
+        return list(self._slots)
+
+    def restore_anchors(self, saved: List[Optional[NodeId]]) -> None:
+        self._slots[:] = saved
+
     # ------------------------------------------------------------------
     # subtree selection and movement
     # ------------------------------------------------------------------

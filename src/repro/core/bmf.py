@@ -120,6 +120,16 @@ class BMFProtocol(MetadataPersistencePolicy):
     def trusted_nodes(self) -> Dict[NodeId, int]:
         return self._root_counts
 
+    def save_anchors(self):
+        return dict(self._root_counts), dict(self._root_values)
+
+    def restore_anchors(self, saved) -> None:
+        counts, values = saved
+        self._root_counts.clear()
+        self._root_counts.update(counts)
+        self._root_values.clear()
+        self._root_values.update(values)
+
     # ------------------------------------------------------------------
     # prune / merge
     # ------------------------------------------------------------------

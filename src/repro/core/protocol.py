@@ -110,6 +110,21 @@ class MetadataPersistencePolicy(ABC):
         it in place."""
         return ()
 
+    def save_anchors(self) -> object:
+        """A copy of the crash-surviving anchors this protocol keeps in
+        Python rather than in the engine's
+        :class:`~repro.persist.root_register.RegisterFile` (AMNT's
+        subtree slots, BMF's root set and its NV values), for
+        :meth:`restore_anchors` on another engine of the same protocol.
+        Default: none."""
+        return None
+
+    def restore_anchors(self, saved: object) -> None:
+        """Install anchors :meth:`save_anchors` returned. An anchor
+        container that :meth:`trusted_nodes` hands the engine is
+        updated in place, since the engine's event loop holds that
+        object from bind time. Default: nothing to restore."""
+
     # ------------------------------------------------------------------
     # metadata cache events
     # ------------------------------------------------------------------

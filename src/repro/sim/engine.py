@@ -391,6 +391,42 @@ class ReplayRecord:
     in_flight: Optional[Tuple[int, Optional[bytes], bytes]] = None
 
 
+def crash_record(
+    failure: PowerFailure,
+    golden: Dict[int, bytes],
+    in_flight: Optional[Tuple[int, Optional[bytes], bytes]],
+    accesses_completed: int,
+) -> ReplayRecord:
+    """The :class:`ReplayRecord` of a drive cut by ``failure`` after
+    ``accesses_completed`` accesses, with ``in_flight`` the write whose
+    persist group was open (or None).
+
+    The golden copy is copied, never moved, so a drive that keeps going
+    past a captured crash (:class:`~repro.faults.triggers.CrashScheduler`)
+    leaves this record as it was at the cut. A committed in-flight write
+    is durable, so its payload joins the golden copy; otherwise it is
+    the record's ``in_flight``.
+    """
+    record = ReplayRecord(
+        accesses_completed=accesses_completed,
+        crashed=True,
+        crash_phase=failure.phase,
+        crash_occurrence=failure.occurrence,
+        crash_access_index=failure.access_index,
+        crash_write_committed=failure.write_committed,
+        crash_in_group=failure.in_group,
+        golden=dict(golden),
+    )
+    if in_flight is not None:
+        if failure.write_committed:
+            # The group drained before the lights went out: the
+            # interrupted access's write is durable after all.
+            record.golden[in_flight[0]] = in_flight[2]
+        else:
+            record.in_flight = in_flight
+    return record
+
+
 def drive_memory_boundary(
     machine: Machine,
     trace: Trace,
@@ -409,8 +445,11 @@ def drive_memory_boundary(
 
     ``scheduler`` is a crash scheduler (repro.faults.triggers); its
     :class:`~repro.errors.PowerFailure` is caught here and summarized
-    in the returned :class:`ReplayRecord`. With ``scheduler=None`` (or
-    an unarmed one) the replay runs to completion.
+    in the returned :class:`ReplayRecord` by :func:`crash_record`. The
+    drive sets the scheduler's ``crash_record`` to the same summary of
+    the current point, which a scheduler that captures a crash instead
+    of raising it calls. With ``scheduler=None`` (or an unarmed one)
+    the replay runs to completion.
     """
     mee = machine.mee
     mm = machine.mm
@@ -429,6 +468,10 @@ def drive_memory_boundary(
     vaddrs, pids, thinks, flag_col = _trace_columns(trace)
     position = 0
     pending: Optional[Tuple[int, Optional[bytes], bytes]] = None
+    if scheduler is not None:
+        scheduler.crash_record = lambda failure: crash_record(
+            failure, golden, pending, position
+        )
     try:
         for vaddr, pid, flags in zip(vaddrs, pids, flag_col):
             if scheduler is not None:
@@ -459,17 +502,5 @@ def drive_memory_boundary(
             if churn_interval and position % churn_interval == 0:
                 churn(rng)
     except PowerFailure as failure:
-        record.crashed = True
-        record.crash_phase = failure.phase
-        record.crash_occurrence = failure.occurrence
-        record.crash_access_index = failure.access_index
-        record.crash_write_committed = failure.write_committed
-        record.crash_in_group = failure.in_group
-        if pending is not None:
-            if failure.write_committed:
-                # The group drained before the lights went out: the
-                # interrupted access's write is durable after all.
-                golden[pending[0]] = pending[2]
-            else:
-                record.in_flight = pending
+        return crash_record(failure, golden, pending, position)
     return record

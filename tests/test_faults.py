@@ -160,7 +160,7 @@ class TestCrashScheduler:
         assert excinfo.value.phase == PHASE_STRICT_WRITE_THROUGH
 
     def test_unarmed_scheduler_only_counts(self):
-        scheduler = CrashScheduler(None)
+        scheduler = CrashScheduler()
         scheduler.on_access(0)
         scheduler.begin_group()
         scheduler.on_phase(PHASE_MDCACHE_EVICTION)
