@@ -437,7 +437,7 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
         "--cell-timeout",
         type=float,
         default=600.0,
-        help="per-cell wall-clock budget in seconds (pool mode)",
+        help="wall-clock budget per cell of a unit, seconds (pool mode)",
     )
     parser.add_argument(
         "--checkpoint-every",

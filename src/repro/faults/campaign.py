@@ -15,19 +15,23 @@ pair exposes. From those counts it plans the crash cells:
   in the persisted NVM image, which the recovery/readback must detect.
 
 Cells are picklable :class:`FaultCampaignSpec` values fanned over the
-existing :class:`~repro.sim.parallel.ParallelSweepRunner`; every cell
-is a pure function of (config, spec), so serial and parallel campaigns
-are bit-identical. The crash cells of one (protocol, workload) share
-one drive of the trace (:func:`run_fault_group`), split into a few
-only to keep a pool's workers busy; each still equals its lone
-:func:`run_fault_cell`. Results aggregate into a :class:`CampaignReport`
-with per-protocol and per-phase verdict breakdowns and a JSON artifact
-(written through :mod:`repro.bench.export`).
+existing :class:`~repro.sim.parallel.ParallelSweepRunner`, or, for a
+journaled run, the :class:`~repro.sim.supervisor.SupervisedRunner`;
+every cell is a pure function of (config, spec), so serial, parallel
+and journaled campaigns are bit-identical. The crash cells of one
+(protocol, workload) share one drive of the trace
+(:func:`run_fault_group`), split into a few only to keep a pool's
+workers busy (:func:`_fault_units`, for either executor); each still
+equals its lone :func:`run_fault_cell`. Results aggregate into a
+:class:`CampaignReport` with per-protocol and per-phase verdict
+breakdowns and a JSON artifact (written through
+:mod:`repro.bench.export`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -484,14 +488,6 @@ def _tamper(mee, record, spec: FaultCampaignSpec) -> str:
     return f"data[{block:#x}] bit {bit}"
 
 
-def _fault_pool_entry(
-    payload: Tuple[FaultCampaignSpec, SystemConfig]
-) -> FaultCellOutcome:
-    """Top-level pool target (must be importable for spawn contexts)."""
-    spec, config = payload
-    return run_fault_cell(spec, config)
-
-
 def _fault_group_entry(
     payload: Tuple[List[FaultCampaignSpec], SystemConfig]
 ) -> List[FaultCellOutcome]:
@@ -500,27 +496,36 @@ def _fault_group_entry(
     return run_fault_group(specs, config)
 
 
+def _fault_units(
+    specs: Sequence[FaultCampaignSpec], workers: int
+) -> List[List[int]]:
+    """Partition ``specs`` (by index) into the units both executors
+    ship, one :func:`run_fault_group` drive each: one per
+    :func:`_group_key`, unless that leaves fewer units than the
+    ``workers`` that run at once (at most the usable cores). A group
+    would then audit its cells one after another while workers idle,
+    so each splits round-robin into enough parts to give every such
+    worker a unit."""
+    groups: Dict[tuple, List[int]] = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(_group_key(spec), []).append(index)
+    concurrent = min(workers, default_workers())
+    parts = -(-concurrent // max(1, len(groups)))
+    return [
+        group[part::parts]
+        for group in groups.values()
+        for part in range(min(parts, len(group)))
+    ]
+
+
 def _run_grouped(
     runner: ParallelSweepRunner,
     specs: Sequence[FaultCampaignSpec],
     config: SystemConfig,
 ) -> List[FaultCellOutcome]:
-    """Every cell of ``specs``, in order: one payload (one drive) per
-    :func:`_group_key`, unless that leaves the pool fewer payloads than
-    it runs at once. A group would then audit its cells one after
-    another while workers idle, so each group splits round-robin into
-    enough parts, one drive each, to give every such worker a payload.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(_group_key(spec), []).append(index)
-    concurrent = min(runner.workers, default_workers())
-    parts = -(-concurrent // max(1, len(groups)))
-    units = [
-        group[part::parts]
-        for group in groups.values()
-        for part in range(min(parts, len(group)))
-    ]
+    """Every cell of ``specs``, in order, from ``runner.map`` over the
+    units of :func:`_fault_units`."""
+    units = _fault_units(specs, runner.workers)
     results = runner.map(
         _fault_group_entry,
         [([specs[i] for i in unit], config) for unit in units],
@@ -786,13 +791,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Probe, plan, and sweep the full campaign grid.
 
-    With ``run_dir`` set the campaign runs under supervision: every
-    probe and cell outcome is checkpointed to a crash-safe journal in
-    that directory, failed cells are retried and then quarantined
-    instead of aborting, and ``resume=True`` continues a killed run —
-    producing a report bit-identical to an uninterrupted one (planning
-    is a pure function of the journaled probe outcomes). ``policy``
-    alone (no ``run_dir``) supervises without journaling.
+    With ``run_dir`` set the campaign runs the same units under
+    supervision: every probe and cell outcome is checkpointed to a
+    crash-safe journal in that directory, failed cells are retried and
+    then quarantined instead of aborting, and ``resume=True`` continues
+    a killed run — producing a report bit-identical to an uninterrupted
+    one (planning is a pure function of the journaled probe outcomes).
+    ``policy`` alone (no ``run_dir``) supervises without journaling.
     """
     if config is None:
         config = default_fault_config()
@@ -829,48 +834,38 @@ def run_campaign(
         "metadata_cache_bytes": config.metadata_cache.capacity_bytes,
     }
 
-    supervised = run_dir is not None or policy is not None
-    if not supervised:
+    if run_dir is None and policy is None:
         runner = ParallelSweepRunner(workers=workers)
-        baselines = runner.map(
-            _fault_pool_entry, [(spec, config) for spec in probe_specs]
-        )
-        specs = _plan_all(
-            baselines,
-            probe_specs,
-            crash_every=crash_every,
-            random_crashes=random_crashes,
-            phase_samples=phase_samples,
-            tamper_crashes=tamper_crashes,
-            tamper_target=tamper_target,
-        )
-        cells = _run_grouped(runner, specs, config)
-        report = CampaignReport(
-            parameters=parameters, baselines=baselines, cells=cells
-        )
-        _record_campaign_telemetry(report)
-        return report
 
-    probe_keys = [
-        fault_spec_key("probe", i, spec)
-        for i, spec in enumerate(probe_specs)
-    ]
-    journal = None
-    if run_dir is not None:
-        manifest = build_manifest(
-            "fault-campaign", config, probe_keys, parameters
+        def execute(stage, specs):
+            return _run_grouped(runner, specs, config)
+
+    else:
+        journal = None
+        if run_dir is not None:
+            probe_keys = [
+                fault_spec_key("probe", i, spec)
+                for i, spec in enumerate(probe_specs)
+            ]
+            manifest = build_manifest(
+                "fault-campaign", config, probe_keys, parameters
+            )
+            journal = RunJournal.open(run_dir, manifest, resume=resume)
+        supervisor = SupervisedRunner(
+            workers=workers, policy=policy, journal=journal
         )
-        journal = RunJournal.open(run_dir, manifest, resume=resume)
-    supervisor = SupervisedRunner(
-        workers=workers, policy=policy, journal=journal
-    )
-    probe_outcomes = supervisor.map(
-        _fault_pool_entry,
-        [(spec, config) for spec in probe_specs],
-        probe_keys,
-        encode=outcome_to_payload,
-        decode=outcome_from_payload,
-    )
+
+        def execute(stage, specs):
+            return supervisor.run_units(
+                partial(run_fault_group, config=config),
+                specs,
+                [fault_spec_key(stage, i, s) for i, s in enumerate(specs)],
+                _fault_units(specs, supervisor.workers),
+                encode=outcome_to_payload,
+                decode=outcome_from_payload,
+            )
+
+    probe_outcomes = execute("probe", probe_specs)
     # A quarantined probe removes its (protocol, workload) pair from
     # planning — deterministically, since the failure is journaled too.
     planned_baselines = [
@@ -886,16 +881,7 @@ def run_campaign(
         tamper_crashes=tamper_crashes,
         tamper_target=tamper_target,
     )
-    cell_keys = [
-        fault_spec_key("cell", i, spec) for i, spec in enumerate(specs)
-    ]
-    cell_outcomes = supervisor.map(
-        _fault_pool_entry,
-        [(spec, config) for spec in specs],
-        cell_keys,
-        encode=outcome_to_payload,
-        decode=outcome_from_payload,
-    )
+    cell_outcomes = execute("cell", specs)
     baselines, probe_failures = split_outcomes(probe_outcomes)
     cells, cell_failures = split_outcomes(cell_outcomes)
     report = CampaignReport(

@@ -250,15 +250,18 @@ def run_cell(cell: SweepCell, config: SystemConfig) -> SimulationResult:
 
 
 def _sweep_units(
-    cells: Sequence[SweepCell], config: SystemConfig
+    cells: Sequence[SweepCell], config: SystemConfig, workers: int = 1
 ) -> List[List[int]]:
     """Partition ``cells`` (by index, first-appearance order) into the
-    units :func:`_run_unit` executes. The timing-only cells whose
-    protocol has no NV anchor
+    units :func:`_run_unit` executes, for the plain and the journaled
+    sweep alike. The timing-only cells whose protocol has no NV anchor
     (:func:`~repro.core.protocol.protocol_shares_residency`) form one
     unit per path (``replay``), data-side key
     (:func:`stream_spec_for`) and effective config; every other cell
-    is a unit of its own."""
+    is a unit of its own. Groups form only while the grid keeps a unit
+    for each of the ``workers`` that run at once (at most the usable
+    cores): otherwise a group would serialize cells that idle workers
+    could have spread, and every cell is a unit of its own."""
     from repro.core.protocol import protocol_shares_residency
 
     units: List[List[int]] = []
@@ -277,6 +280,8 @@ def _sweep_units(
             group = groups[key] = []
             units.append(group)
         group.append(index)
+    if len(units) < min(workers, default_workers()):
+        return [[index] for index in range(len(cells))]
     return units
 
 
@@ -348,12 +353,6 @@ def _run_unit(
         )
 
     return [_observed(first.protocol, label, direct)]
-
-
-def _pool_entry(payload: Tuple[SweepCell, SystemConfig]) -> SimulationResult:
-    """Top-level pool target (must be importable for spawn contexts)."""
-    cell, config = payload
-    return run_cell(cell, config)
 
 
 def _pool_entry_unit(
@@ -442,6 +441,57 @@ def pool_context():
     return multiprocessing.get_context()
 
 
+def run_against_tier(
+    cells: Sequence[SweepCell],
+    config: SystemConfig,
+    tier,
+    compute: Callable[[List[int]], List],
+) -> List:
+    """Every cell's outcome, in cell order, incremental against
+    ``tier``: a :class:`~repro.store.ResultStore`, :data:`MEMORY_TIER`,
+    or ``None``.
+
+    Cells the tier holds (by
+    :func:`~repro.store.fingerprint.cell_fingerprint`) are read back.
+    ``compute(indices)`` returns the outcomes of the rest, one index
+    per distinct miss, and each result is written back from the
+    parent. Every slot passes through the tier's codec, so a warm run
+    is bit-identical to a cold one. A cell the tier does not key is
+    computed on its own and not written back; an outcome that is not a
+    result (a supervised run's ``CellFailure``) is returned as it is.
+    """
+    keys = [None if tier is None else tier.key(cell, config) for cell in cells]
+    # Slots that share a key share one lookup and one computation.
+    slots_by_key: Dict[str, List[int]] = {}
+    for slot, key in enumerate(keys):
+        if key is not None:
+            slots_by_key.setdefault(key, []).append(slot)
+    misses: List[Tuple[Optional[str], List[int]]] = [
+        (None, [slot]) for slot, key in enumerate(keys) if key is None
+    ]
+    results: List = [None] * len(cells)
+    for key, slots in slots_by_key.items():
+        hit = tier.get(key)
+        if hit is None:
+            misses.append((key, slots))
+            continue
+        results[slots[0]] = hit
+        for slot in slots[1:]:
+            results[slot] = tier.normalize(hit)
+    computed = compute([slots[0] for _, slots in misses])
+    for (key, slots), result in zip(misses, computed):
+        if tier is None or not isinstance(result, SimulationResult):
+            results[slots[0]] = result
+            continue
+        if key is not None:
+            cell = cells[slots[0]]
+            meta = {"protocol": cell.protocol, "workload": cell.trace.label()}
+            tier.put(key, result, meta=meta)
+        for slot in slots:
+            results[slot] = tier.normalize(result)
+    return results
+
+
 class ParallelSweepRunner:
     """Run sweep cells across ``workers`` processes, in cell order.
 
@@ -460,7 +510,7 @@ class ParallelSweepRunner:
         ``func`` must be a picklable top-level callable and every
         payload a picklable pure description of the work (the sweep
         grid uses ``_pool_entry_unit`` over ``(cells, config)`` pairs;
-        the fault campaign ships its own specs through here). The same
+        the fault campaign ships its capture passes here). The same
         degradation rules as :meth:`run` apply: one worker or one
         payload runs in-process, and a pool that cannot be created or
         dies mid-flight falls back to in-process execution — safe
@@ -481,7 +531,7 @@ class ParallelSweepRunner:
                 # wildly in cost (strict vs volatile, a replay group vs
                 # one cell), so batching them would serialize the
                 # expensive tail. A replay group is one payload by
-                # design; _run_all forms groups only while the grid
+                # design; _sweep_units forms groups only while the grid
                 # still has a unit for every concurrent worker.
                 return pool.map(func, payloads, chunksize=1)
         except Exception:
@@ -500,55 +550,19 @@ class ParallelSweepRunner:
     ) -> List[SimulationResult]:
         """Execute every cell; results arrive in cell order.
 
-        The run is *incremental* against a result tier: a
+        The run is *incremental* (:func:`run_against_tier`) against a
         :class:`~repro.store.ResultStore` when ``store`` is given, else
-        the process-wide :data:`MEMORY_TIER`. The tier keys each cell
-        (by :func:`~repro.store.fingerprint.cell_fingerprint`), and the
-        grid is partitioned into tier hits (no simulation) and misses;
-        each distinct miss is computed once, exactly as without a tier,
-        then written back from the parent (workers never touch the
-        tier). Hits and misses are indistinguishable in the returned
-        list: every slot passes through the store codec, so each is a
-        fresh object and a warm run is bit-identical to a cold one. A
-        cell the tier does not key is computed on its own and not
-        written back.
+        the process-wide :data:`MEMORY_TIER`: each distinct miss is
+        computed once, exactly as without a tier.
         """
         cells = list(cells)
         validate_cells(cells)
-        tier = MEMORY_TIER if store is None else store
-        keys = [tier.key(cell, config) for cell in cells]
-        # Slots that share a key share one lookup and one computation.
-        slots_by_key: Dict[str, List[int]] = {}
-        for slot, key in enumerate(keys):
-            if key is not None:
-                slots_by_key.setdefault(key, []).append(slot)
-        misses: List[Tuple[Optional[str], List[int]]] = [
-            (None, [slot]) for slot, key in enumerate(keys) if key is None
-        ]
-        results: List[Optional[SimulationResult]] = [None] * len(cells)
-        for key, slots in slots_by_key.items():
-            hit = tier.get(key)
-            if hit is None:
-                misses.append((key, slots))
-                continue
-            results[slots[0]] = hit
-            for slot in slots[1:]:
-                results[slot] = tier.normalize(hit)
-        computed = self._run_all([cells[slots[0]] for _, slots in misses], config)
-        for (key, slots), result in zip(misses, computed):
-            if key is not None:
-                cell = cells[slots[0]]
-                tier.put(
-                    key,
-                    result,
-                    meta={
-                        "protocol": cell.protocol,
-                        "workload": cell.trace.label(),
-                    },
-                )
-            for slot in slots:
-                results[slot] = tier.normalize(result)
-        return results  # type: ignore[return-value]
+        return run_against_tier(
+            cells,
+            config,
+            MEMORY_TIER if store is None else store,
+            lambda indices: self._run_all([cells[i] for i in indices], config),
+        )
 
     def _run_all(
         self, cells: List[SweepCell], config: SystemConfig
@@ -563,12 +577,7 @@ class ParallelSweepRunner:
             # once per process, amortized over that worker's protocol
             # cells).
             precompile_streams(cells, config)
-        # The cells of one replay group travel as one payload, unless
-        # that leaves the pool fewer units than it runs at once: a group
-        # then serializes cells that idle workers could have spread.
-        units = _sweep_units(cells, config)
-        if len(units) < min(self.workers, default_workers()):
-            units = [[index] for index in range(len(cells))]
+        units = _sweep_units(cells, config, self.workers)
         payloads = [
             (tuple(cells[index] for index in unit), config) for unit in units
         ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -29,9 +30,10 @@ from repro.config import SystemConfig, default_config
 from repro.sim.parallel import (
     ParallelSweepRunner,
     SweepCell,
-    _pool_entry,
-    precompile_streams,
+    _run_unit,
+    _sweep_units,
     replay_stream,
+    run_against_tier,
     validate_cell_fields,
     validate_cells,
 )
@@ -263,18 +265,18 @@ def run_resilient_sweep(
     ``resume=True`` skips the journaled cells and produces a final
     artifact bit-identical to an uninterrupted run.
 
-    Cells run through the compiled-plan path: the data side and its
-    metadata plan are compiled once per (benchmark, OS variant) in the
-    supervisor parent and replayed into every protocol cell. Results
-    are bit-identical to the direct path, and cell keys do not encode
-    the execution strategy.
+    Cells replay compiled plans in a plain sweep's units
+    (:func:`~repro.sim.parallel._sweep_units`): the anchorless
+    protocols of one stream as one :class:`~repro.core.mee.ReplayGroup`.
+    Results are bit-identical to the direct path, and cell keys do not
+    encode the execution strategy.
 
     With a :class:`~repro.store.ResultStore` as ``store``, the journal
-    and the store *compose*: cells already in the store are recorded
-    into the journal as done (zero attempts) before the supervised run,
-    so only genuinely new cells execute; cells the run computes — and
-    cells found done in a resumed journal — are written back to the
-    store afterwards. Cold, warm, and resumed runs all export the same
+    and the store *compose* through the plain sweep's lookup
+    (:func:`~repro.sim.parallel.run_against_tier`): store hits never
+    run and are journaled as done with zero attempts; computed cells
+    and cells a resumed journal holds are written back. No other tier
+    is consulted. Cold, warm, and resumed runs all export the same
     bit-identical ``SWEEP_results.json``.
     """
     # Local import: repro.bench imports this module.
@@ -295,71 +297,32 @@ def run_resilient_sweep(
     }
     manifest = build_manifest("resilient-sweep", config, keys, parameters)
     journal = RunJournal.open(run_dir, manifest, resume=resume)
-    fingerprints: List[str] = []
-    if store is not None:
-        from repro.store.fingerprint import cell_fingerprint
-
-        fingerprints = [cell_fingerprint(cell, config) for cell in cells]
-        # Pre-seed the journal from the store: a warm cell becomes a
-        # "done" journal entry with zero attempts, and the supervised
-        # runner then skips it exactly as it skips resumed cells. The
-        # store payload is the same codec the journal itself uses, so
-        # warm, resumed, and cold runs are indistinguishable downstream.
-        seeded = 0
-        for key, fingerprint in zip(keys, fingerprints):
-            entry = journal.entry(key)
-            if entry is not None and entry.get("status") == "done":
-                continue
-            hit = store.get(fingerprint)
-            if hit is not None:
-                journal.record_done(key, hit.to_json_dict(), attempts=0)
-                seeded += 1
-        if seeded:
-            journal.flush()
     runner = SupervisedRunner(workers=workers, policy=policy, journal=journal)
-    # Journaled and store-seeded cells never run. When the supervisor
-    # will fork a pool, compile the data side and metadata plan of each
-    # cell left to run here, once per trace, so the workers inherit
-    # warm caches.
-    pending = [
-        cell for key, cell in zip(keys, cells) if journal.entry(key) is None
-    ]
-    if runner.workers > 1 and len(pending) > 1:
-        precompile_streams(pending, config)
-    outcomes = runner.map(
-        _pool_entry,
-        [(cell, config) for cell in cells],
-        keys,
-        encode=lambda result: result.to_json_dict(),
-        decode=SimulationResult.from_json_dict,
-    )
+
+    def supervised(indices: List[int]) -> list:
+        misses = [cells[index] for index in indices]
+        return runner.run_units(
+            partial(_run_unit, config=config),
+            misses,
+            [keys[index] for index in indices],
+            _sweep_units(misses, config, runner.workers),
+            encode=SimulationResult.to_json_dict,
+            decode=SimulationResult.from_json_dict,
+        )
+
+    outcomes = run_against_tier(cells, config, store, supervised)
     results, failures = split_outcomes(outcomes)
-    if store is not None:
-        # Write back everything the run now knows: freshly computed
-        # cells AND cells recovered from a resumed journal — so a
-        # journal-only run backfills the store for the next one.
-        for cell, fingerprint, outcome in zip(cells, fingerprints, outcomes):
-            if isinstance(outcome, CellFailure):
-                continue
-            if not store.contains(fingerprint):
-                store.put(
-                    fingerprint,
-                    outcome,
-                    meta={
-                        "protocol": cell.protocol,
-                        "workload": cell.trace.label(),
-                    },
-                )
     records = []
     for key, outcome in zip(keys, outcomes):
         if isinstance(outcome, CellFailure):
-            records.append(
-                {"key": key, "status": "failed", "failure": outcome}
-            )
-        else:
-            records.append(
-                {"key": key, "status": "done", "result": outcome.to_json_dict()}
-            )
+            records.append({"key": key, "status": "failed", "failure": outcome})
+            continue
+        result = outcome.to_json_dict()
+        if (journal.entry(key) or {}).get("status") != "done":
+            # A store hit: journaled as done with zero attempts.
+            journal.record_done(key, result, attempts=0)
+        records.append({"key": key, "status": "done", "result": result})
+    journal.flush()
     artifact = Path(run_dir) / SWEEP_RESULTS_NAME
     export_experiment(
         "resilient-sweep",

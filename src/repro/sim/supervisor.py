@@ -14,11 +14,12 @@ gets its own mechanism:
   their spec, the finished artifact is bit-identical to an
   uninterrupted run.
 * **A worker dies or wedges** (pool worker killed, simulator bug,
-  runaway cell). :class:`SupervisedRunner` enforces a per-cell
-  wall-clock budget, retries failed cells with exponential backoff and
-  jitter, and after ``max_attempts`` quarantines the cell — the run
-  completes and reports the poison cell with its traceback instead of
-  aborting the surviving grid.
+  runaway cell). :class:`SupervisedRunner` enforces a wall-clock
+  budget per cell of a unit, splits a failed unit into its cells,
+  retries failed cells with exponential backoff and jitter, and after
+  ``max_attempts`` quarantines the cell — the run completes and
+  reports the poison cell with its traceback instead of aborting the
+  surviving grid.
 * **The pool itself dies** (fork refused, repeated worker loss). Each
   retry round gets a fresh pool; after ``max_pool_respawns`` broken
   pools the remaining cells degrade to serial in-process execution.
@@ -31,13 +32,13 @@ last checkpoint.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import random
 import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -375,14 +376,25 @@ class _Cell:
     payload: Any
 
 
-class SupervisedRunner:
-    """Fan cells over a pool with retries, timeouts, and a journal.
+#: The outcome slot of a cell that is neither done nor quarantined.
+_UNSET = object()
 
-    Drop-in upgrade of :class:`~repro.sim.parallel.ParallelSweepRunner`
-    for long runs: same in-order results, same purity assumptions, but
-    each outcome slot holds either the cell's result or a
-    :class:`CellFailure`, and (with a journal) every completed cell is
-    checkpointed so the run is resumable after any kill.
+
+def _each(func: Callable[[Any], Any], payloads: List[Any]) -> List[Any]:
+    """:meth:`SupervisedRunner.map`'s unit function, ``func`` bound."""
+    return [func(payload) for payload in payloads]
+
+
+class SupervisedRunner:
+    """Run cells in units with retries, timeouts, and a journal.
+
+    The journaled executor beside
+    :class:`~repro.sim.parallel.ParallelSweepRunner`. It ships the same
+    units (a sweep's replay groups, a fault campaign's capture passes)
+    and returns results in cell order, but each outcome slot holds
+    either the cell's result or a :class:`CellFailure`, and (with a
+    journal) every completed cell is checkpointed on its own, so the
+    run is resumable after any kill.
     """
 
     def __init__(
@@ -407,14 +419,37 @@ class SupervisedRunner:
         encode: Optional[Encode] = None,
         decode: Optional[Decode] = None,
     ) -> List[Any]:
-        """Run every payload; return results/failures in payload order.
+        """:meth:`run_units` with one cell per unit."""
+        payloads = list(payloads)
+        units = [[index] for index in range(len(payloads))]
+        return self.run_units(partial(_each, func), payloads, keys, units, encode, decode)
 
-        ``keys`` are the stable journal identities (unique, and for
-        resume: derived deterministically from the grid). ``encode``
-        maps a result to a JSON-able payload, ``decode`` inverts it;
-        with a journal attached, even fresh results are passed through
-        ``decode(encode(...))`` so a resumed run and an uninterrupted
-        run return indistinguishable objects.
+    def run_units(
+        self,
+        func: Callable[[List[Any]], List[Any]],
+        payloads: Sequence[Any],
+        keys: Sequence[str],
+        units: Sequence[Sequence[int]],
+        encode: Optional[Encode] = None,
+        decode: Optional[Decode] = None,
+    ) -> List[Any]:
+        """Run every cell; return results/failures in payload order.
+
+        ``units`` partitions the payload indices. ``func`` takes one
+        unit's payloads, in unit order, and returns their results in
+        that order. ``keys`` are the stable journal identities (unique,
+        and for resume: derived deterministically from the grid).
+        ``encode`` maps a result to a JSON-able payload, ``decode``
+        inverts it; with a journal attached, even fresh results are
+        passed through ``decode(encode(...))`` so a resumed run and an
+        uninterrupted run return indistinguishable objects.
+
+        The journal keeps one entry per cell. A unit whose cells are
+        all journaled is not dispatched; a partly journaled one reruns
+        whole (cells are deterministic) and keeps its entries. A unit
+        of several cells that fails or overruns its budget
+        (``cell_timeout_seconds`` per cell) is split, uncharged, into
+        its cells (:meth:`_fail`).
         """
         payloads = list(payloads)
         keys = [str(key) for key in keys]
@@ -427,9 +462,8 @@ class SupervisedRunner:
         encode = encode if encode is not None else (lambda value: value)
         decode = decode if decode is not None else (lambda payload: payload)
 
-        slots: List[Any] = [None] * len(payloads)
-        pending: List[_Cell] = []
-        for index, (key, payload) in enumerate(zip(keys, payloads)):
+        slots: List[Any] = [_UNSET] * len(payloads)
+        for index, key in enumerate(keys):
             entry = self.journal.entry(key) if self.journal else None
             if entry is not None and entry.get("status") == "done":
                 slots[index] = decode(entry["payload"])
@@ -441,8 +475,11 @@ class SupervisedRunner:
                 telemetry.emit_event(
                     "journal_restored", key=key, status="failed"
                 )
-            else:
-                pending.append(_Cell(index, key, payload))
+        pending = [
+            [_Cell(index, keys[index], payloads[index]) for index in unit]
+            for unit in units
+            if any(slots[index] is _UNSET for index in unit)
+        ]
         if not pending:
             return slots
 
@@ -462,7 +499,7 @@ class SupervisedRunner:
     # -- internals ----------------------------------------------------
 
     def _execute(self, func, pending, slots, encode, decode) -> None:
-        attempts: Dict[str, int] = {cell.key: 0 for cell in pending}
+        attempts = {cell.key: 0 for unit in pending for cell in unit}
         queue = list(pending)
         respawns = 0
         use_pool = self.workers > 1 and len(queue) > 1
@@ -470,9 +507,9 @@ class SupervisedRunner:
             if not use_pool or respawns > self.policy.max_pool_respawns:
                 self._run_serial(func, queue, slots, attempts, encode, decode)
                 return
-            retried = [attempts[c.key] for c in queue if attempts[c.key] > 0]
+            retried = max(attempts[c.key] for unit in queue for c in unit)
             if retried:
-                time.sleep(self.policy.backoff_seconds(max(retried)))
+                time.sleep(self.policy.backoff_seconds(retried))
             try:
                 pool = pool_context().Pool(
                     processes=min(self.workers, len(queue)),
@@ -498,105 +535,96 @@ class SupervisedRunner:
     ):
         """One pool generation: dispatch everything, harvest in order.
 
-        Returns ``(requeue, broken)``. A per-cell timeout fires when the
-        cell is genuinely slow *or* its worker died and the task was
-        lost (`multiprocessing.Pool` respawns workers but drops their
+        Returns ``(requeue, broken)``. A unit's timeout fires when it
+        is genuinely slow *or* its worker died and the task was lost
+        (`multiprocessing.Pool` respawns workers but drops their
         in-flight task); both look identical from the parent, and both
-        are handled by terminating this pool — the only way to reclaim
-        a stuck worker — after harvesting every already-finished cell.
+        are handled by terminating this pool (leaving ``with``) — the
+        only way to reclaim a stuck worker — after harvesting every
+        already-finished unit.
         """
-        requeue: List[_Cell] = []
+        requeue: List[List[_Cell]] = []
         broken = False
         with pool:
-            async_results = [
-                pool.apply_async(func, (cell.payload,)) for cell in queue
+            handles = [
+                pool.apply_async(func, ([cell.payload for cell in unit],))
+                for unit in queue
             ]
-            for position, (cell, handle) in enumerate(
-                zip(queue, async_results)
-            ):
-                try:
-                    value = handle.get(self.policy.cell_timeout_seconds)
-                except multiprocessing.TimeoutError:
-                    broken = True
-                    self._charge(
-                        cell,
-                        attempts,
-                        CellTimeoutError(
-                            cell.key, self.policy.cell_timeout_seconds or 0.0
-                        ),
-                        "",
-                        requeue,
-                        slots,
+            for unit, handle in zip(queue, handles):
+                if not broken:
+                    budget = self.policy.cell_timeout_seconds
+                    if budget is not None:
+                        budget *= len(unit)
+                    handle.wait(budget)
+                    if not handle.ready():
+                        broken = True
+                        keys = ", ".join(cell.key for cell in unit)
+                        timeout = CellTimeoutError(keys, budget or 0.0)
+                        self._fail(unit, timeout, "", requeue, slots, attempts)
+                        continue
+                if handle.ready():
+                    self._settle(
+                        unit, handle.get, requeue, slots, attempts,
+                        encode, decode,
                     )
-                    for later_cell, later_handle in zip(
-                        queue[position + 1 :], async_results[position + 1 :]
-                    ):
-                        if later_handle.ready():
-                            try:
-                                later_value = later_handle.get(0)
-                            except Exception as exc:
-                                self._charge(
-                                    later_cell,
-                                    attempts,
-                                    exc,
-                                    traceback.format_exc(),
-                                    requeue,
-                                    slots,
-                                )
-                            else:
-                                self._complete(
-                                    later_cell, later_value, slots,
-                                    attempts, encode, decode,
-                                )
-                        else:
-                            # In flight when the pool died — not the
-                            # cell's fault, re-dispatch without charge.
-                            requeue.append(later_cell)
-                            telemetry.counter("supervisor.requeued").inc()
-                            telemetry.emit_event(
-                                "cell_requeued", key=later_cell.key
-                            )
-                    pool.terminate()
-                    break
-                except Exception as exc:
-                    self._charge(
-                        cell, attempts, exc, traceback.format_exc(),
-                        requeue, slots,
-                    )
-                else:
-                    self._complete(
-                        cell, value, slots, attempts, encode, decode
-                    )
+                    continue
+                # In flight when the pool died — not the unit's fault,
+                # re-dispatch without charge.
+                requeue.append(unit)
+                for cell in unit:
+                    telemetry.counter("supervisor.requeued").inc()
+                    telemetry.emit_event("cell_requeued", key=cell.key)
         return requeue, broken
 
     def _run_serial(self, func, queue, slots, attempts, encode, decode):
         """Degraded mode: in-process, retries inline, no wall-clock
         watchdog (a same-process cell cannot be preempted safely)."""
-        for cell in queue:
-            while True:
-                try:
-                    value = func(cell.payload)
-                except _Interrupted:
-                    raise
-                except Exception as exc:
-                    quarantined = self._charge(
-                        cell, attempts, exc, traceback.format_exc(), [], slots
-                    )
-                    if quarantined:
-                        break
-                    time.sleep(self.policy.backoff_seconds(attempts[cell.key]))
-                else:
-                    self._complete(
-                        cell, value, slots, attempts, encode, decode
-                    )
-                    break
+        queue = list(queue)
+        while queue:
+            unit = queue.pop(0)
+            retry: List[List[_Cell]] = []
+            self._settle(
+                unit,
+                lambda: func([cell.payload for cell in unit]),
+                retry, slots, attempts, encode, decode,
+            )
+            if len(unit) == 1 and retry:
+                time.sleep(self.policy.backoff_seconds(attempts[unit[0].key]))
+            queue[:0] = retry
 
-    def _charge(self, cell, attempts, exc, tb_text, requeue, slots) -> bool:
-        """Count a failed attempt; quarantine or requeue. True when
-        the cell is now quarantined."""
-        attempts[cell.key] += 1
+    def _settle(self, unit, call, requeue, slots, attempts, encode, decode):
+        """Complete ``unit``'s unsettled cells with ``call()``'s values,
+        or fail the unit with what ``call()`` raised."""
+        try:
+            values = call()
+        except Exception as exc:
+            self._fail(unit, exc, traceback.format_exc(), requeue, slots, attempts)
+            return
+        for cell, value in zip(unit, values):
+            if slots[cell.index] is _UNSET:
+                self._complete(cell, value, slots, attempts, encode, decode)
+
+    def _fail(self, unit, exc, tb_text, requeue, slots, attempts) -> None:
+        """Charge a failed lone cell (:meth:`_charge`); split a failed
+        unit, uncharged, into lone units of its unsettled cells."""
         if isinstance(exc, CellTimeoutError):
             telemetry.counter("supervisor.timeouts").inc()
+        if len(unit) == 1:
+            self._charge(unit[0], attempts, exc, tb_text, requeue, slots)
+            return
+        lone = [[cell] for cell in unit if slots[cell.index] is _UNSET]
+        requeue.extend(lone)
+        telemetry.emit_event(
+            "unit_split",
+            keys=[cell.key for (cell,) in lone],
+            error_type=type(exc).__name__,
+        )
+
+    def _charge(self, cell, attempts, exc, tb_text, requeue, slots) -> None:
+        """Count a failed attempt; quarantine the cell, or requeue it
+        as a unit of its own."""
+        attempts[cell.key] += 1
+        if isinstance(exc, CellTimeoutError):
             telemetry.emit_event(
                 "cell_timeout", key=cell.key, attempt=attempts[cell.key]
             )
@@ -619,8 +647,8 @@ class SupervisedRunner:
             if self.journal:
                 self.journal.record_failed(failure)
             self._checkpoint()
-            return True
-        requeue.append(cell)
+            return
+        requeue.append([cell])
         telemetry.counter("supervisor.retries").inc()
         telemetry.emit_event(
             "cell_retry",
@@ -628,7 +656,6 @@ class SupervisedRunner:
             attempt=attempts[cell.key],
             error_type=type(exc).__name__,
         )
-        return False
 
     def _complete(self, cell, value, slots, attempts, encode, decode):
         payload = encode(value)

@@ -35,7 +35,7 @@ CONFIG = default_fault_config(capacity_bytes=16 * MB)
 TRACES = [profile_spec("faults", "hotshift", 800, SEED)]
 
 
-def small_campaign(workers):
+def small_campaign(workers, **supervision):
     return run_campaign(
         ["amnt", "strict"],
         TRACES,
@@ -45,6 +45,7 @@ def small_campaign(workers):
         tamper_crashes=1,
         seed=SEED,
         workers=workers,
+        **supervision,
     )
 
 
@@ -234,6 +235,31 @@ class TestGroupedCampaign:
             report = small_campaign(workers=1)
         assert sorted(calls) == ["amnt", "amnt", "strict", "strict"]
         assert len(report.cells) > 4
+
+    def test_a_journaled_campaign_drives_once_per_probe_and_pass(
+        self, tmp_path
+    ):
+        calls = []
+        drive = campaign.drive_memory_boundary
+
+        def counted(machine, *args, **kwargs):
+            calls.append(machine.mee.protocol.display_name)
+            return drive(machine, *args, **kwargs)
+
+        with mock.patch.object(campaign, "drive_memory_boundary", counted):
+            report = small_campaign(workers=1, run_dir=tmp_path / "run")
+        assert sorted(calls) == ["amnt", "amnt", "strict", "strict"]
+        assert len(report.cells) > 4
+        assert not report.failures
+
+    def test_a_journaled_pool_campaign_equals_the_plain_one(self, tmp_path):
+        plain = small_campaign(workers=1)
+        journaled = small_campaign(workers=2, run_dir=tmp_path / "run")
+        assert journaled.baselines == plain.baselines
+        assert len(journaled.cells) == len(plain.cells)
+        for left, right in zip(journaled.cells, plain.cells):
+            assert left == right, (left, right)
+        assert not journaled.failures
 
 
 class _InProcessRunner:

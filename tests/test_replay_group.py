@@ -391,3 +391,40 @@ class TestUnits:
         ]
         grid, solo = _grid_and_solo(cells)
         assert grid == solo
+
+
+class TestJournaledSweep:
+    """A journaled sweep ships the plain sweep's units."""
+
+    def test_anchorless_protocols_of_a_stream_replay_as_one_group(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim.runner import FIGURE_PROTOCOLS, run_resilient_sweep
+
+        groups = []
+
+        def counted(engines):
+            group = share_residency(engines)
+            if group is not None:
+                groups.append(
+                    sorted(
+                        mee.protocol.display_name
+                        for mee in engines
+                        if mee.groupable
+                    )
+                )
+            return group
+
+        monkeypatch.setattr(parallel, "share_residency", counted)
+        outcome = run_resilient_sweep(
+            tmp_path / "run",
+            benchmarks=("blackscholes", "canneal"),
+            accesses=300,
+            seed=5,
+        )
+        assert outcome["completed"] == outcome["cells"] == 12
+        anchorless = sorted(
+            name for name in FIGURE_PROTOCOLS if protocol_shares_residency(name)
+        )
+        assert len(anchorless) == 4
+        assert groups == [anchorless, anchorless]

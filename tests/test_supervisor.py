@@ -390,3 +390,104 @@ class TestJournaledRuns:
         error = CellTimeoutError("probe/0001/amnt", 12.5)
         assert error.key == "probe/0001/amnt"
         assert "12.5" in str(error)
+
+
+# -- unit functions (a list of payloads in, their results out) ----------
+
+
+def _touch_unit(payloads):
+    """Touch each payload's marker file, then double its value."""
+    for marker, _ in payloads:
+        Path(marker).touch()
+    return [value * 2 for _, value in payloads]
+
+
+def _poison_unit(payloads):
+    if "poison" in payloads:
+        raise ValueError("poison in unit")
+    return list(payloads)
+
+
+def _slow_unit(payloads):
+    """Half a second per cell; a lone cell fails, so a split shows."""
+    if len(payloads) == 1:
+        raise ValueError("unit was split")
+    time.sleep(0.5 * len(payloads))
+    return list(payloads)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+class TestSupervisedUnits:
+    """``run_units``: one journal entry per cell, units split on failure."""
+
+    KEYS = list("abcde")
+    UNITS = [[0, 1], [2, 3], [4]]
+
+    def _journal(self, tmp_path):
+        manifest = build_manifest("units", "cfg", self.KEYS, {})
+        return RunJournal.open(tmp_path / "run", manifest)
+
+    def _payloads(self, tmp_path):
+        return [(str(tmp_path / f"ran-{key}"), i) for i, key in enumerate(self.KEYS)]
+
+    def test_fully_journaled_unit_is_never_dispatched(self, tmp_path, workers):
+        journal = self._journal(tmp_path)
+        journal.record_done("a", 100, attempts=1)
+        journal.record_done("b", 102, attempts=1)
+        out = SupervisedRunner(workers=workers, journal=journal).run_units(
+            _touch_unit, self._payloads(tmp_path), self.KEYS, self.UNITS
+        )
+        assert out == [100, 102, 4, 6, 8]
+        ran = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("ran-"))
+        assert ran == ["ran-c", "ran-d", "ran-e"]
+
+    def test_partly_journaled_unit_reruns_keeping_entries(self, tmp_path, workers):
+        journal = self._journal(tmp_path)
+        journal.record_done("b", "journaled", attempts=2)
+        out = SupervisedRunner(workers=workers, journal=journal).run_units(
+            _touch_unit, self._payloads(tmp_path), self.KEYS, self.UNITS
+        )
+        assert out == [0, "journaled", 4, 6, 8]
+        assert (tmp_path / "ran-b").exists()  # the whole unit reran
+        loaded = RunJournal.load(tmp_path / "run")
+        assert loaded.entry("b")["payload"] == "journaled"
+        assert loaded.entry("b")["attempts"] == 2
+        assert loaded.entry("a")["attempts"] == 1
+
+    def test_poison_unit_splits_and_quarantines_one_key(self, tmp_path, workers):
+        journal = self._journal(tmp_path)
+        runner = SupervisedRunner(
+            workers=workers,
+            journal=journal,
+            policy=SupervisionPolicy(
+                max_attempts=2, cell_timeout_seconds=30.0, **FAST
+            ),
+        )
+        out = runner.run_units(
+            _poison_unit,
+            ["ok-1", "poison", "ok-2", "ok-3", "ok-4"],
+            self.KEYS,
+            [[0, 1, 2], [3, 4]],
+        )
+        results, failures = split_outcomes(out)
+        assert results == ["ok-1", "ok-2", "ok-3", "ok-4"]
+        assert [f.key for f in failures] == ["b"]
+        assert failures[0].attempts == 2  # lone tries only
+        assert failures[0].error_type == "ValueError"
+        loaded = RunJournal.load(tmp_path / "run")
+        assert [loaded.entry(k)["attempts"] for k in "acde"] == [1, 1, 1, 1]
+
+
+def test_unit_timeout_budget_scales_with_cell_count():
+    """Units of 3 and 2 cells take 1.5 s and 1.0 s against a 1 s
+    budget per cell: neither times out, so neither splits."""
+    runner = SupervisedRunner(
+        workers=2,
+        policy=SupervisionPolicy(
+            max_attempts=1, cell_timeout_seconds=1.0, **FAST
+        ),
+    )
+    out = runner.run_units(
+        _slow_unit, list("abcde"), list("abcde"), [[0, 1, 2], [3, 4]]
+    )
+    assert out == list("abcde")
