@@ -375,6 +375,23 @@ class TestBitIdentity:
         assert snap["counters"]["sweep.cells"] == 2
         assert snap["gauges"]["sweep.workers"] == 2
 
+    def test_pooled_journaled_sweep_counts_each_cell_once(self, tmp_path):
+        """A supervised pool ships its workers' metrics back, as the
+        plain runner's does: every cell lands exactly once."""
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        outcome = run_resilient_sweep(
+            tmp_path / "run",
+            benchmarks=("blackscholes",),
+            accesses=300,
+            seed=SEED,
+            workers=2,
+            policy=SupervisionPolicy(**FAST),
+        )
+        assert outcome["completed"] == outcome["cells"] == 6
+        counters = telemetry.get_registry().snapshot()["counters"]
+        assert counters["sweep.cells"] == counters["sim.runs"] == 6
+
     def test_sweep_cells_counts_computed_cells_only(self, small_config):
         telemetry.set_enabled(True)
         telemetry.reset()
