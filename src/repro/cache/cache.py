@@ -39,6 +39,9 @@ Key = Hashable
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: The tuple fold's seed and multiplier (see _fold).
+_FOLD_SEED = 0x9E3779B97F4A7C15
+_FOLD_PRIME = 0x100000001B3
 
 
 def _avalanche(value: int) -> int:
@@ -59,27 +62,36 @@ def _avalanche(value: int) -> int:
 _PART_MIX_MEMO: dict = {}
 
 
+def _fold(parts: tuple) -> int:
+    """The fold :func:`_mix_key` applies to a tuple key's parts before
+    its avalanche, taken mod 2^64 (multiplication and xor commute with
+    the reduction, so only the low 64 bits ever matter)."""
+    value = _FOLD_SEED
+    for part in parts:
+        if isinstance(part, int):
+            piece = part
+        else:
+            piece = _PART_MIX_MEMO.get(part)
+            if piece is None:
+                piece = _mix_key(part)
+                _PART_MIX_MEMO[part] = piece
+        value = ((value * _FOLD_PRIME) ^ piece) & _MASK64
+    return value
+
+
 def _mix_key(key: Key) -> int:
     """Deterministically fold a key into an integer for set indexing.
 
     Iterative over tuple parts with memo-backed sub-mixes; produces
     exactly the values the original recursive form did (set placement
     is behaviour — evictions depend on it — so the math must not move).
+    This is the reference definition: :func:`fold_prefix` and
+    :func:`mix_after` give its value for a tuple key in closed form.
     """
     if isinstance(key, int):
         return _avalanche(key)
     if isinstance(key, tuple):
-        value = 0x9E3779B97F4A7C15
-        for part in key:
-            if isinstance(part, int):
-                piece = part
-            else:
-                piece = _PART_MIX_MEMO.get(part)
-                if piece is None:
-                    piece = _mix_key(part)
-                    _PART_MIX_MEMO[part] = piece
-            value = (value * 0x100000001B3) ^ (piece & _MASK64)
-        return _avalanche(value)
+        return _avalanche(_fold(key))
     if isinstance(key, str):
         value = 0xCBF29CE484222325
         for char in key:
@@ -88,11 +100,25 @@ def _mix_key(key: Key) -> int:
     raise CacheError(f"unsupported cache key type: {type(key).__name__}")
 
 
-#: Process-wide memo of the (pure) key mix. A sweep builds a fresh
-#: machine — and therefore fresh caches — per cell, but the metadata
-#: key tuples repeat across cells, so sharing the mix means only the
-#: first cell pays for hashing each key. Growth is bounded by the
-#: distinct metadata keys of the geometries simulated in this process.
+def fold_prefix(*parts) -> int:
+    """The fold state after a tuple key's leading ``parts``, carried
+    into the multiply of its next part: ``mix_after(fold_prefix(*parts),
+    last) == _mix_key(parts + (last,))`` for any int ``last``."""
+    return (_fold(parts) * _FOLD_PRIME) & _MASK64
+
+
+def mix_after(prefix: int, last: int) -> int:
+    """:func:`_mix_key` of a tuple key in closed form: the last fold
+    step, xor of the int ``last`` into ``prefix`` (see
+    :func:`fold_prefix`), then the avalanche."""
+    return _avalanche(prefix ^ last)
+
+
+#: Process-wide memo of the (pure) key mix, for the keys a cache's own
+#: methods place. The MEE's records and node triples take the metadata
+#: keys' mixes in closed form instead
+#: (:func:`repro.cache.metadata_cache.counter_mix` and its siblings),
+#: so their keys never enter it.
 _MIX_MEMO: dict = {}
 
 
@@ -100,10 +126,7 @@ def mix_of(key: Key) -> int:
     """The memoized deterministic mix of ``key``.
 
     Under the default (``set_of=None``) placement a key's set is
-    ``mix_of(key) & (num_sets - 1)``. The MEE's event-record resolver
-    (:func:`repro.core.mee.resolve_record`) uses this to bake set
-    indices into its records, and its persist path to find a line's
-    set.
+    ``mix_of(key) & (num_sets - 1)``.
     """
     mixed = _MIX_MEMO.get(key)
     if mixed is None:

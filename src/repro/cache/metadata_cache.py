@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Tuple
 
-from repro.cache.cache import EvictedLine, SetAssociativeCache, build_cache
+from repro.cache.cache import (
+    EvictedLine,
+    SetAssociativeCache,
+    build_cache,
+    fold_prefix,
+    mix_after,
+)
 from repro.config import MetadataCacheConfig
 
 #: Metadata cache key forms.
@@ -37,6 +43,31 @@ def node_key(level: int, index: int) -> NodeKey:
 
 def hmac_key(hmac_line_index: int) -> HmacKey:
     return ("hmac", hmac_line_index)
+
+
+# Each key form's set mix in closed form: ``mix_of(key)`` for the key
+# the matching constructor above builds, from the fold state of the
+# key's leading parts (per tag, and per level for nodes) computed once
+# by the reference mixer itself.
+_CTR_PREFIX = fold_prefix("ctr")
+_HMAC_PREFIX = fold_prefix("hmac")
+#: Node levels 0-63, deeper than any tree a 64-bit address space holds.
+_NODE_PREFIXES = tuple(fold_prefix("node", level) for level in range(64))
+
+
+def counter_mix(counter_block_index: int) -> int:
+    """``mix_of(counter_key(counter_block_index))``, in closed form."""
+    return mix_after(_CTR_PREFIX, counter_block_index)
+
+
+def node_mix(level: int, index: int) -> int:
+    """``mix_of(node_key(level, index))``, in closed form."""
+    return mix_after(_NODE_PREFIXES[level], index)
+
+
+def hmac_mix(hmac_line_index: int) -> int:
+    """``mix_of(hmac_key(hmac_line_index))``, in closed form."""
+    return mix_after(_HMAC_PREFIX, hmac_line_index)
 
 
 class MetadataCache:

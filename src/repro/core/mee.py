@@ -54,12 +54,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache import mix_of
 from repro.cache.metadata_cache import (
     MetadataCache,
     counter_key,
+    counter_mix,
     hmac_key,
+    hmac_mix,
     node_key,
+    node_mix,
 )
 from repro.config import SystemConfig
 from repro.core.protocol import MetadataPersistencePolicy, shares_residency
@@ -106,8 +108,8 @@ def node_triple(node: NodeId) -> tuple:
     """The interned ``(node, cache key, set mix)`` triple of a BMT node."""
     triple = _TRIPLES.get(node)
     if triple is None:
-        key = node_key(node[0], node[1])
-        triple = (node, key, mix_of(key))
+        level, index = node
+        triple = (node, node_key(level, index), node_mix(level, index))
         _TRIPLES[node] = triple
     return triple
 
@@ -143,19 +145,32 @@ def resolve_record(
             path = geometry.ancestors_of_counter(counter_index)
             chain = (tuple(node_triple(node) for node in path), path)
             chains[head] = chain
-        ctr_key = counter_key(counter_index)
-        hkey = hmac_key(hmac_line)
         record = (
-            ctr_key,
-            mix_of(ctr_key),
-            hkey,
-            mix_of(hkey),
+            counter_key(counter_index),
+            counter_mix(counter_index),
+            hmac_key(hmac_line),
+            hmac_mix(hmac_line),
             chain[0],
             chain[1],
             counter_index,
         )
         records[(counter_index, hmac_line)] = record
     return record
+
+
+def record_key_shift(page_bytes: int, block_bytes: int) -> int:
+    """The shift that turns a block index into an int naming the
+    block's event record: ``block >> shift``.
+
+    A record depends only on its counter index and HMAC line. When a
+    page holds a whole number of HMAC lines (as 64 B blocks in 4 KB
+    pages do), every block of one HMAC line is in one page, so the line
+    index ``block >> 3`` names the record; under any other geometry the
+    block index does (several blocks may then name one record).
+    """
+    if (page_bytes // block_bytes) % MACS_PER_LINE == 0:
+        return MACS_PER_LINE.bit_length() - 1
+    return 0
 
 
 class MemoryEncryptionEngine:
@@ -223,13 +238,6 @@ class MemoryEncryptionEngine:
         self._md_sets = self.mdcache._cache._sets
         self._md_set_mask = self.mdcache._cache._set_mask
         self._md_dirty_evictions = self.mdcache._cache._dirty_evictions
-        # Per-region NVM access closures (see NVMDevice.reader/writer):
-        # each call site names its region statically.
-        self._read_data = self.nvm.reader(_DATA)
-        self._read_ctr = self.nvm.reader(_COUNTERS)
-        self._read_tree = self.nvm.reader(_TREE)
-        self._read_hmac = self.nvm.reader(_HMACS)
-        self._write_data = self.nvm.writer(_DATA)
         #: Per-region counted persist writers, the ``persist`` argument
         #: of :meth:`write_through`.
         self.counter_persister = self.nvm.persister(_COUNTERS)
@@ -437,8 +445,8 @@ class MemoryEncryptionEngine:
 
     def persist_counter_line(self, counter_index: int) -> int:
         """Write the counter line through (crash-consistency persist)."""
-        key = counter_key(counter_index)
-        return self.write_through(self.counter_persister, ((None, key, mix_of(key)),))
+        line = (None, counter_key(counter_index), counter_mix(counter_index))
+        return self.write_through(self.counter_persister, (line,))
 
     def persist_tree_node(self, node: NodeId) -> int:
         """Write a BMT node's line through (crash-consistency persist)."""
@@ -664,10 +672,20 @@ class MemoryEncryptionEngine:
         after construction and read once per call. Each metadata-cache
         reference probes the line's set inline (the record carries its
         premixed set). Every miss goes through one closure, ``miss``,
-        which holds the only copy of the miss rule. A protocol's NV
-        anchors are one container (``trusted_nodes()``): a read's walk
-        and a write's path update both climb the record's ``triples``
-        until the first member.
+        which holds the only copy of the miss rule and counts its NVM
+        read in place. A protocol's NV anchors are one container
+        (``trusted_nodes()``): a read's walk and a write's path update
+        both climb the record's ``triples`` until the first member.
+
+        What every event counts — data reads and writes, metadata-cache
+        hits, walk stops at a cached node and at an NV register, and
+        the data region's NVM reads and writes — ``run`` tallies in
+        local ints and adds to the shared counters once per call, in a
+        ``finally``: the counts stay exact when a
+        :class:`~repro.errors.PowerFailure` ends a call mid-stream, and
+        nothing reads them before a call returns. The data reads'
+        latency is charged once too, as their count times the NVM read
+        latency.
 
         A set maps key -> set value (see :mod:`repro.cache.cache`), so a
         hit is one ``move_to_end`` and a write's reference first stores
@@ -713,22 +731,27 @@ class MemoryEncryptionEngine:
         md_misses = inner._misses
         md_fills = inner._fills
         md_evictions = inner._evictions
-        read_ctr = shared._read_ctr
-        read_tree = shared._read_tree
-        read_hmac = shared._read_hmac
-        read_data = shared._read_data
-        write_data = shared._write_data
+        nvm = shared.nvm
+        read_latency = nvm.read_latency_cycles
+        nvm_reads = nvm._read_total
+        nvm_writes = nvm._write_total
+        data_nvm_reads = nvm._read_by_region[_DATA]
+        data_nvm_writes = nvm._write_by_region[_DATA]
+        ctr_reads = nvm._read_by_region[_COUNTERS]
+        tree_reads = nvm._read_by_region[_TREE]
+        hmac_reads = nvm._read_by_region[_HMACS]
         data_reads = shared._ctr_data_reads
         data_writes = shared._ctr_data_writes
         walk_cache = shared._ctr_walk_cache
         walk_register = shared._ctr_walk_register
 
-        def miss(bucket, key, dirty, nvm_read) -> int:
+        def miss(bucket, key, dirty, region_reads) -> int:
             """One metadata-cache miss on ``key``, whose set is
             ``bucket``: evict the set's LRU line if it is full, fill
             ``key`` (``dirty`` for a write's reference), fetch it from
-            NVM, run the protocol's fill hook, and write a dirty victim
-            back. Returns its cycles beyond the probe latency."""
+            NVM (counted in ``region_reads``, the line's region), run
+            the protocol's fill hook, and write a dirty victim back.
+            Returns its cycles beyond the probe latency."""
             md_misses.value += 1
             victim = None
             if len(bucket) >= assoc:
@@ -738,7 +761,9 @@ class MemoryEncryptionEngine:
                     victim = None
             bucket[key] = dirty
             md_fills.value += 1
-            cycles = nvm_read()
+            nvm_reads.value += 1
+            region_reads.value += 1
+            cycles = read_latency
             if fill_hook is not None:
                 cycles += fill_hook(key)
             if victim is not None:
@@ -749,112 +774,127 @@ class MemoryEncryptionEngine:
             probe = self.fault_probe
             tracker = self.wear_tracker
             cycles = 0
-            for kind, addr, rec in events:
-                ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = rec
-                if kind == 0:  # read: authenticate and fetch
-                    cycles += read_data()
-                    data_reads.value += 1
-                    # Counter line (clean reference).
+            # Per-call tallies, added to the shared counters once, in
+            # the finally: exact even when a PowerFailure ends the call.
+            reads = writes = stores = hits = cache_stops = register_stops = 0
+            try:
+                for kind, addr, rec in events:
+                    ctr_key, ctr_mix, hkey, hmac_mix, triples, path, counter_index = rec
+                    if kind == 0:  # read: authenticate and fetch
+                        reads += 1  # the data block's NVM read
+                        # Counter line (clean reference).
+                        bucket = sets[ctr_mix & set_mask]
+                        cycles += md_latency
+                        if ctr_key in bucket:
+                            bucket.move_to_end(ctr_key)
+                            hits += 1
+                        else:
+                            cycles += miss(bucket, ctr_key, False, ctr_reads)
+                        # BMT walk: climb until the first cached / trusted node.
+                        for node, key, mix in triples:
+                            if node in trusted:
+                                register_stops += 1
+                                break
+                            bucket = sets[mix & set_mask]
+                            cycles += md_latency
+                            if key in bucket:
+                                bucket.move_to_end(key)
+                                hits += 1
+                                cache_stops += 1
+                                break
+                            cycles += miss(bucket, key, False, tree_reads)
+                        # HMAC line (clean reference).
+                        bucket = sets[hmac_mix & set_mask]
+                        cycles += md_latency
+                        if hkey in bucket:
+                            bucket.move_to_end(hkey)
+                            hits += 1
+                        else:
+                            cycles += miss(bucket, hkey, False, hmac_reads)
+                        if functional:
+                            plaintext = verify_and_decrypt(
+                                addr, addr >> block_shift, counter_index
+                            )
+                            if plaintexts is not None:
+                                plaintexts.append(plaintext)
+                        continue
+                    # write: 1 posted, 2 fenced.
+                    writes += 1
+                    if tracker is not None:
+                        tracker.record(_DATA, addr >> block_shift)
+                    if probe is not None:
+                        # The functional tree updates the NV root register
+                        # atomically with the counter bump, so a crash
+                        # landing between that bump and the protocol's
+                        # persists would fabricate a torn state no ADR
+                        # machine can produce. Phase triggers inside the
+                        # group are therefore deferred to the commit below
+                        # (the write completes durably); triggers outside
+                        # any group raise at once.
+                        probe.begin_group()
+                    # 1. read-modify-write the counter (dirtying reference).
                     bucket = sets[ctr_mix & set_mask]
                     cycles += md_latency
                     if ctr_key in bucket:
+                        bucket[ctr_key] = dirty
                         bucket.move_to_end(ctr_key)
-                        md_hits.value += 1
+                        hits += 1
                     else:
-                        cycles += miss(bucket, ctr_key, False, read_ctr)
-                    # BMT walk: climb until the first cached / trusted node.
+                        cycles += miss(bucket, ctr_key, dirty, ctr_reads)
+                    block_index = addr >> block_shift
+                    if functional:
+                        bump_and_store(addr, block_index, counter_index, data, path)
+                    # 2. update the HMAC line (dirtying reference).
+                    bucket = sets[hmac_mix & set_mask]
+                    cycles += md_latency
+                    if hkey in bucket:
+                        bucket[hkey] = dirty
+                        bucket.move_to_end(hkey)
+                        hits += 1
+                    else:
+                        cycles += miss(bucket, hkey, dirty, hmac_reads)
+                    # 3. update the ancestor path up to the first trusted
+                    #    node, where a read's walk stops too: the NV anchor
+                    #    absorbs the new value on-chip.
                     for node, key, mix in triples:
                         if node in trusted:
-                            walk_register.value += 1
                             break
                         bucket = sets[mix & set_mask]
                         cycles += md_latency
                         if key in bucket:
+                            bucket[key] = dirty
                             bucket.move_to_end(key)
-                            md_hits.value += 1
-                            walk_cache.value += 1
-                            break
-                        cycles += miss(bucket, key, False, read_tree)
-                    # HMAC line (clean reference).
-                    bucket = sets[hmac_mix & set_mask]
-                    cycles += md_latency
-                    if hkey in bucket:
-                        bucket.move_to_end(hkey)
-                        md_hits.value += 1
-                    else:
-                        cycles += miss(bucket, hkey, False, read_hmac)
-                    if functional:
-                        plaintext = verify_and_decrypt(
-                            addr, addr >> block_shift, counter_index
-                        )
-                        if plaintexts is not None:
-                            plaintexts.append(plaintext)
-                    continue
-                # write: 1 posted, 2 fenced.
-                data_writes.value += 1
-                if tracker is not None:
-                    tracker.record(_DATA, addr >> block_shift)
-                if probe is not None:
-                    # The functional tree updates the NV root register
-                    # atomically with the counter bump, so a crash landing
-                    # between that bump and the protocol's persists would
-                    # fabricate a torn state no ADR machine can produce.
-                    # Phase triggers inside the group are therefore
-                    # deferred to the commit below (the write completes
-                    # durably); triggers outside any group raise at once.
-                    probe.begin_group()
-                # 1. read-modify-write the counter (dirtying reference).
-                bucket = sets[ctr_mix & set_mask]
-                cycles += md_latency
-                if ctr_key in bucket:
-                    bucket[ctr_key] = dirty
-                    bucket.move_to_end(ctr_key)
-                    md_hits.value += 1
-                else:
-                    cycles += miss(bucket, ctr_key, dirty, read_ctr)
-                block_index = addr >> block_shift
-                if functional:
-                    bump_and_store(addr, block_index, counter_index, data, path)
-                # 2. update the HMAC line (dirtying reference).
-                bucket = sets[hmac_mix & set_mask]
-                cycles += md_latency
-                if hkey in bucket:
-                    bucket[hkey] = dirty
-                    bucket.move_to_end(hkey)
-                    md_hits.value += 1
-                else:
-                    cycles += miss(bucket, hkey, dirty, read_hmac)
-                # 3. update the ancestor path up to the first trusted node,
-                #    where a read's walk stops too: the NV anchor absorbs
-                #    the new value on-chip.
-                for node, key, mix in triples:
-                    if node in trusted:
-                        break
-                    bucket = sets[mix & set_mask]
-                    cycles += md_latency
-                    if key in bucket:
-                        bucket[key] = dirty
-                        bucket.move_to_end(key)
-                        md_hits.value += 1
-                    else:
-                        cycles += miss(bucket, key, dirty, read_tree)
-                # 4. the data write itself (posted, unless under a fence).
-                write_data()
-                fenced = kind == 2
-                cycles += fenced_cycles if fenced else posted_cycles
-                # 5. protocol-specific persistence.
-                cycles += on_data_write(
-                    counter_index, block_index, path, fenced=fenced
-                )
-                if wpq is not None:
-                    # ADR drain at the group's commit point (before the
-                    # commit callback, so a deferred crash finds the queue
-                    # empty and the write durable — matching
-                    # write_committed=True).
-                    wpq.drain()
-                if probe is not None:
-                    probe.commit_group()
-            return cycles
+                            hits += 1
+                        else:
+                            cycles += miss(bucket, key, dirty, tree_reads)
+                    # 4. the data write itself (posted, unless under a fence).
+                    stores += 1
+                    fenced = kind == 2
+                    cycles += fenced_cycles if fenced else posted_cycles
+                    # 5. protocol-specific persistence.
+                    cycles += on_data_write(
+                        counter_index, block_index, path, fenced=fenced
+                    )
+                    if wpq is not None:
+                        # ADR drain at the group's commit point (before the
+                        # commit callback, so a deferred crash finds the
+                        # queue empty and the write durable — matching
+                        # write_committed=True).
+                        wpq.drain()
+                    if probe is not None:
+                        probe.commit_group()
+            finally:
+                data_reads.value += reads
+                nvm_reads.value += reads
+                data_nvm_reads.value += reads
+                data_writes.value += writes
+                nvm_writes.value += stores
+                data_nvm_writes.value += stores
+                md_hits.value += hits
+                walk_cache.value += cache_stops
+                walk_register.value += register_stops
+            # Every data read pays one NVM read latency.
+            return cycles + reads * read_latency
 
         return run
 
@@ -962,11 +1002,6 @@ class ReplayGroup:
         self._ctr_data_writes = self.stats.counter("data_writes")
         self._ctr_walk_register = self.stats.counter("walk_stopped_at_register")
         self._ctr_walk_cache = self.stats.counter("walk_stopped_at_cache")
-        self._read_data = self.nvm.reader(_DATA)
-        self._read_ctr = self.nvm.reader(_COUNTERS)
-        self._read_tree = self.nvm.reader(_TREE)
-        self._read_hmac = self.nvm.reader(_HMACS)
-        self._write_data = self.nvm.writer(_DATA)
         # Per member: the cycles its own hooks and writebacks charged.
         own = self._own_cycles = [0] * len(engines)
 

@@ -246,28 +246,12 @@ class NVMDevice:
 
     # -- pre-bound access closures (hot-path callers) -------------------
 
-    def reader(self, region: MetadataRegion):
-        """A zero-argument equivalent of ``read_access(region)``.
-
-        The engine's per-access paths call the device hundreds of
-        thousands of times per run with a region known statically at
-        the call site; binding the counters and latency into a closure
-        removes the per-call region dispatch (including the enum hash
-        behind the per-region counter dict)."""
-        total = self._read_total
-        by_region = self._read_by_region[region]
-        latency = self._read_cycles
-
-        def read() -> int:
-            total.value += 1
-            by_region.value += 1
-            return latency
-
-        return read
-
     def writer(self, region: MetadataRegion):
         """A zero-argument equivalent of ``write_access(region)`` — same
-        counters, same returned latency."""
+        counters, same returned latency. Callers that write one region
+        hundreds of thousands of times per run (the engine's lazy
+        writebacks) bind it once: no per-call region dispatch, nor the
+        enum hash behind the per-region counter dict."""
         total = self._write_total
         by_region = self._write_by_region[region]
         latency = self._write_cycles

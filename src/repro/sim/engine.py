@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.mee import (
-    MACS_PER_LINE,
     MemoryEncryptionEngine,
     ReplayGroup,
+    record_key_shift,
 )
 from repro.errors import PowerFailure, SimulationError
 from repro.sim.machine import Machine
@@ -100,7 +100,7 @@ def _boundary_events(
       do). So ``record_of(addr)`` runs once per distinct HMAC line of
       the walk, and a dict keyed by ``block >> 3``, local to this walk,
       serves the rest; under any other geometry the key is the block
-      index.
+      index (see :func:`~repro.core.mee.record_key_shift`).
     """
     # Translation: the memory manager's per-pid page -> base mirror
     # (left empty when the page size is not a power of two, so every
@@ -124,11 +124,7 @@ def _boundary_events(
     evictions = llc._evictions
     dirty_evictions = llc._dirty_evictions
     # HMAC line (or block) index -> event record, for this walk only.
-    line_shift = (
-        MACS_PER_LINE.bit_length() - 1
-        if (mm.page_bytes // block_bytes) % MACS_PER_LINE == 0
-        else 0
-    )
+    line_shift = record_key_shift(mm.page_bytes, block_bytes)
     records = None if record_of is None else {}
     record_at = None if records is None else records.get
     rec = None

@@ -31,10 +31,10 @@ same event loop, with its record resolved on the spot.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.config import SystemConfig
-from repro.core.mee import MACS_PER_LINE, resolve_record
+from repro.core.mee import MACS_PER_LINE, record_key_shift, resolve_record
 from repro.integrity.geometry import TreeGeometry
 from repro.util.bitops import ilog2
 
@@ -94,22 +94,27 @@ def compile_metadata_plan(stream, config: SystemConfig) -> MetadataPlan:
     geometry = TreeGeometry.from_config(config)
     block_shift = ilog2(config.security.block_bytes)
     page_shift = ilog2(config.security.page_bytes)
+    key_shift = block_shift + record_key_shift(
+        config.security.page_bytes, config.security.block_bytes
+    )
 
-    #: (counter, hmac line) -> record. Keyed by the pair: with small
-    #: pages one HMAC line can span several counter blocks, so neither
-    #: alone identifies a record.
-    records: Dict[Tuple[int, int], tuple] = {}
+    #: The walk's record key (see record_key_shift) -> record: an int
+    #: per event, so no ``(counter, line)`` pair is built but the first.
+    records: Dict[int, tuple] = {}
     records_get = records.get
     events: List[tuple] = []
     append = events.append
     for addr in stream.addr:
-        key = (addr >> page_shift, (addr >> block_shift) // MACS_PER_LINE)
-        record = records_get(key)
+        record = records_get(addr >> key_shift)
         if record is None:
-            record = resolve_record(geometry, *key)
-            records[key] = record
+            record = records[addr >> key_shift] = resolve_record(
+                geometry, addr >> page_shift, (addr >> block_shift) // MACS_PER_LINE
+            )
         append(record)
 
+    # resolve_record interns records, so identity counts the distinct
+    # ones whichever key the table used; sibling counters share a path.
+    distinct = {id(record): record for record in records.values()}
     arity = geometry.arity
-    paths = {counter // arity for counter, _ in records}
-    return MetadataPlan(stream.name, events, len(records), len(paths))
+    paths = {record[6] // arity for record in distinct.values()}
+    return MetadataPlan(stream.name, events, len(distinct), len(paths))

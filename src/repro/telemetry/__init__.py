@@ -59,29 +59,41 @@ CELL_SECONDS_BUCKETS = (
 
 
 def with_metrics_delta(func, payload):
-    """``func(payload)`` with the metrics it recorded here: returns
-    ``(result, (pid, delta))``, the registry delta tagged with this
-    process's pid, or ``(result, None)`` with telemetry off. A runner's
-    pool task runs through it, and the parent hands each return to
-    :func:`merge_metrics_delta`."""
+    """``func(payload)`` with the telemetry it recorded here: returns
+    ``(result, (pid, delta, spans))`` — the registry delta, and the
+    spans ``func`` finished, tagged with this process's pid — or
+    ``(result, None)`` with telemetry off. A runner's pool task runs
+    through it, and the parent hands each return to
+    :func:`merge_metrics_delta`.
+
+    The delta keeps every counter this process has registered, at zero
+    when ``func`` did not move it, so a pooled run names the counters
+    an in-process run names (``MetricsRegistry.diff`` drops them)."""
     if not enabled():
         return func(payload), None
     registry = get_registry()
+    tracer = get_tracer()
     before = registry.snapshot()
+    mark = tracer.mark()
     result = func(payload)
-    return result, (os.getpid(), registry.diff(before))
+    delta = registry.diff(before)
+    moved = delta["counters"]
+    delta["counters"] = {name: moved.get(name, 0) for name in registry.counters}
+    return result, (os.getpid(), delta, tracer.finished_since(mark))
 
 
 def merge_metrics_delta(tagged):
     """The result of a :func:`with_metrics_delta` return, its delta
-    merged into this process's registry unless there is none or this
-    process recorded it: an in-process fallback already wrote it here,
-    and merging it again would double count."""
+    merged into this process's registry and its spans into this
+    process's tracer, unless there are none or this process recorded
+    them: an in-process fallback already wrote them here, and merging
+    again would double count."""
     result, tagged_delta = tagged
     if tagged_delta is not None:
-        pid, delta = tagged_delta
+        pid, delta, finished = tagged_delta
         if pid != os.getpid():
             get_registry().merge_snapshot(delta)
+            get_tracer().adopt(finished)
     return result
 
 

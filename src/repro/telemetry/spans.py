@@ -58,6 +58,41 @@ class SpanTracer:
         """Finished spans, oldest first (bounded by ``capacity``)."""
         return list(self._ring)
 
+    def mark(self) -> int:
+        """The id the next span will get: :meth:`finished_since` takes
+        it to name the spans started from here on."""
+        return self._next_id
+
+    def finished_since(self, mark: int) -> List[Dict]:
+        """The finished spans started since ``mark`` (see :meth:`mark`),
+        oldest first, with ``start_s`` on the absolute monotonic clock
+        so another process's tracer can :meth:`adopt` them."""
+        return [
+            dict(span, start_s=span["start_s"] + self._epoch)
+            for span in self._ring
+            if span["id"] >= mark
+        ]
+
+    def adopt(self, spans: List[Dict]) -> None:
+        """Record ``spans`` (from another process's
+        :meth:`finished_since`) as if they had run here: each gets a
+        fresh id, a span whose parent is not among them nests under the
+        span open here, and starts move to this tracer's epoch."""
+        ids: Dict[int, int] = {}
+        for span in sorted(spans, key=lambda span: span["id"]):
+            ids[span["id"]] = self._next_id
+            self._next_id += 1
+        open_span = self._stack[-1] if self._stack else None
+        for span in spans:
+            self._ring.append(
+                dict(
+                    span,
+                    id=ids[span["id"]],
+                    parent=ids.get(span["parent"], open_span),
+                    start_s=span["start_s"] - self._epoch,
+                )
+            )
+
     def reset(self) -> None:
         self._ring.clear()
         self._stack.clear()

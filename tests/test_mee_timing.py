@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.cache.cache import _MIX_MEMO
 from repro.cache.metadata_cache import counter_key, hmac_key, node_key
 from repro.config import default_config
 from repro.core import mee as mee_module
 from repro.core.mee import MemoryEncryptionEngine, resolve_record
 from repro.core.protocol import make_protocol
+from repro.errors import PowerFailure
 from repro.mem.backend import MetadataRegion
 from repro.sim.engine import share_residency, simulate_from_plan
 from repro.sim.machine import build_engine
@@ -311,10 +313,12 @@ class PowerCut(Exception):
 
 
 class CrashAtWindow:
-    """A fault probe that cuts power in its k-th persist window."""
+    """A fault probe that cuts power (``error``) in its k-th persist
+    window."""
 
-    def __init__(self, k):
+    def __init__(self, k, error=PowerCut):
         self.remaining = k
+        self.error = error
 
     def begin_group(self):
         pass
@@ -328,7 +332,7 @@ class CrashAtWindow:
     def on_persist(self):
         self.remaining -= 1
         if self.remaining == 0:
-            raise PowerCut
+            raise self.error
 
 
 class WriteLog:
@@ -363,6 +367,15 @@ class TestPathMemo:
         sibling = resolve_record(mee.geometry, 4, 32)
         assert sibling[4] is first[4] and sibling[5] is first[5]
 
+    def test_records_leave_the_mix_memo_alone(self, config):
+        """Records and node triples take their mixes in closed form, so
+        resolving one puts none of its keys in the process-wide memo."""
+        mee = engine_for(config)
+        record = resolve_record(mee.geometry, 4093, 32745)
+        _, node, _ = mee_module.node_triple((9, 987654))
+        for key in (record[0], record[2], node):
+            assert key not in _MIX_MEMO
+
     def test_path_matches_geometry(self, config):
         mee = engine_for(config)
         record = resolve_record(mee.geometry, 5, 40)
@@ -378,3 +391,56 @@ class TestCrash:
         mee.crash()
         assert mee.mdcache.occupancy() == 0
         assert mee.stats.get("crashes") == 1
+
+
+class TestCallTallies:
+    """The event loop counts per call and adds to the shared counters
+    once, when the call ends, even when a power failure ends it."""
+
+    #: 40 events over 13 pages: reads at i % 3 == 0, posted writes at
+    #: 1, fenced writes at 2.
+    EVENTS = [(i % 3, (i * 7 % 13) * 4096 + (i % 5) * 64) for i in range(40)]
+
+    @staticmethod
+    def counts(mee):
+        return (
+            mee.stats.snapshot(),
+            mee.mdcache.stats.snapshot(),
+            mee.nvm.stats.snapshot(),
+        )
+
+    def test_a_crash_mid_call_leaves_the_per_event_counts(self, config):
+        """A strict write persists 2 + levels lines; a crash in the 3rd
+        persist window of the 6th write (event 8) cuts one multi-event
+        call. Its counts equal those of the same events run one per
+        call up to the crash, and the events that ran."""
+        levels = engine_for(config).geometry.num_node_levels
+        window = 5 * (2 + levels) + 3
+
+        def crashed(per_event):
+            mee = engine_for(config, "strict")
+            events = [(kind, addr, mee.record_of(addr)) for kind, addr in self.EVENTS]
+            mee.fault_probe = CrashAtWindow(window, PowerFailure("persist_window"))
+            ran = 0
+            with pytest.raises(PowerFailure):
+                if per_event:
+                    for event in events:
+                        ran += 1
+                        mee.run_events((event,))
+                else:
+                    mee.run_events(events)
+            return mee, ran
+
+        whole, _ = crashed(per_event=False)
+        single, ran = crashed(per_event=True)
+        assert ran == 9
+        assert self.counts(whole) == self.counts(single)
+        # Events 0-8 ran: reads 0, 3, 6 and writes 1, 2, 4, 5, 7, 8; the
+        # crashing write sent its data block before its persists.
+        assert whole.stats.get("data_reads") == 3
+        assert whole.stats.get("data_writes") == 6
+        assert whole.nvm.reads(MetadataRegion.DATA) == 3
+        assert whole.nvm.writes(MetadataRegion.DATA) == 6
+        md = whole.mdcache.stats
+        assert md.get("hits") + md.get("misses") > 0
+        assert whole.nvm.reads() == 3 + md.get("misses")

@@ -1,12 +1,18 @@
 """The security metadata cache and its AMNT dirty-scan support."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.cache.cache import _mix_key
 from repro.cache.metadata_cache import (
     MetadataCache,
     counter_key,
+    counter_mix,
     hmac_key,
+    hmac_mix,
     node_key,
+    node_mix,
 )
 from repro.config import MetadataCacheConfig
 
@@ -26,6 +32,15 @@ class TestKeys:
         cache.insert(counter_key(1))
         assert not cache.contains(node_key(1, 1))
         assert not cache.contains(hmac_key(1))
+
+    @given(
+        index=st.integers(min_value=0, max_value=2**63),
+        level=st.integers(min_value=1, max_value=63),
+    )
+    def test_closed_form_mixes_equal_the_reference_mixer(self, index, level):
+        assert counter_mix(index) == _mix_key(counter_key(index))
+        assert hmac_mix(index) == _mix_key(hmac_key(index))
+        assert node_mix(level, index) == _mix_key(node_key(level, index))
 
 
 class TestBasicOps:

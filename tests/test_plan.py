@@ -184,6 +184,30 @@ class TestPlanContentsProperty:
         assert plan.num_records() == len(pairs)
         assert plan.num_paths() == len({counter // arity for counter, _ in pairs})
 
+    def test_records_count_pairs_when_a_line_spans_pages(self):
+        """With 256 B pages of four 64 B blocks, one HMAC line spans two
+        pages: the compile keys its table by block, and still counts
+        each distinct (counter, HMAC line) record and path once."""
+        base = default_config(capacity_bytes=16 * MB)
+        config = replace(
+            base,
+            security=replace(
+                base.security, page_bytes=256, counters_per_block=4
+            ),
+        )
+        trace = materialize_trace(profile_spec("parsec", "bodytrack", 600, 3))
+        stream = compile_boundary_stream(trace, config, seed=3)
+        plan = compile_metadata_plan(stream, config)
+        pairs = {(addr >> 8, addr >> 9) for addr in stream.addr}
+        blocks = {addr >> 6 for addr in stream.addr}
+        assert len(pairs) < len(blocks)
+        assert plan.num_records() == len(pairs)
+        arity = TreeGeometry.from_config(config).arity
+        assert plan.num_paths() == len({counter // arity for counter, _ in pairs})
+        for addr, record in zip(stream.addr, plan.event_records()):
+            assert record[6] == addr >> 8
+            assert record[2] == hmac_key(addr >> 9)
+
     def test_sibling_counters_share_one_path_object(self, small_config):
         trace = materialize_trace(profile_spec("parsec", "canneal", 2000, 7))
         stream = compile_boundary_stream(trace, small_config, seed=7)

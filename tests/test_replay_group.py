@@ -98,6 +98,45 @@ def test_anchorless_protocols_see_one_residency(drawn):
         assert residency == expected, name
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    drawn=events,
+    subset=st.lists(st.sampled_from(ANCHORLESS), min_size=2, max_size=7, unique=True),
+)
+def test_a_members_merged_counters_match_its_solo_run(drawn, subset):
+    """The group counts data reads and writes, hits, walk stops and
+    data-region NVM traffic once per call on its own counters, and
+    merges them into every member: each member's registries then read
+    what the same events give a solo engine of its protocol."""
+    addrs = [(kind, page * 4096 + block * 64) for kind, page, block in drawn]
+
+    def engines():
+        return [
+            MemoryEncryptionEngine(CONFIG, make_protocol(name, CONFIG))
+            for name in subset
+        ]
+
+    def counts(mee):
+        return [
+            registry.snapshot()
+            for registry in (
+                mee.stats,
+                mee.mdcache.stats,
+                mee.nvm.stats,
+                mee.protocol.stats,
+            )
+        ]
+
+    solo = engines()
+    for mee in solo:
+        mee.run_events([(kind, addr, mee.record_of(addr)) for kind, addr in addrs])
+    members = engines()
+    group = ReplayGroup(members)
+    group.replay([(kind, addr, members[0].record_of(addr)) for kind, addr in addrs])
+    for name, member, alone in zip(subset, members, solo):
+        assert counts(member) == counts(alone), name
+
+
 def _trace(source, seed):
     if source == "storage":
         return generate_storage_trace(

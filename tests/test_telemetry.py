@@ -7,10 +7,12 @@ exact same :class:`SimulationResult` with telemetry enabled or disabled
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro import telemetry
+from repro.cli import main as cli_main
 from repro.config import default_config
 from repro.sim.parallel import ParallelSweepRunner, SweepCell, run_cell
 from repro.sim.runner import run_resilient_sweep
@@ -150,6 +152,27 @@ class TestSpans:
         finished = tracer.finished()
         assert len(finished) == 4
         assert [s["name"] for s in finished] == ["s6", "s7", "s8", "s9"]
+
+    def test_adopted_spans_nest_under_the_open_span(self):
+        worker = SpanTracer()
+        with worker.span("before"):
+            pass
+        mark = worker.mark()
+        with worker.span("cell"):
+            with worker.span("phase"):
+                pass
+        shipped = worker.finished_since(mark)
+        assert [s["name"] for s in shipped] == ["phase", "cell"]
+
+        parent = SpanTracer()
+        with parent.span("sweep") as sweep_id:
+            parent.adopt(shipped)
+        phase, cell, sweep = parent.finished()
+        assert sweep["name"] == "sweep"
+        assert cell["parent"] == sweep_id
+        assert phase["parent"] == cell["id"]
+        assert len({phase["id"], cell["id"], sweep["id"]}) == 3
+        assert cell["duration_s"] == shipped[1]["duration_s"]
 
     def test_module_span_is_noop_when_disabled(self):
         telemetry.set_enabled(False)
@@ -407,6 +430,51 @@ class TestBitIdentity:
         assert counters["sweep.cells"] == counters["sim.runs"] == 2
         assert counters["result_cache.misses"] == 2
         assert counters["result_cache.hits"] == 2
+
+
+class TestPooledMetricsDocument:
+    """A pooled sweep's metrics document says what the in-process one
+    says: the workers ship their spans and every counter they
+    registered, zero-valued ones included, with their deltas."""
+
+    #: Each process's own artifact caches: a pool looks an artifact up
+    #: once per unit and worker, so these values follow the partition.
+    #: Their names still must match.
+    PER_PROCESS = ("trace_cache.", "compiled_cache.")
+
+    @staticmethod
+    def document(tmp_path, workers, journaled):
+        workloads.trace_cache_clear()
+        workloads.compiled_cache_clear()
+        workloads.result_cache_clear()
+        path = tmp_path / f"metrics-{workers}.json"
+        argv = ["sweep", "blackscholes", "--accesses", "300"]
+        argv += ["--workers", str(workers), "--metrics-out", str(path)]
+        if journaled:
+            argv += ["--run-dir", str(tmp_path / f"run-{workers}")]
+        assert cli_main(argv) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "run-dir"])
+    def test_one_and_two_workers_write_the_same_document(
+        self, tmp_path, journaled
+    ):
+        serial = self.document(tmp_path, 1, journaled)
+        pooled = self.document(tmp_path, 2, journaled)
+
+        def counters(doc):
+            return {
+                name: None if name.startswith(self.PER_PROCESS) else value
+                for name, value in doc["metrics"]["counters"].items()
+            }
+
+        def spans(doc):
+            return Counter(span["name"] for span in doc["spans"])
+
+        assert counters(pooled) == counters(serial)
+        assert serial["metrics"]["counters"]["mee.data_writes"] == 0
+        assert spans(pooled) == spans(serial)
+        assert sum(spans(serial).values()) >= 6
 
 
 # ----------------------------------------------------------------------
